@@ -349,8 +349,12 @@ def optimize_lambda(
     report = strong_converse_bound(family, lam_best)
     params = dict(report.params)
     params["lambda_range"] = [lam_lo, lam_hi]
+    # Golden section stalls where rounding in raw_at hides the slope, short
+    # of a maximum at an end of the range by up to about sqrt(eps) times the
+    # bracket it searched (3e-11 in log lam is common).
+    edge_tol = math.sqrt(np.finfo(float).eps) * (bracket_hi - bracket_lo)
     params["lambda_at_boundary"] = bool(
-        x_best <= lo + 1e-12 or x_best >= hi - 1e-12
+        x_best <= lo + edge_tol or x_best >= hi - edge_tol
     )
     return BoundReport(
         method=report.method,

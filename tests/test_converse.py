@@ -137,6 +137,15 @@ def test_optimize_lambda_boundary_flag():
     assert rep.params["lambda_at_boundary"]
 
 
+def test_optimize_lambda_boundary_flag_past_golden_section_stall():
+    # golden section stops about 3e-11 short of lam_lo in log lam on this
+    # family; the optimum is still the end of the range and must be flagged
+    fam = random_discrete_family(np.random.default_rng(0), q_choice="uniform")
+    rep = optimize_lambda(fam)
+    assert 0.0 < math.log(rep.lambda_star / 1e-6) < 1e-9
+    assert rep.params["lambda_at_boundary"]
+
+
 def test_optimize_lambda_domain():
     p = pmf(0.5, 0.5)
     with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """Ground-truth enumerations and quadrature the bound machinery is checked against."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conversekit import oracle
 from conversekit.divergence import DiscretePmf, GaussianShiftPair, iid_product_pmf
 from conversekit.oracle import (
     MAX_ORACLE_OUTCOMES,
     CapabilityError,
     HypercubeDensityFamily,
+    QuadratureWarning,
     adaptive_simpson,
     density_sq_integral,
     exact_bayes_error,
@@ -129,6 +132,135 @@ def test_gaussian_quadrature_matches_closed_form(rng):
         quad = renyi_gaussian_quadrature(pair, lam)
         closed = renyi_gaussian_shift(pair, lam)
         assert quad == pytest.approx(closed, rel=1e-8)
+
+
+def test_adaptive_simpson_warns_at_max_depth():
+    # all four depth-2 panels miss the 1e-10 budget
+    with pytest.warns(QuadratureWarning, match=r"4 panel\(s\) reached max_depth=2"):
+        adaptive_simpson(math.sin, 0.0, math.pi, max_depth=2)
+
+
+def test_quadrature_silent_on_acceptance_inputs():
+    # the criterion-03 Gaussian pairs and the hypercube golden cases converge
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        for _ in range(100):
+            pair = GaussianShiftPair(
+                shift_sq=float(rng.uniform(0.01, 4.0)),
+                sigma_sq=float(rng.uniform(0.25, 4.0)),
+            )
+            renyi_gaussian_quadrature(pair, float(rng.uniform(0.05, 3.0)))
+        for m in (2, 4, 8, 16):
+            for c in (0.1, 0.3, 0.5):
+                tau = [1 if i % 2 == 0 else -1 for i in range(m)]
+                density_sq_integral(HypercubeDensityFamily(m=m, c=c), tau)
+        density_sq_integral(HypercubeDensityFamily(m=4, c=0.5), [1, -1, 1, -1])
+        hellinger_sq_distance(
+            HypercubeDensityFamily(m=6, c=0.1), [1] * 6, [-1, -1, 1, 1, 1, 1]
+        )
+
+
+# --- the recursive scalar adaptive Simpson, kept as a reference ---
+
+
+def reference_simpson(f, a, b, atol=1e-10, rtol=0.0, max_depth=48):
+    a, b = float(a), float(b)
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _reference_step(f, a, b, fa, fm, fb, whole, atol, rtol, max_depth)
+
+
+def _reference_step(f, a, b, fa, fm, fb, whole, atol, rtol, depth):
+    mid = 0.5 * (a + b)
+    flm, frm = f(0.5 * (a + mid)), f(0.5 * (mid + b))
+    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * max(atol, rtol * abs(left + right)):
+        return left + right + err / 15.0
+    return _reference_step(
+        f, a, mid, fa, flm, fm, left, 0.5 * atol, rtol, depth - 1
+    ) + _reference_step(f, mid, b, fm, frm, fb, right, 0.5 * atol, rtol, depth - 1)
+
+
+def reference_renyi_gaussian(pair, lam, rtol=1e-11):
+    mu = math.sqrt(pair.shift_sq)
+    sigma = math.sqrt(pair.sigma_sq)
+    log_norm = -0.5 * math.log(2.0 * math.pi * pair.sigma_sq)
+
+    def integrand(y):
+        quad = (1.0 + lam) * (y - mu) ** 2 - lam * y * y
+        return math.exp(log_norm - quad / (2.0 * pair.sigma_sq))
+
+    centers = (0.0, mu, (1.0 + lam) * mu)
+    lo = min(centers) - 40.0 * sigma
+    hi = max(centers) + 40.0 * sigma
+    return math.log(reference_simpson(integrand, lo, hi, atol=0.0, rtol=rtol)) / lam
+
+
+def reference_cell(family, j, h, atol):
+    """integral over cell j of h(bump), bump = (c / m^2) sin(2 pi (m x - j)), by the reference."""
+    m = family.m
+    scale = family.c / m**2
+    return reference_simpson(
+        lambda x: h(scale * math.sin(2.0 * math.pi * (x * m - j))), j / m, (j + 1) / m, atol=atol
+    )
+
+
+REF_REL = 1e-13
+
+
+def test_adaptive_simpson_matches_reference():
+    for f, a, b in ((math.sin, 0.0, math.pi), (lambda x: math.exp(-x * x), -10.0, 10.0)):
+        assert adaptive_simpson(f, a, b) == pytest.approx(reference_simpson(f, a, b), rel=REF_REL)
+
+
+def test_block_size_only_reorders_the_sum(monkeypatch):
+    # the singularity at the right end leaves a left half waiting at each of
+    # about 40 depths, which with blocks of 1 or 3 outgrows the first stack
+    f = lambda x: math.sqrt(1.0 - x)
+    ref = reference_simpson(f, 0.0, 1.0)
+    for block in (1, 3, 64):
+        monkeypatch.setattr(oracle, "_SIMPSON_BLOCK", block)
+        assert adaptive_simpson(f, 0.0, 1.0) == pytest.approx(ref, rel=REF_REL)
+
+
+def test_gaussian_quadrature_matches_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        pair = GaussianShiftPair(float(rng.uniform(0.01, 4.0)), float(rng.uniform(0.25, 4.0)))
+        lam = float(rng.uniform(0.05, 3.0))
+        assert renyi_gaussian_quadrature(pair, lam) == pytest.approx(
+            reference_renyi_gaussian(pair, lam), rel=REF_REL
+        )
+
+
+def test_hypercube_integrals_match_reference():
+    rng = np.random.default_rng(16)
+    fam = HypercubeDensityFamily(m=16, c=0.4)
+    ta = [int(v) for v in rng.choice([-1, 1], size=16)]
+    tb = [-v if flip else v for v, flip in zip(ta, rng.random(16) < 0.5)]
+
+    sq = []
+    for j in range(16):
+        sq.append(reference_cell(fam, j, lambda bump, s=ta[j]: (1.0 + s * bump) ** 2, 1e-12))
+    assert density_sq_integral(fam, ta) == pytest.approx(sum(sq), rel=REF_REL)
+
+    gaps = []
+    for j in range(16):
+        # flipping only cell j makes hellinger_sq_distance integrate that one cell
+        flipped = list(ta)
+        flipped[j] = -ta[j]
+
+        def gap_sq(bump, sa=ta[j], sb=-ta[j]):
+            return (math.sqrt(1.0 + sa * bump) - math.sqrt(1.0 + sb * bump)) ** 2
+
+        ref = reference_cell(fam, j, gap_sq, 1e-13)
+        assert hellinger_sq_distance(fam, ta, flipped) == pytest.approx(ref, rel=REF_REL)
+        if ta[j] != tb[j]:
+            gaps.append(ref)
+    assert hellinger_sq_distance(fam, ta, tb) == pytest.approx(sum(gaps), rel=REF_REL)
 
 
 # --- hypercube density family ---
