@@ -15,7 +15,12 @@ import math
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
-from .converse import BoundReport, strong_converse_eps_from_log_terms
+from .converse import (
+    _EXP_OVERFLOW,
+    BoundReport,
+    _clamp_eps,
+    strong_converse_eps_from_log_terms,
+)
 
 __all__ = [
     "ConfigError",
@@ -32,9 +37,6 @@ __all__ = [
 
 LOG2 = log(2.0)
 
-# exp() overflow guard for raw (unclamped) bound values.
-_EXP_MAX = 709.0
-
 
 class ConfigError(ValueError):
     """A configuration violates one of its stated inequalities."""
@@ -47,7 +49,7 @@ def _require(cond: bool, message: str):
 
 def _safe_one_minus_scaled_exp(scale: float, exponent: float) -> float:
     """1 - scale * exp(exponent), routing overflow to -inf."""
-    if exponent >= _EXP_MAX:
+    if exponent >= _EXP_OVERFLOW:
         return -math.inf
     return 1.0 - scale * exp(exponent)
 
@@ -219,10 +221,6 @@ class ComparisonReport:
         }
 
 
-def _clamp(raw: float) -> float:
-    return min(1.0, max(0.0, raw))
-
-
 def density_bound(cfg: DensityConfig) -> ComparisonReport:
     """Risk floors for density estimation at bandwidth m = n^(1/5) / nu.
 
@@ -241,7 +239,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     strong_raw = _safe_one_minus_scaled_exp(
         2.0, -(n**0.2 / (2.0 * nu)) * (cfg.c0 - nu**5 * x)
     )
-    strong_eps = _clamp(strong_raw)
+    strong_eps = _clamp_eps(strong_raw)
     prefactor = x * nu**4 / (6.0 * n**0.8)
 
     # same floor computed before substituting m, as a consistency record
@@ -249,7 +247,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     pre_raw = _safe_one_minus_scaled_exp(
         2.0, -(m_real / 2.0) * (cfg.c0 - x * n / m_real**5)
     )
-    pre_risk = pre_prefactor * _clamp(pre_raw)
+    pre_risk = pre_prefactor * _clamp_eps(pre_raw)
     strong_risk = prefactor * strong_eps
     rel_gap = abs(pre_risk - strong_risk) / max(abs(strong_risk), 1e-300)
 
@@ -266,8 +264,8 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
             2.0, -(m_floor / 2.0) * (cfg.c0 - x * n / m_floor**5)
         )
         strong_params["m_floor"] = m_floor
-        strong_params["floor_m_eps"] = _clamp(floor_raw)
-        strong_params["floor_m_risk"] = x / (6.0 * m_floor**4) * _clamp(floor_raw)
+        strong_params["floor_m_eps"] = _clamp_eps(floor_raw)
+        strong_params["floor_m_risk"] = x / (6.0 * m_floor**4) * _clamp_eps(floor_raw)
     else:
         strong_params["m_floor"] = None
 
@@ -282,7 +280,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
 
     c_g = cfg.c_g_effective
     fano_raw = 1.0 - (2.0 * x * nu**5 / (1.0 - c_g) + LOG2 / n**0.2) / cfg.c0
-    fano_eps = _clamp(fano_raw)
+    fano_eps = _clamp_eps(fano_raw)
     fano = BoundReport(
         method="fano",
         eps_lower=fano_eps,
@@ -347,7 +345,7 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
         chain_raw = -math.inf
         out_of_regime = True
 
-    strong_eps = _clamp(strong_raw)
+    strong_eps = _clamp_eps(strong_raw)
 
     psi_n = beta_m / 16.0
     shaped = 4.0 * c / (kappa * 2.0**kappa) * psi_n**kappa
@@ -378,7 +376,7 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
     fano_raw = 1.0 - 2.0 * xi - sqrt(32.0 * xi * nu ** (d - 1.0) / LOG2) * n ** (
         -rho / (4.0 * (kappa - 1.0) + 2.0 * rho)
     )
-    fano_eps = _clamp(fano_raw)
+    fano_eps = _clamp_eps(fano_raw)
     fano = BoundReport(
         method="fano",
         eps_lower=fano_eps,
@@ -418,7 +416,7 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
     log_inner = -cfg.delta * log_m - log(lam) - log(delta_m)
     power = lam / (1.0 + lam)
     strong_raw = _safe_one_minus_scaled_exp(1.0 + lam, power * log_inner)
-    strong_eps = _clamp(strong_raw)
+    strong_eps = _clamp_eps(strong_raw)
 
     c_sq = (
         2.0

@@ -9,24 +9,41 @@ distribution into a floor on the average error probability of any decoder:
 valid for every lam > 0 and every reference Q dominating all conditionals.
 Fano-type baselines live here too, so the two can be compared on equal
 footing.
+
+On first use a discrete ChannelFamily builds its conditionals once as
+matrices (see `divergence._PmfRows`) restricted to their joint support,
+plus, for the order-free references (uniform, mixture, an explicit pmf),
+the reference, log Q and the rows Q fails to dominate; it keeps them.
+The terms lam D_i then come from the one log-space kernel
+`divergence._renyi_log_sums`, for a whole axis of orders per call, in
+chunks that bound its memory.  For the optimal reference q* no divergence
+is needed for S itself: with C the normalizer of q*, S = C^(1+lam)
+(Sibson's alpha-mutual information; Sibson 1969, Verdu 2015), which
+`optimize_lambda` and `variational_bound` use.  `strong_converse_bound`
+still reports every D_i, from the same kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import (
-    AbsoluteContinuityError,
     DiscretePmf,
     GaussianShiftPair,
     _lam,
+    _log_or_neg_inf,
+    _logsumexp,
+    _order_chunks,
+    _PmfRows,
+    _renyi_log_sums,
     hellinger_kl_coefficient,
     kl_discrete,
     mixture_pmf,
-    renyi_discrete,
     renyi_gaussian_shift,
 )
 
@@ -56,6 +73,15 @@ Q_CHOICES = ("uniform", "mixture", "qstar")
 _EXP_OVERFLOW = 709.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class _FamilyArrays(NamedTuple):
+    """A discrete family's rows, plus its reference when that is order-free."""
+
+    rows: _PmfRows
+    ref: DiscretePmf | None = None  # None for q*, which depends on the order
+    log_q: np.ndarray | None = None
+    undominated: np.ndarray | None = None  # rows with mass where Q = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +120,34 @@ class ChannelFamily:
             raise ValueError("conditionals must be all DiscretePmf or all GaussianShiftPair")
         object.__setattr__(self, "_kind", kind)
 
+    @cached_property
+    def _arrays(self) -> _FamilyArrays:
+        """The matrices of a discrete family, built on first use and kept.
+
+        Outcomes no conditional puts mass on add nothing to any Renyi sum,
+        so the rows keep only the joint support.  For an order-free
+        reference also keep log Q there (0 stands in where Q = 0) and the
+        rows Q fails to dominate; q* is rebuilt per order from the rows.
+        """
+        mat = np.stack([c.probs for c in self.conditionals])
+        joint = np.any(mat > 0.0, axis=0)
+        probs = mat if joint.all() else mat[:, joint]
+        defect = np.array([c._mass_defect for c in self.conditionals])
+        rows = _PmfRows(probs, _log_or_neg_inf(probs), defect)
+        for arr in rows:
+            arr.setflags(write=False)
+        if self.q_choice == "qstar":
+            return _FamilyArrays(rows)
+        if isinstance(self.q_choice, DiscretePmf):
+            ref = self.q_choice
+        elif self.q_choice == "uniform":
+            ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
+        else:
+            ref = mixture_pmf(self.conditionals)
+        q = ref.probs[joint]
+        undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
+        return _FamilyArrays(rows, ref, np.log(np.where(q > 0.0, q, 1.0)), undominated)
+
     @classmethod
     def gaussian(cls, pairs) -> "ChannelFamily":
         return cls(tuple(pairs), q_choice="centered")
@@ -113,13 +167,8 @@ class ChannelFamily:
         """The reference distribution Q actually used, resolved per q_choice."""
         if self.kind != "discrete":
             raise ValueError("reference_pmf applies to discrete families")
-        if isinstance(self.q_choice, DiscretePmf):
-            return self.q_choice
-        if self.q_choice == "uniform":
-            size = self.conditionals[0].support_size
-            return DiscretePmf(np.full(size, 1.0 / size))
-        if self.q_choice == "mixture":
-            return mixture_pmf(self.conditionals)
+        if self.q_choice != "qstar":
+            return self._arrays.ref
         if order is None:
             raise ValueError("q_choice 'qstar' needs the divergence order")
         return optimal_q_discrete(self.conditionals, order)[0]
@@ -127,18 +176,32 @@ class ChannelFamily:
     def divergences(self, order) -> np.ndarray:
         """Per-codeword divergences to the reference; inf marks a domination failure."""
         lam = _lam(order)
+        return self._scaled_divergences(np.array([lam]))[0] / lam
+
+    def _scaled_divergences(self, lams: np.ndarray) -> np.ndarray:
+        """lam D_i for each order in lams and each codeword, shape (L, M)."""
         if self.kind == "gaussian":
             return np.array(
-                [renyi_gaussian_shift(pair, lam) for pair in self.conditionals]
+                [[lam * renyi_gaussian_shift(pair, lam) for pair in self.conditionals]
+                 for lam in lams.tolist()]
             )
-        ref = self.reference_pmf(lam)
-        out = np.empty(self.m_codewords)
-        for i, cond in enumerate(self.conditionals):
-            try:
-                out[i] = renyi_discrete(cond, ref, lam)
-            except AbsoluteContinuityError:
-                out[i] = math.inf
+        arrays = self._arrays
+        if arrays.ref is None:
+            log_q = _log_qstar(arrays.rows.log_probs, lams)[0]
+            return _renyi_log_sums(arrays.rows, log_q, lams)
+        out = _renyi_log_sums(arrays.rows, arrays.log_q, lams)
+        if arrays.undominated.size:
+            out[:, arrays.undominated] = math.inf
         return out
+
+    def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
+        """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
+
+        For q* this is (1+lam) log C from the normalizer alone.
+        """
+        if self.q_choice == "qstar":
+            return (1.0 + lams) * _log_qstar_norm(self._arrays.rows.log_probs, lams)
+        return _log_mean_exp(self._scaled_divergences(lams))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,13 +275,12 @@ def _clamp_eps(raw: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _log_mean_exp(values) -> float:
-    """log((1/n) sum_i exp(v_i)), tolerating +inf entries."""
+def _log_mean_exp(values):
+    """log((1/n) sum_i exp(v_i)) over the last axis, tolerating +inf entries."""
     arr = np.asarray(values, dtype=np.float64)
-    top = float(arr.max())
-    if math.isinf(top):
-        return top
-    return top + math.log(float(np.mean(np.exp(arr - top))))
+    top = arr.max(axis=-1, keepdims=True)
+    top[np.isinf(top)] = 0.0  # a row holding +inf comes out +inf
+    return top[..., 0] + np.log(np.exp(arr - top).sum(axis=-1) / arr.shape[-1])
 
 
 def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) -> float:
@@ -246,7 +308,7 @@ def strong_converse_eps_from_divergences(m_codewords: float, divergences, lam) -
     if m_codewords < 1.0:
         raise ValueError("m_codewords must be at least 1")
     divs = np.asarray(divergences, dtype=np.float64)
-    log_mean = _log_mean_exp(lam * divs)
+    log_mean = float(_log_mean_exp(lam * divs))
     return strong_converse_eps_from_log_terms(math.log(m_codewords), log_mean, lam)
 
 
@@ -266,9 +328,10 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
     """
     lam = _lam(order)
     m = family.m_codewords
-    divs = family.divergences(lam)
+    scaled = family._scaled_divergences(np.array([lam]))[0]
+    divs = scaled / lam
     dominated = bool(np.all(np.isfinite(divs)))
-    log_mean = _log_mean_exp(lam * divs)
+    log_mean = float(_log_mean_exp(scaled))
     raw = strong_converse_eps_from_log_terms(math.log(m), log_mean, lam)
     gamma_star = _optimal_gamma(math.log(m), log_mean, lam) if dominated else None
     params = {
@@ -320,22 +383,25 @@ def optimize_lambda(
 
     The raw bound need not be unimodal in lam, so a geometric pre-scan picks
     the basin first and golden section on log lam refines inside it; both
-    interval endpoints stay in the candidate set.
+    interval endpoints stay in the candidate set.  The pre-scan is one
+    batched evaluation of log S; for q* each order costs one normalizer
+    instead of M divergences.
     """
     if not (0.0 < lam_lo < lam_hi):
         raise ValueError("need 0 < lam_lo < lam_hi")
+    log_m = math.log(family.m_codewords)
+
+    def raw(lams: list) -> list:
+        log_means = family._log_mean_terms(np.array(lams)).tolist()
+        return [strong_converse_eps_from_log_terms(log_m, s, lam)
+                for s, lam in zip(log_means, lams)]
 
     def raw_at(log_lam: float) -> float:
-        lam = math.exp(log_lam)
-        divs = family.divergences(lam)
-        log_mean = _log_mean_exp(lam * divs)
-        return strong_converse_eps_from_log_terms(
-            math.log(family.m_codewords), log_mean, lam
-        )
+        return raw([math.exp(log_lam)])[0]
 
     lo, hi = math.log(lam_lo), math.log(lam_hi)
     grid = np.linspace(lo, hi, prescan)
-    values = [raw_at(x) for x in grid]
+    values = raw([math.exp(x) for x in grid])
     best_idx = int(np.argmax(values))
     bracket_lo = grid[max(best_idx - 1, 0)]
     bracket_hi = grid[min(best_idx + 1, prescan - 1)]
@@ -376,12 +442,40 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     g = float(gamma)
     if not (math.isfinite(g) and g > 0.0):
         raise ValueError("gamma must be finite and positive")
-    divs = family.divergences(lam)
-    log_mean = _log_mean_exp(lam * divs)
+    log_mean = float(family._log_mean_terms(np.array([lam]))[0])
     log_term = log_mean - lam * math.log(g)
     if log_term >= _EXP_OVERFLOW or math.isinf(log_term):
         return -math.inf
     return 1.0 - g / family.m_codewords - math.exp(log_term)
+
+
+def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log w(y) = log(mean_i p_i(y)^(1+lam)) / (1+lam) per order, shape (L, K).
+
+    q* is w / C with C = sum_y w(y).  Every column needs a positive entry.
+    Unchunked: callers pass at most one chunk of orders.
+    """
+    power = 1.0 + lams[:, None]
+    log_mean = _logsumexp(power[..., None] * log_probs, axis=1) - math.log(log_probs.shape[0])
+    return log_mean / power
+
+
+def _log_qstar(log_probs: np.ndarray, lams: np.ndarray):
+    """log q* and log C per order, shapes (L, K) and (L,)."""
+    log_w = np.concatenate([
+        _log_qstar_weights(log_probs, lams[sl])
+        for sl in _order_chunks(lams.size, log_probs.size)
+    ])
+    log_c = _logsumexp(log_w.copy())
+    return log_w - log_c[:, None], log_c
+
+
+def _log_qstar_norm(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log C per order, shape (L,), holding one chunk of weights at a time."""
+    return np.concatenate([
+        _logsumexp(_log_qstar_weights(log_probs, lams[sl]))
+        for sl in _order_chunks(lams.size, log_probs.size)
+    ])
 
 
 def optimal_q_discrete(conditionals, order):
@@ -395,11 +489,11 @@ def optimal_q_discrete(conditionals, order):
     if not pmfs:
         raise ValueError("need at least one conditional")
     mat = np.stack([pm.probs for pm in pmfs])
-    weights = np.mean(mat ** (1.0 + lam), axis=0) ** (1.0 / (1.0 + lam))
-    norm = float(weights.sum())
-    if norm <= 0.0:
-        raise ValueError("conditionals have empty joint support")
-    return DiscretePmf(weights / norm), norm
+    joint = np.any(mat > 0.0, axis=0)
+    log_q, log_c = _log_qstar(_log_or_neg_inf(mat[:, joint]), np.array([lam]))
+    q = np.zeros(mat.shape[1])
+    q[joint] = np.exp(log_q[0])
+    return DiscretePmf(q), math.exp(log_c[0])
 
 
 def avg_kl_to_mixture(conditionals) -> float:

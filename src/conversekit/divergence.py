@@ -4,12 +4,37 @@ Renyi-type quantities are parametrized by the order offset lam > 0, i.e. the
 divergence of order 1 + lam.  That offset is the exponent appearing in the
 change-of-measure steps behind the converse bounds in this package, so it is
 passed around explicitly rather than the order itself.
+
+Every Renyi-type sum on a finite alphabet goes through one private kernel,
+`_renyi_log_sums`.  It takes pmfs as the rows of one matrix and returns
+lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam) for a
+whole axis of orders at once, as an (orders, rows) array:
+
+- It evaluates log1p(S - 1), with S - 1 = sum_y p(y) expm1(lam r(y)) plus
+  the exact defect sum_y p(y) - 1 of the row, and r = log p - log q.  Its
+  error is then that of forming r, about eps lam sum_y p (|log p| + |log q|),
+  however small lam D is.  log S itself would carry an error of about eps,
+  which swamps lam D ~ 1e-8 at lam ~ 1e-6.
+- A row whose terms overflow that form (lam r past ~709) is redone as a
+  log-sum-exp of log p + lam r.  So reference masses down to the
+  subnormal 5e-324 and orders up to 100 give finite values: `renyi_discrete`
+  no longer returns inf (or NaN, where one term underflowed to 0 and its
+  partner overflowed) where the true divergence is finite.
+- The order axis is split into chunks of max(1, 2^12 // (M K)) orders
+  (`_CHUNK_CELLS`), and all chunks share one orders x M x K buffer.  Small
+  families take the 64-order pre-scan of `converse.optimize_lambda` in a few
+  calls; a 16 x 4096 family takes one order at a time, so its buffer is
+  one 512 KiB matrix.  Larger chunks bought no speed on small families and
+  raised their peak memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +61,11 @@ __all__ = [
 
 # Absolute slack allowed on sum(probs) == 1 at construction time.
 PMF_SUM_TOL = 1e-12
+
+# Order-batched kernels take at most max(1, _CHUNK_CELLS // (M K)) orders of
+# an M x K matrix per step, so that orders x M x K stays below it whenever
+# one order fits.
+_CHUNK_CELLS = 1 << 12
 
 # Width of the neighbourhood of t = 1 where the kappa coefficient switches to
 # its Taylor form (the closed form is 0/0 at t = 1).
@@ -72,6 +102,12 @@ class DiscretePmf:
 
     def __len__(self) -> int:
         return int(self.probs.size)
+
+    @cached_property
+    def _mass_defect(self) -> float:
+        """sum(probs) - 1, correctly rounded; kept, as the pmf is immutable."""
+        # probs.data hands fsum one double at a time, with no list of them
+        return math.fsum(itertools.chain(self.probs.data, (-1.0,)))
 
 
 @dataclass(frozen=True)
@@ -128,29 +164,97 @@ def _common_support(p: DiscretePmf, q: DiscretePmf):
     return p.probs, q.probs
 
 
-def _check_domination(p_arr, q_arr):
-    if np.any((p_arr > 0.0) & (q_arr == 0.0)):
+def _on_support(p: DiscretePmf, q: DiscretePmf):
+    """p and q restricted to the outcomes where p > 0; q must not vanish there."""
+    p_arr, q_arr = _common_support(p, q)
+    sup = p_arr > 0.0
+    ps, qs = p_arr[sup], q_arr[sup]
+    if not qs.all():
         raise AbsoluteContinuityError("p puts mass on a zero of q")
+    return ps, qs
+
+
+def _log_or_neg_inf(arr: np.ndarray) -> np.ndarray:
+    """Elementwise log with -inf at zeros, without a divide-by-zero warning."""
+    out = np.full(arr.shape, -np.inf)
+    np.log(arr, out=out, where=arr > 0.0)
+    return out
+
+
+class _PmfRows(NamedTuple):
+    """Rows of pmfs on one alphabet, in the form the kernel reads."""
+
+    probs: np.ndarray  # (M, K)
+    log_probs: np.ndarray  # log of probs, -inf at zeros
+    # exact sum_y p_i(y) - 1 per row, from DiscretePmf._mass_defect: the sum
+    # tolerance of DiscretePmf, up to 1e-12, is far above the precision lam D
+    # needs at small orders; dropping zero columns leaves it as it is
+    defect: np.ndarray  # (M,)
+
+
+def _order_chunks(n_orders: int, cells: int) -> list:
+    """Slices of the order axis with at most max(1, _CHUNK_CELLS // cells) orders each."""
+    step = max(1, _CHUNK_CELLS // cells)
+    return [slice(s, min(s + step, n_orders)) for s in range(0, n_orders, step)]
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp over one axis, overwriting a; every slice needs a finite entry."""
+    top = a.max(axis=axis, keepdims=True)
+    a -= top
+    np.exp(a, out=a)
+    return np.squeeze(top, axis) + np.log(a.sum(axis=axis))
+
+
+def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
+
+    log_q is the reference's log, shape (K,) or (L, K) for one reference per
+    order.  It must be finite: where q = 0 put any stand-in and treat the
+    rows with mass there as domination failures.  Outcomes with p_i = 0
+    contribute nothing.  All chunks share one orders x M x K buffer.
+    """
+    probs, log_probs = rows.probs, rows.log_probs
+    m, k = probs.shape
+    chunks = _order_chunks(lams.size, m * k)
+    buffer = np.empty((chunks[0].stop, m, k))  # the first chunk is the longest
+    parts = []
+    with np.errstate(over="ignore"):
+        for sl in chunks:
+            lam = lams[sl, None, None]
+            chunk_log_q = log_q[sl, None, :] if log_q.ndim == 2 else log_q
+            terms = np.subtract(log_probs, chunk_log_q, out=buffer[: lam.shape[0]])
+            terms *= lam  # lam r, r = log p - log q; -inf where p = 0
+            np.expm1(terms, out=terms)
+            terms *= probs
+            excess = terms.sum(axis=-1) + rows.defect  # S - 1
+            part = np.log1p(excess)
+            if excess.max() == math.inf:
+                li, mi = np.nonzero(np.isinf(excess))
+                ratio = log_probs[mi] - (chunk_log_q[li, 0] if log_q.ndim == 2 else log_q)
+                part[li, mi] = _logsumexp(log_probs[mi] + lam[li, 0] * ratio)
+            parts.append(part)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pair_log_sum(p: DiscretePmf, q: DiscretePmf, order):
+    """(lam, lam D_(1+lam)(p || q)) after the shared pair validation."""
+    lam = _lam(order)
+    ps, qs = _on_support(p, q)
+    rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
+    log_sum = _renyi_log_sums(rows, np.log(qs), np.array([lam]))
+    return lam, float(log_sum[0, 0])
 
 
 def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """Renyi divergence of order 1+lam: log(sum_i p_i^(1+lam) q_i^(-lam)) / lam.
 
     Outcomes with p_i = 0 contribute nothing regardless of q_i.  Mass of p on
-    a zero of q raises AbsoluteContinuityError.  An overflowing sum yields
-    math.inf rather than an exception.
+    a zero of q raises AbsoluteContinuityError.  The sum is taken in log
+    space, so the result is finite even where the sum itself would overflow.
     """
-    lam = _lam(order)
-    p_arr, q_arr = _common_support(p, q)
-    _check_domination(p_arr, q_arr)
-    sup = p_arr > 0.0
-    ps = p_arr[sup]
-    qs = q_arr[sup]
-    with np.errstate(over="ignore"):
-        total = float(np.sum(ps ** (1.0 + lam) * qs ** (-lam)))
-    if math.isinf(total):
-        return math.inf
-    return math.log(total) / lam
+    lam, log_sum = _pair_log_sum(p, q, order)
+    return log_sum / lam
 
 
 def renyi_product_iid(p: DiscretePmf, q: DiscretePmf, order, n_factors: int) -> float:
@@ -203,28 +307,19 @@ def verdu_sason_renyi_upper(pair: BernoulliPair, order) -> float:
 def hellinger_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """Hellinger divergence of order 1+lam: (sum_i p_i^(1+lam) q_i^(-lam) - 1) / lam.
 
-    lam = 1 recovers the chi-square divergence.
+    lam = 1 recovers the chi-square divergence.  A sum past the float range
+    gives math.inf.
     """
-    lam = _lam(order)
-    p_arr, q_arr = _common_support(p, q)
-    _check_domination(p_arr, q_arr)
-    sup = p_arr > 0.0
-    ps = p_arr[sup]
-    qs = q_arr[sup]
-    with np.errstate(over="ignore"):
-        total = float(np.sum(ps ** (1.0 + lam) * qs ** (-lam)))
-    if math.isinf(total):
+    lam, log_sum = _pair_log_sum(p, q, order)
+    try:
+        return math.expm1(log_sum) / lam
+    except OverflowError:
         return math.inf
-    return (total - 1.0) / lam
 
 
 def kl_discrete(p: DiscretePmf, q: DiscretePmf) -> float:
     """Kullback-Leibler divergence sum_i p_i log(p_i / q_i), 0 log 0 = 0."""
-    p_arr, q_arr = _common_support(p, q)
-    _check_domination(p_arr, q_arr)
-    sup = p_arr > 0.0
-    ps = p_arr[sup]
-    qs = q_arr[sup]
+    ps, qs = _on_support(p, q)
     return float(np.sum(ps * np.log(ps / qs)))
 
 

@@ -27,7 +27,7 @@ from conversekit.divergence import (
     renyi_product_iid,
     verdu_sason_renyi_upper,
 )
-from conftest import pmf, random_pmf
+from conftest import decimal_log_renyi_sum, pmf, random_pmf
 
 
 # --- pmf plumbing ---
@@ -105,9 +105,13 @@ def test_renyi_zero_in_p_is_fine():
     assert val == pytest.approx(math.log(1.0 / 0.4**2) / 2.0, rel=1e-14)
 
 
-def test_renyi_overflow_returns_inf():
+def test_renyi_overflow_stays_finite():
+    # sum p^3 q^-2 = 0.125 * 1e600 overflows a double; the divergence does not
     p, q = pmf(0.5, 0.5), pmf(1e-300, 1.0 - 1e-300)
-    assert renyi_discrete(p, q, 2.0) == math.inf
+    val = renyi_discrete(p, q, 2.0)
+    exact = decimal_log_renyi_sum(p.probs, q.probs, 2.0) / 2.0
+    assert val == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert val == pytest.approx(689.7, abs=0.05)
 
 
 def test_renyi_nondecreasing_in_order(rng):
