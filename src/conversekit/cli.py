@@ -242,17 +242,6 @@ def _sweep_values(args: argparse.Namespace) -> list:
     ]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CONVERSE_KIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"CONVERSE_KIT_THREADS must be an integer, got {raw!r}")
-    return max(1, cap)
-
-
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
     vary = args.vary.replace("-", "_")
     vary = _VARY_ALIASES.get(vary, vary)
@@ -267,14 +256,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
         merged[vary] = value
         configs.append(make_config(args.app, merged))
 
-    cap = _thread_cap()
-    if cap > 1 and len(configs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            reports = list(pool.map(compute_bounds, configs))
-    else:
-        reports = [compute_bounds(cfg) for cfg in configs]
+    reports = [compute_bounds(cfg) for cfg in configs]
 
     manifest = _manifest(
         argv,

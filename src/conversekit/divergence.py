@@ -272,19 +272,30 @@ def renyi_gaussian_shift(pair: GaussianShiftPair, order) -> float:
 
 
 def renyi_bernoulli(pair: BernoulliPair, order) -> float:
-    """Renyi divergence between Bernoulli(p) and Bernoulli(q)."""
+    """Renyi divergence between Bernoulli(p) and Bernoulli(q).
+
+    Computed in log space with `math` alone, so it stays independent of the
+    numpy kernel that `verify divergence` checks it against:
+    log S = log1p(sum_y p expm1(lam r) + defect), with r = log p - log q and
+    the exact defect p + (1 - p) - 1, or a log-sum-exp of log p + lam r once
+    expm1 would overflow.  It stays finite for q down to the subnormal 5e-324.
+    """
     lam = _lam(order)
     p, q = pair.p, pair.q
     if (p > 0.0 and q == 0.0) or (p < 1.0 and q == 1.0):
         raise AbsoluteContinuityError("Bernoulli(p) not dominated by Bernoulli(q)")
-    total = 0.0
-    if p > 0.0:
-        total += p ** (1.0 + lam) * q ** (-lam)
-    if p < 1.0:
-        total += (1.0 - p) ** (1.0 + lam) * (1.0 - q) ** (-lam)
-    if math.isinf(total):
-        return math.inf
-    return math.log(total) / lam
+    terms = [
+        (a, lam * (math.log(a) - math.log(b)))
+        for a, b in ((p, q), (1.0 - p, 1.0 - q))
+        if a > 0.0
+    ]
+    try:
+        excess = math.fsum([w * math.expm1(x) for w, x in terms] + [p, 1.0 - p, -1.0])
+        return math.log1p(excess) / lam
+    except OverflowError:
+        logs = [math.log(w) + x for w, x in terms]
+        top = max(logs)
+        return (top + math.log(math.fsum(math.exp(v - top) for v in logs))) / lam
 
 
 def verdu_sason_renyi_upper(pair: BernoulliPair, order) -> float:

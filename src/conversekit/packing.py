@@ -3,6 +3,20 @@
 Constructors certify their separation claims directly (measured pairwise
 distances, measured covariance deviation), so downstream risk bounds never
 have to trust a construction on faith.
+
+- `gv_greedy` keeps a byte per word of {0,1}^m.  Each kept codeword c bans
+  its Hamming ball c ^ {words of weight < d_min} in one numpy store, and a
+  candidate is kept iff it is not banned: the greedy rule, in candidate
+  order, with no distance computed.
+- `verify_packing` compares elements of one shape as the rows of one array,
+  in row blocks of at most 2^20 elements (`_PAIR_BLOCK_ELEMENTS`) or one
+  row, so its memory stays bounded on large codes.  Hamming distances are exact integer
+  counts, so the first lexicographic minimum is read off directly.  For l2
+  the Gram form |a|^2 + |b|^2 - 2 a.b screens every pair, and only pairs
+  within a rounding slack of the screened minimum are measured again with
+  `PackingSet.distance`, in (i, j) order, so the certificate is the one the
+  plain pair loop gives.  Opaque metrics (a `metric_fn`) take that loop.
+- `operator_norm` is the largest |eigenvalue| from `np.linalg.eigvalsh`.
 """
 
 from __future__ import annotations
@@ -193,25 +207,107 @@ def verify_packing(packing: PackingSet) -> PackingCertificate:
     """Measure the minimum pairwise distance and compare against the claim.
 
     A single-element packing passes vacuously with min_distance = +inf.
+    Ties at the minimum go to the first pair (i, j), i < j, in lexicographic
+    order.
     """
     size = len(packing.elements)
     if size == 1:
         return PackingCertificate(math.inf, None, True)
-    best = math.inf
-    pair = None
-    for i in range(size):
-        for j in range(i + 1, size):
-            d = packing.distance(i, j)
-            if d < best:
-                best, pair = d, (i, j)
+    rows = _element_rows(packing)
+    if rows is None:
+        pairs = ((i, j) for i in range(size) for j in range(i + 1, size))
+        best, pair = _first_min_pair(packing, pairs)
+    elif packing.metric == "hamming":
+        best, pair = _hamming_min_pair(rows)
+    else:
+        best, pair = _first_min_pair(packing, _l2_screened_pairs(rows))
     return PackingCertificate(best, pair, best >= packing.d_min)
 
 
+# Row blocks of the pairwise-distance pass hold at most this many elements.
+_PAIR_BLOCK_ELEMENTS = 1 << 20
+
+
+def _first_min_pair(packing: PackingSet, pairs) -> tuple[float, tuple | None]:
+    """Scan pairs in order with PackingSet.distance; the first strict minimum wins."""
+    best = math.inf
+    pair = None
+    for i, j in pairs:
+        d = packing.distance(i, j)
+        if d < best:
+            best, pair = d, (i, j)
+    return best, pair
+
+
+def _element_rows(packing: PackingSet) -> np.ndarray | None:
+    """Elements as one (M, dim) array, or None when only the pair loop applies.
+
+    That is the case for a metric_fn, for elements of differing shapes and,
+    under l2, for non-finite entries or squared norms within a factor 4 of
+    overflow, where the Gram screen would meet inf - inf.
+    """
+    if packing.metric_fn is not None:
+        return None
+    if len({np.shape(e) for e in packing.elements}) != 1:
+        return None
+    rows = np.asarray(packing.elements)
+    rows = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
+    if packing.metric == "l2":
+        rows = rows.astype(np.float64)
+        if not np.isfinite(4.0 * np.einsum("ij,ij->i", rows, rows).max()):
+            return None
+    return rows
+
+
+def _row_blocks(size: int, per_row: int):
+    """Row ranges (i0, i1) of _PAIR_BLOCK_ELEMENTS // per_row rows (at least one)."""
+    step = max(1, _PAIR_BLOCK_ELEMENTS // max(per_row, 1))
+    return ((i0, min(i0 + step, size)) for i0 in range(0, size, step))
+
+
+def _hamming_min_pair(rows: np.ndarray) -> tuple[float, tuple | None]:
+    """Exact integer Hamming distances, block by block; first lexicographic minimum."""
+    size, dim = rows.shape
+    best = math.inf
+    pair = None
+    for i0, i1 in _row_blocks(size, size * dim):
+        block = (rows[i0:i1, None, :] != rows[None, :, :]).sum(axis=2, dtype=np.float64)
+        block[np.tri(i1 - i0, size, i0, dtype=bool)] = math.inf
+        k = int(np.argmin(block))
+        if block.flat[k] < best:
+            best, pair = float(block.flat[k]), (i0 + k // size, k % size)
+    return best, pair
+
+
+def _l2_screened_pairs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """Pairs, in (i, j) order, whose squared distance may be the exact minimum.
+
+    The Gram form |a|^2 + |b|^2 - 2 a.b screens all pairs; its rounding error
+    and that of the per-pair dot product and square root PackingSet.distance
+    takes come to less than (8 dim + 30) eps times the largest squared norm
+    in all (plus a few subnormal spacings per term, for underflow), so a
+    slack of 16 (dim + 4) (eps max|a|^2 + tiny) above the screened minimum
+    keeps every pair the exact scan could pick.
+    """
+    size, dim = rows.shape
+    sq_norms = np.einsum("ij,ij->i", rows, rows)
+    eps = np.finfo(np.float64)
+    slack = 16.0 * (dim + 4) * (eps.eps * float(sq_norms.max()) + eps.tiny)
+    cut = math.inf
+    kept_i, kept_j, kept_sq = [], [], []
+    for i0, i1 in _row_blocks(size, size):
+        block = sq_norms[i0:i1, None] + sq_norms[None, :] - 2.0 * (rows[i0:i1] @ rows.T)
+        block[np.tri(i1 - i0, size, i0, dtype=bool)] = math.inf
+        cut = min(cut, float(block.min()) + slack)
+        i, j = np.nonzero(block <= cut)
+        kept_i.append(i + i0)
+        kept_j.append(j)
+        kept_sq.append(block[i, j])
+    near = np.concatenate(kept_sq) <= cut
+    return list(zip(np.concatenate(kept_i)[near].tolist(), np.concatenate(kept_j)[near].tolist()))
+
+
 # === Greedy binary codes ===
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
 
 
 def _ints_to_bits(ints: np.ndarray, m: int) -> np.ndarray:
@@ -226,6 +322,10 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
     cover {0,1}^m and the size is at least 2^m / V(m, d_min - 1).  Candidate
     order is lexicographic or a seeded random permutation; the construction
     is deterministic given (order, seed).
+
+    Instead of measuring distances, each kept word c bans its Hamming ball
+    c ^ {words of weight < d_min}; a candidate is kept iff it is not banned,
+    which is the same greedy rule in the same order.
     """
     if int(m) != m or m < 1:
         raise ValueError("m must be a positive integer")
@@ -237,35 +337,25 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
     if order not in ("lexicographic", "seeded_random"):
         raise ValueError("order must be 'lexicographic' or 'seeded_random'")
 
-    candidates = np.arange(1 << m, dtype=np.uint32)
+    words = np.arange(1 << m, dtype=np.uint32)
+    candidates = words
     if order == "seeded_random":
         rng = np.random.default_rng(seed)
-        candidates = rng.permutation(candidates)
+        candidates = rng.permutation(words)
 
     if d_min == 1:
         bits = _ints_to_bits(candidates, m)
         return BinaryCodebook(m=m, d_min=1, codewords=bits)
 
+    ball = words[np.bitwise_count(words) < d_min]
+    banned = bytearray(1 << m)
+    banned_view = np.frombuffer(banned, dtype=np.uint8)
     chosen: list[int] = []
-    chosen_arr = np.empty(0, dtype=np.uint32)
-    chunk = 1 << 14
-    for start in range(0, candidates.size, chunk):
-        block = candidates[start : start + chunk]
-        if chosen_arr.size:
-            # distance to already-fixed codewords, vectorized per block
-            dists = _popcount(block[:, None] ^ chosen_arr[None, :])
-            block = block[dists.min(axis=1) >= d_min]
-        fresh: list[int] = []
-        fresh_arr = np.empty(0, dtype=np.uint32)
-        for cand in block:
-            c = int(cand)
-            if fresh_arr.size and int(_popcount(np.uint32(c) ^ fresh_arr).min()) < d_min:
-                continue
-            fresh.append(c)
-            fresh_arr = np.array(fresh, dtype=np.uint32)
-        chosen.extend(fresh)
-        chosen_arr = np.array(chosen, dtype=np.uint32)
-    bits = _ints_to_bits(chosen_arr, m)
+    for c in candidates.tolist():
+        if not banned[c]:
+            chosen.append(c)
+            banned_view[ball ^ c] = 1
+    bits = _ints_to_bits(np.array(chosen, dtype=np.uint32), m)
     return BinaryCodebook(m=m, d_min=int(d_min), codewords=bits)
 
 
@@ -351,14 +441,11 @@ def trim_packing(values, delta_m: float):
 # === Operator norm ===
 
 
-def operator_norm(mat: np.ndarray, rtol: float = 1e-8, max_iters: int = 50_000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
+def operator_norm(mat: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, from np.linalg.eigvalsh.
 
-    Iterates on the squared matrix, which guards against the stall a +-pair
-    of extreme eigenvalues causes for plain power iteration, and stops on
-    the eigen-residual ||B v - rq v|| <= rtol * rq; for a symmetric B that
-    pins an eigenvalue of B within rtol * rq of rq, so the returned square
-    root is accurate to about rtol / 2 relative.
+    The matrix must be square and symmetric to within 1e-10 relative (1e-14
+    of its largest entry absolute); eigvalsh reads its lower triangle.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -368,23 +455,7 @@ def operator_norm(mat: np.ndarray, rtol: float = 1e-8, max_iters: int = 50_000) 
         return 0.0
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-14 * scale):
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    sq = a @ a
-    # deterministic start, ramped so it is not orthogonal to any fixed basis
-    v = 1.0 + np.arange(n) / max(n - 1, 1)
-    v /= np.linalg.norm(v)
-    rq = 0.0
-    for _ in range(max_iters):
-        w = sq @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        bv = sq @ v
-        rq = float(v @ bv)
-        if float(np.linalg.norm(bv - rq * v)) <= rtol * abs(rq):
-            break
-    return math.sqrt(max(rq, 0.0))
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
 # === Line-oriented text serialization ===

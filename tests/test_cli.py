@@ -255,27 +255,6 @@ def test_sweep_ratio_blank_when_undefined(capsys):
     assert float(rows[0][4]) == 0.0
 
 
-def test_thread_cap_does_not_change_output(capsys, monkeypatch):
-    argv = ["sweep", "density", "--vary", "n", "--from", "1e6", "--to", "1e12",
-            "--points", "7", "--nu", "1", "--c", "0.1", "--a", "0.5"]
-    monkeypatch.delenv("CONVERSE_KIT_THREADS", raising=False)
-    _, serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("CONVERSE_KIT_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, argv)
-    assert strip_timestamp(serial) == strip_timestamp(threaded)
-
-
-def test_thread_cap_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("CONVERSE_KIT_THREADS", "many")
-    code, _, err = run_cli(
-        capsys,
-        ["sweep", "density", "--vary", "n", "--values", "1e8,1e9",
-         "--nu", "1", "--c", "0.1", "--a", "0.5"],
-    )
-    assert code == 2
-    assert "CONVERSE_KIT_THREADS" in err
-
-
 # --- verify subcommand ---
 
 

@@ -188,6 +188,16 @@ def test_bernoulli_domination():
     assert renyi_bernoulli(BernoulliPair(0.0, 0.0), 1.0) == 0.0
 
 
+@pytest.mark.parametrize("q", [1e-300, 5e-324])
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 2.0, 10.0, 100.0])
+def test_bernoulli_underflowing_reference_stays_finite(q, lam):
+    # q^(-lam) overflows a float here, while the divergence is finite
+    for p in (0.5, 1e-3, 0.999, 1.0):
+        closed = renyi_bernoulli(BernoulliPair(p, q), lam)
+        exact = decimal_log_renyi_sum([p, 1.0 - p], [q, 1.0 - q], lam) / lam
+        assert closed == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_verdu_sason_upper_bound():
     # tv = 0.1, q_min = 0.4: log(1 + 2*0.01/0.4) = log 1.05
     ub = verdu_sason_renyi_upper(BernoulliPair(0.5, 0.4), 1.0)

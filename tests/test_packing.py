@@ -1,6 +1,7 @@
 """Greedy codes, sparse packings, trimming, and their certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conversekit.oracle import CapabilityError, HypercubeDensityFamily, hellinger_sq_distance
 from conversekit.packing import (
     BinaryCodebook,
+    PackingCertificate,
     PackingIncompleteError,
     PackingSet,
     SparsePacking,
@@ -22,6 +24,72 @@ from conversekit.packing import (
 
 # sizes the lexicographic greedy construction produced on its first run
 GOLDEN_GV_SIZES = {(6, 3): 8, (8, 3): 16, (10, 4): 32, (12, 4): 128}
+
+
+# --- references: the loops the array code in packing.py replaced ---
+
+
+def reference_gv_greedy(m, d_min, order="lexicographic", seed=0):
+    """Codeword bits from the candidate-by-candidate greedy loop."""
+    candidates = np.arange(1 << m, dtype=np.uint32)
+    if order == "seeded_random":
+        candidates = np.random.default_rng(seed).permutation(candidates)
+    chosen = []
+    chosen_arr = np.empty(0, dtype=np.uint32)
+    chunk = 1 << 14
+    for start in range(0, candidates.size, chunk):
+        block = candidates[start : start + chunk]
+        if chosen_arr.size:
+            dists = np.bitwise_count(block[:, None] ^ chosen_arr[None, :])
+            block = block[dists.min(axis=1) >= d_min]
+        fresh = []
+        fresh_arr = np.empty(0, dtype=np.uint32)
+        for cand in block:
+            c = int(cand)
+            if fresh_arr.size and int(np.bitwise_count(np.uint32(c) ^ fresh_arr).min()) < d_min:
+                continue
+            fresh.append(c)
+            fresh_arr = np.array(fresh, dtype=np.uint32)
+        chosen.extend(fresh)
+        chosen_arr = np.array(chosen, dtype=np.uint32)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint32)
+    return ((chosen_arr[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def reference_verify(packing):
+    """The pair loop over PackingSet.distance; the first strict minimum wins."""
+    size = len(packing.elements)
+    if size == 1:
+        return PackingCertificate(math.inf, None, True)
+    best = math.inf
+    pair = None
+    for i in range(size):
+        for j in range(i + 1, size):
+            d = packing.distance(i, j)
+            if d < best:
+                best, pair = d, (i, j)
+    return PackingCertificate(best, pair, best >= packing.d_min)
+
+
+def reference_power_norm(mat, rtol=1e-8, max_iters=50_000):
+    """Power iteration on the squared matrix, stopped on the eigen-residual."""
+    a = np.asarray(mat, dtype=np.float64)
+    sq = a @ a
+    n = a.shape[0]
+    v = 1.0 + np.arange(n) / max(n - 1, 1)
+    v /= np.linalg.norm(v)
+    rq = 0.0
+    for _ in range(max_iters):
+        w = sq @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        bv = sq @ v
+        rq = float(v @ bv)
+        if float(np.linalg.norm(bv - rq * v)) <= rtol * abs(rq):
+            break
+    return math.sqrt(max(rq, 0.0))
 
 
 # --- Gilbert-Varshamov greedy codes ---
@@ -67,6 +135,16 @@ def test_gv_greedy_seeded_random_order(rng):
     assert a.size >= math.ceil(2**8 / volume)
 
 
+@pytest.mark.parametrize(
+    "m,d_min", [(6, 3), (8, 2), (8, 3), (10, 4), (12, 4), (12, 6), (14, 5), (16, 3), (16, 7)]
+)
+def test_gv_greedy_matches_reference_loop(m, d_min):
+    for order, seed in [("lexicographic", 0), ("seeded_random", 0), ("seeded_random", 1),
+                        ("seeded_random", 7)]:
+        book = gv_greedy(m, d_min, order=order, seed=seed)
+        assert np.array_equal(book.codewords, reference_gv_greedy(m, d_min, order, seed))
+
+
 def test_gv_greedy_caps_and_domain():
     with pytest.raises(CapabilityError):
         gv_greedy(25, 3)
@@ -92,6 +170,99 @@ def test_verify_identical_elements_fail():
     assert not cert.passed
     assert cert.min_distance == 0.0
     assert cert.argmin_pair == (0, 1)
+
+
+def _same_certificate(pset):
+    assert verify_packing(pset) == reference_verify(pset)
+
+
+@pytest.mark.parametrize("m,d_min", [(6, 3), (8, 3), (10, 4), (12, 4)])
+def test_verify_hamming_matches_pair_loop(m, d_min):
+    for order, seed in [("lexicographic", 0), ("seeded_random", 3)]:
+        book = gv_greedy(m, d_min, order=order, seed=seed)
+        _same_certificate(book.to_packing_set())
+        # duplicates appended: distance 0, first copy pair wins
+        rows = tuple(book.codewords) + tuple(book.codewords[[2, 0, 2]])
+        _same_certificate(PackingSet(elements=rows, metric="hamming", d_min=float(d_min)))
+
+
+def test_verify_ties_go_to_first_pair(rng):
+    # few symbols on short rows: many pairs tie at the minimum
+    for _ in range(20):
+        rows = tuple(rng.integers(0, 3, size=(int(rng.integers(2, 40)), 5)))
+        _same_certificate(PackingSet(elements=rows, metric="hamming", d_min=2.0))
+        # small integer points: squared distances are exact integers, so
+        # the Gram screen ties exactly where the pair loop does
+        _same_certificate(PackingSet(elements=rows, metric="l2", d_min=1.0))
+
+
+def test_verify_l2_matches_pair_loop():
+    for seed in range(5):
+        packing = cs_random_packing(64, 4, 16, seed=seed)
+        pset = packing.to_packing_set()
+        _same_certificate(pset)
+        _same_certificate(PackingSet(elements=pset.elements + pset.elements[3:5],
+                                     metric="l2", d_min=pset.d_min))
+    for seed in range(3):
+        _same_certificate(cs_random_packing(256, 4, 64, seed=seed).to_packing_set())
+
+
+def test_verify_l2_near_ties_inside_screen_slack(rng):
+    # tight clusters far from the origin: the Gram screen's rounding (about
+    # eps |x|^2) is comparable to the gaps between pairwise distances, so
+    # only the exact per-pair recomputation can order them
+    for _ in range(20):
+        dim = int(rng.integers(1, 12))
+        centre = rng.normal(size=dim) * 1e3
+        rows = tuple(centre + 1e-4 * rng.normal(size=(int(rng.integers(2, 30)), dim)))
+        _same_certificate(PackingSet(elements=rows, metric="l2", d_min=1e-6))
+    # two pairs far apart whose offsets round to the same distance: the
+    # first pair wins the tie
+    base = np.array([1e3, 0.0])
+    rows = (base, base + [1e-3, 0.0], -base, -base + [np.nextafter(1e-3, 0.0), 0.0])
+    pset = PackingSet(elements=rows, metric="l2", d_min=1e-6)
+    _same_certificate(pset)
+    assert verify_packing(pset).argmin_pair == (0, 1)
+    # the later pair 1 ulp closer than the first: it must win
+    rows = (np.zeros(2), np.array([0.1, 0.2]), np.full(2, 5.0),
+            np.array([5.1, 5.0 + np.nextafter(0.2, 0.0)]))
+    pset = PackingSet(elements=rows, metric="l2", d_min=1e-6)
+    assert pset.distance(2, 3) < pset.distance(0, 1)
+    _same_certificate(pset)
+    assert verify_packing(pset).argmin_pair == (2, 3)
+
+
+def test_verify_pair_loop_cases_match_reference():
+    # scalars, mixed shapes and non-finite entries keep the plain pair loop
+    cases = [
+        PackingSet(elements=(3.0, 1.0, 2.5), metric="l2", d_min=0.1),
+        PackingSet(elements=(1, 0, 1), metric="hamming", d_min=1.0),
+        PackingSet(elements=(np.zeros(2), np.ones(1), np.ones(2)), metric="l2", d_min=0.5),
+        PackingSet(elements=(np.array([np.inf, 0.0]), np.zeros(2), np.array([1.0, 0.0])),
+                   metric="l2", d_min=0.5),
+        PackingSet(elements=(np.full(2, 1e200), np.zeros(2), np.array([1.0, 0.0])),
+                   metric="l2", d_min=0.5),
+    ]
+    with np.errstate(over="ignore"):
+        for pset in cases:
+            _same_certificate(pset)
+
+
+def test_verify_packing_memory_is_block_bounded():
+    book = gv_greedy(16, 3)
+    pset = book.to_packing_set()
+    tracemalloc.start()
+    try:
+        cert = verify_packing(pset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the linear (16, 3) lexicode holds the zero word first, so the first
+    # pair at distance 3 is (0, first weight-3 word)
+    first = int(np.flatnonzero(book.codewords.sum(axis=1) == 3)[0])
+    assert cert == PackingCertificate(3.0, (0, first), True)
+    # all 2048 x 2048 x 16 element comparisons at once would need 64 MiB
+    assert peak < 8 * 2**20
 
 
 def test_packing_set_validation():
@@ -251,6 +422,26 @@ def test_operator_norm_matches_eigensolver(rng):
         sym = (a + a.T) / 2.0
         exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
         assert operator_norm(sym) == pytest.approx(exact, rel=1e-8)
+
+
+def test_operator_norm_within_power_iteration_tolerance(rng):
+    for n in (2, 9, 40):
+        a = rng.normal(size=(n, n))
+        sym = (a + a.T) / 2.0
+        assert operator_norm(sym) == pytest.approx(reference_power_norm(sym), rel=1e-8)
+
+
+def test_operator_norm_near_degenerate_top_pair():
+    # top two |eigenvalues| 1e-5 apart: the power iteration this replaced ran
+    # to its 50 000-iteration cap and returned a value 9.8e-7 off
+    rng = np.random.default_rng(2024)
+    basis, _ = np.linalg.qr(rng.standard_normal((256, 256)))
+    spectrum = np.concatenate([[1.0, -(1.0 - 1e-5)], rng.uniform(-0.9, 0.9, size=254)])
+    sym = (basis * spectrum) @ basis.T
+    sym = (sym + sym.T) / 2.0
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    assert operator_norm(sym) == pytest.approx(exact, rel=1e-12)
+    assert operator_norm(sym) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_operator_norm_rejects_bad_input():
