@@ -9,135 +9,18 @@ instances.
 
 __version__ = "0.1.0"
 
-from .applications import (
-    ActiveConfig,
-    ComparisonReport,
-    ConfigError,
-    CsConfig,
-    DensityConfig,
-    active_bound,
-    compute_bounds,
-    cs_bound,
-    density_bound,
-    sweep,
-)
-from .converse import (
-    BoundReport,
-    ChannelFamily,
-    LossSpec,
-    avg_kl_to_mixture,
-    fano_bound,
-    generalized_fano_fixed_order_check,
-    generalized_fano_log_m_bound,
-    optimal_q_discrete,
-    optimize_lambda,
-    risk_from_eps,
-    strong_converse_bound,
-    variational_bound,
-)
-from .divergence import (
-    AbsoluteContinuityError,
-    BernoulliPair,
-    DiscretePmf,
-    GaussianShiftPair,
-    RenyiOrder,
-    e_gamma_divergence,
-    hellinger_discrete,
-    hellinger_kl_coefficient,
-    iid_product_pmf,
-    kl_discrete,
-    mixture_pmf,
-    product_pmf,
-    renyi_bernoulli,
-    renyi_discrete,
-    renyi_gaussian_shift,
-    renyi_product_iid,
-    verdu_sason_renyi_upper,
-)
-from .oracle import (
-    CapabilityError,
-    HypercubeDensityFamily,
-    adaptive_simpson,
-    density_sq_integral,
-    exact_bayes_error,
-    hellinger_sq_distance,
-    iid_second_moment_check,
-    min_distance_decoder_error,
-    renyi_gaussian_quadrature,
-)
-from .packing import (
-    BinaryCodebook,
-    PackingIncompleteError,
-    PackingSet,
-    SparsePacking,
-    cs_random_packing,
-    gv_greedy,
-    load_packing_text,
-    operator_norm,
-    save_packing_text,
-    trim_packing,
-    verify_packing,
-)
+from . import applications, converse, divergence, oracle, packing
+from .applications import *
+from .converse import *
+from .divergence import *
+from .oracle import *
+from .packing import *
 
 __all__ = [
     "__version__",
-    "AbsoluteContinuityError",
-    "ActiveConfig",
-    "BernoulliPair",
-    "BinaryCodebook",
-    "BoundReport",
-    "CapabilityError",
-    "ChannelFamily",
-    "ComparisonReport",
-    "ConfigError",
-    "CsConfig",
-    "DensityConfig",
-    "DiscretePmf",
-    "GaussianShiftPair",
-    "HypercubeDensityFamily",
-    "LossSpec",
-    "PackingIncompleteError",
-    "PackingSet",
-    "RenyiOrder",
-    "SparsePacking",
-    "active_bound",
-    "adaptive_simpson",
-    "avg_kl_to_mixture",
-    "compute_bounds",
-    "cs_bound",
-    "cs_random_packing",
-    "density_bound",
-    "density_sq_integral",
-    "e_gamma_divergence",
-    "exact_bayes_error",
-    "fano_bound",
-    "generalized_fano_fixed_order_check",
-    "generalized_fano_log_m_bound",
-    "gv_greedy",
-    "hellinger_discrete",
-    "hellinger_kl_coefficient",
-    "hellinger_sq_distance",
-    "iid_product_pmf",
-    "iid_second_moment_check",
-    "kl_discrete",
-    "load_packing_text",
-    "min_distance_decoder_error",
-    "mixture_pmf",
-    "operator_norm",
-    "optimal_q_discrete",
-    "optimize_lambda",
-    "product_pmf",
-    "renyi_bernoulli",
-    "renyi_discrete",
-    "renyi_gaussian_quadrature",
-    "renyi_gaussian_shift",
-    "renyi_product_iid",
-    "risk_from_eps",
-    "save_packing_text",
-    "strong_converse_bound",
-    "sweep",
-    "trim_packing",
-    "variational_bound",
-    "verdu_sason_renyi_upper",
-    "verify_packing",
+    *applications.__all__,
+    *converse.__all__,
+    *divergence.__all__,
+    *oracle.__all__,
+    *packing.__all__,
 ]

@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from . import __version__
 from .applications import (
@@ -32,52 +33,48 @@ from .suites import SUITE_NAMES, run_suite
 
 CSV_COLUMNS = ("value", "strong_eps", "fano_eps", "strong_risk", "fano_risk", "ratio")
 
-_APPS = ("density", "active", "cs")
-
-# flag spelling for each config field, for error messages and parser setup
-_FIELD_FLAGS = {
-    "density": {
-        "n": "--n",
-        "nu": "--nu",
-        "c": "--c",
-        "a": "--a",
-        "c0": "--c0",
-        "c_g": "--c-g",
-        "nu_schedule_kappa": "--nu-schedule",
-    },
-    "active": {
-        "n": "--n",
-        "d": "--d",
-        "alpha": "--alpha",
-        "kappa": "--kappa",
-        "L": "--L",
-        "c": "--c",
-        "H": "--H",
-        "nu": "--nu",
-        "lam": "--lambda",
-    },
-    "cs": {
-        "n": "--n",
-        "k": "--k",
-        "sigma_sq": "--sigma2",
-        "frob_norm_sq": "--frob2",
-        "lam": "--lambda",
-        "delta": "--delta",
-        "beta": "--beta",
-        "delta_m": "--delta-m",
-    },
-}
-
-_REQUIRED_FIELDS = {
-    "density": ("n", "nu", "c", "a"),
-    "active": ("n", "d", "alpha", "kappa", "L", "c", "H", "nu"),
-    "cs": ("n", "k", "sigma_sq", "frob_norm_sq", "lam", "delta"),
-}
-
 _CONFIG_TYPES = {"density": DensityConfig, "active": ActiveConfig, "cs": CsConfig}
 
-# accepted aliases for --vary values
-_VARY_ALIASES = {"lambda": "lam", "sigma2": "sigma_sq", "frob2": "frob_norm_sq"}
+# Flags that are not the field name with "-" for "_"; every other flag is.
+_FLAG_ALIASES = {
+    "lam": "--lambda",
+    "sigma_sq": "--sigma2",
+    "frob_norm_sq": "--frob2",
+    "nu_schedule_kappa": "--nu-schedule",
+}
+
+
+class _ConfigFields(NamedTuple):
+    """What the CLI needs of one config dataclass, read off its fields."""
+
+    flags: dict  # field -> flag, in declaration order
+    required: tuple  # fields without a default
+    ints: tuple  # fields annotated int
+    vary: dict  # --vary spelling, "-" read as "_" -> field
+
+
+def _config_fields(config_type) -> _ConfigFields:
+    fields = dataclasses.fields(config_type)
+    flags = {f.name: _FLAG_ALIASES.get(f.name, "--" + f.name.replace("_", "-")) for f in fields}
+    vary = {flag[2:].replace("-", "_"): name for name, flag in flags.items()}
+    vary.update((name, name) for name in flags)
+    return _ConfigFields(
+        flags=flags,
+        required=tuple(
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        ),
+        ints=tuple(f.name for f in fields if f.type in (int, "int")),
+        vary=vary,
+    )
+
+
+# built once: sweep builds a config per point
+_FIELDS = {app: _config_fields(cls) for app, cls in _CONFIG_TYPES.items()}
+
+# keyword through which each suite takes --count (packing takes none)
+_COUNT_PARAMS = {"soundness": "n_families", "divergence": "n_points", "fano-recovery": "n_families"}
 
 
 # === deterministic JSON/CSV rendering ===
@@ -159,8 +156,7 @@ def _manifest(argv: list, config: dict, seed) -> dict:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, app: str):
-    flags = _FIELD_FLAGS[app]
-    for field, flag in flags.items():
+    for field, flag in _FIELDS[app].flags.items():
         if field == "nu_schedule_kappa":
             parser.add_argument(
                 flag,
@@ -177,7 +173,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, app: str):
 
 def _collect_config_values(app: str, args: argparse.Namespace) -> dict:
     values = {}
-    for field in _FIELD_FLAGS[app]:
+    for field in _FIELDS[app].flags:
         value = getattr(args, field)
         if value is not None:
             values[field] = value
@@ -185,24 +181,34 @@ def _collect_config_values(app: str, args: argparse.Namespace) -> dict:
 
 
 def make_config(app: str, values: dict):
-    """Build the app's config from flag values, naming any missing flag."""
-    flags = _FIELD_FLAGS[app]
-    missing = [flags[f] for f in _REQUIRED_FIELDS[app] if f not in values]
+    """Build the app's config from flag values, naming any missing flag.
+
+    Flags parse as floats, so an integral value of an int field becomes an
+    int; any other value goes through for the config to reject.
+    """
+    table = _FIELDS[app]
+    missing = [table.flags[f] for f in table.required if f not in values]
     if missing:
         raise ConfigError(f"missing required flag(s): {' '.join(missing)}")
-    unknown = set(values) - set(flags)
+    unknown = values.keys() - table.flags.keys()
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     kwargs = dict(values)
-    if app == "active":
-        d = kwargs["d"]
-        if float(d) != int(d):
-            raise ConfigError(f"integer d >= 2 violated: d = {d}")
-        kwargs["d"] = int(d)
+    for field in table.ints:
+        value = kwargs.get(field)
+        if isinstance(value, float) and value.is_integer():
+            kwargs[field] = int(value)
     return _CONFIG_TYPES[app](**kwargs)
 
 
 # === subcommands ===
+
+
+def _emit(args: argparse.Namespace, text: str):
+    if args.out:
+        write_atomic(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_bound(args: argparse.Namespace, argv: list) -> int:
@@ -212,11 +218,7 @@ def cmd_bound(args: argparse.Namespace, argv: list) -> int:
         "manifest": _manifest(argv, dataclasses.asdict(cfg), args.seed),
         "report": report.to_json_dict(),
     }
-    text = canonical_json(payload)
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, canonical_json(payload))
     return 0
 
 
@@ -243,9 +245,8 @@ def _sweep_values(args: argparse.Namespace) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
-    vary = args.vary.replace("-", "_")
-    vary = _VARY_ALIASES.get(vary, vary)
-    if vary not in _FIELD_FLAGS[args.app]:
+    vary = _FIELDS[args.app].vary.get(args.vary.replace("-", "_"))
+    if vary is None:
         raise ConfigError(f"{args.app} has no sweep parameter {args.vary!r}")
     base_values = _collect_config_values(args.app, args)
     points = _sweep_values(args)
@@ -279,27 +280,25 @@ def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, argv: list) -> int:
-    kwargs = {"seed": args.seed}
-    if args.suite in ("soundness", "fano-recovery"):
-        if args.count is not None:
-            kwargs["n_families"] = args.count
-    elif args.suite == "divergence":
-        if args.count is not None:
-            kwargs["n_points"] = args.count
-    elif args.suite == "packing":
-        if (args.m is None) != (args.dmin is None):
-            raise ConfigError("--m and --dmin must be given together")
-        if args.m is not None:
-            kwargs["gv_case"] = (args.m, args.dmin)
+    # an unset --seed leaves each suite its own default
+    kwargs = {} if args.seed is None else {"seed": args.seed}
+    count_param = _COUNT_PARAMS.get(args.suite)
+    if args.count is not None:
+        if count_param is None:
+            raise ConfigError(f"verify {args.suite} takes no --count")
+        kwargs[count_param] = args.count
+    gv_flags = [flag for flag, v in (("--m", args.m), ("--dmin", args.dmin)) if v is not None]
+    if gv_flags and args.suite != "packing":
+        raise ConfigError(f"verify {args.suite} takes no {' '.join(gv_flags)}")
+    if len(gv_flags) == 1:
+        raise ConfigError("--m and --dmin must be given together")
+    if gv_flags:
+        kwargs["gv_case"] = (args.m, args.dmin)
     result = run_suite(args.suite, **kwargs)
     for note in result.notes:
         print(note)
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="compute one application bound report (JSON)")
     bound_sub = p_bound.add_subparsers(dest="app", required=True)
-    for app in _APPS:
+    for app in _CONFIG_TYPES:
         p_app = bound_sub.add_parser(app)
         _add_config_flags(p_app, app)
         p_app.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate bounds along one parameter (CSV)")
     sweep_sub = p_sweep.add_subparsers(dest="app", required=True)
-    for app in _APPS:
+    for app in _CONFIG_TYPES:
         p_app = sweep_sub.add_parser(app)
         _add_config_flags(p_app, app)
         p_app.add_argument("--vary", required=True, help="config field to sweep")
@@ -356,11 +355,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        # suites carry their own default seeds; record what was used
-        args.seed = {"soundness": 0, "divergence": 1, "fano-recovery": 2, "packing": 3}[
-            args.suite
-        ]
     try:
         return args.func(args, list(argv))
     except (ConfigError, CapabilityError, ValueError) as exc:

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: small LAPACK calls (eigvalsh, qr) whose threads share a
+# busy CPU can run orders of magnitude slower.  An explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from decimal import Decimal, localcontext
 
 import numpy as np

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: JSON/CSV contracts, determinism, exit codes."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,15 +10,33 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import conversekit
+from conversekit import applications, converse, divergence, oracle, packing
 from conversekit.applications import ActiveConfig, CsConfig, DensityConfig, compute_bounds
-from conversekit.cli import CSV_COLUMNS, format_number, main
+from conversekit.cli import CSV_COLUMNS, build_parser, format_number, main, make_config
+from conversekit.suites import fano_recovery_suite
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "conversekit", "schema",
     "comparison_report.schema.json",
 )
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+
+CONFIGS = {"density": DensityConfig, "active": ActiveConfig, "cs": CsConfig}
+# the flags that are not the field name with "-" for "_"
+FLAG_ALIASES = {
+    "lam": "--lambda",
+    "sigma_sq": "--sigma2",
+    "frob_norm_sq": "--frob2",
+    "nu_schedule_kappa": "--nu-schedule",
+}
 
 DENSITY_ARGS = ["--n", "1e11", "--nu", "1", "--c", "0.1", "--a", "0.5"]
+ACTIVE_ARGS = ["--n", "1e6", "--alpha", "1", "--kappa", "2", "--L", "1", "--c", "0.1",
+               "--H", "1", "--nu", "0.5"]
+CS_ARGS = ["--n", "1e6", "--k", "128", "--sigma2", "1", "--frob2", "1e6", "--lambda", "0.05",
+           "--delta", "0.05"]
+SWEEP_BASE_ARGS = {"density": DENSITY_ARGS, "active": ["--d", "2", *ACTIVE_ARGS], "cs": CS_ARGS}
 CS_EXAMPLE = [
     "bound", "cs", "--n", "1000000", "--k", "128", "--sigma2", "1",
     "--frob2", "1000000", "--lambda", "0.05", "--delta", "0.05", "--beta", "0.01",
@@ -112,6 +132,110 @@ def test_bound_out_file_equals_stdout(capsys, tmp_path):
     from_stdout = json.loads(out)
     assert from_file["report"] == from_stdout["report"]
     assert from_file["manifest"]["config"] == from_stdout["manifest"]["config"]
+
+
+@pytest.mark.parametrize("app", sorted(CONFIGS))
+def test_bound_reproduces_golden_report(capsys, tmp_path, app):
+    with open(os.path.join(GOLDEN_DIR, f"{app}.json"), encoding="utf-8") as fh:
+        golden = fh.read()
+    gold_manifest = json.loads(golden)["manifest"]
+    argv = list(gold_manifest["command"])
+    path = tmp_path / f"{app}.json"
+    argv[argv.index("--out") + 1] = str(path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    marker = '\n  "report": '
+    assert text[text.index(marker):] == golden[golden.index(marker):]
+    manifest = json.loads(text)["manifest"]
+    assert manifest["command"] == argv
+    for key in ("config", "seed", "version"):
+        assert manifest[key] == gold_manifest[key]
+
+
+# --- flags derived from the config dataclasses ---
+
+
+@pytest.mark.parametrize("command", ["bound", "sweep"])
+@pytest.mark.parametrize("app", sorted(CONFIGS))
+def test_every_config_field_is_a_flag(command, app):
+    parser = build_parser()
+    extra = ["--vary", "n"] if command == "sweep" else []
+    for field in dataclasses.fields(CONFIGS[app]):
+        flag = FLAG_ALIASES.get(field.name, "--" + field.name.replace("_", "-"))
+        args = parser.parse_args([command, app, *extra, flag, "3"])
+        assert getattr(args, field.name) == 3.0, flag
+
+
+def test_integral_d_becomes_int(capsys, tmp_path):
+    path = tmp_path / "active.json"
+    assert main(["bound", "active", "--d", "3.0", *ACTIVE_ARGS, "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text(encoding="utf-8")
+    assert '\n      "d": 3,\n' in text
+    assert json.loads(text)["manifest"]["config"]["d"] == 3
+    cfg = make_config("active", {"n": 1e6, "d": 3.0, "alpha": 1.0, "kappa": 2.0, "L": 1.0,
+                                 "c": 0.1, "H": 1.0, "nu": 0.5})
+    assert type(cfg.d) is int and cfg.d == 3
+
+
+@pytest.mark.parametrize("d", ["2.5", "inf", "nan"])
+def test_non_integral_d_exits_2(capsys, d):
+    code, out, err = run_cli(capsys, ["bound", "active", "--d", d, *ACTIVE_ARGS])
+    assert code == 2 and out == ""
+    assert f"integer d >= 2 violated: d = {float(d)}" in err
+
+
+@pytest.mark.parametrize(
+    "app, spelling, field, value",
+    [
+        ("density", "n", "n", "1e11"),
+        ("density", "c0", "c0", "0.082"),
+        ("density", "c-g", "c_g", "0.1"),
+        ("density", "c_g", "c_g", "0.1"),
+        ("density", "nu-schedule", "nu_schedule_kappa", "26"),
+        ("density", "nu_schedule", "nu_schedule_kappa", "26"),
+        ("density", "nu-schedule-kappa", "nu_schedule_kappa", "26"),
+        ("density", "nu_schedule_kappa", "nu_schedule_kappa", "26"),
+        ("active", "d", "d", "2"),
+        ("active", "lambda", "lam", "0.5"),
+        ("active", "lam", "lam", "0.5"),
+        ("cs", "sigma2", "sigma_sq", "1"),
+        ("cs", "sigma-sq", "sigma_sq", "1"),
+        ("cs", "sigma_sq", "sigma_sq", "1"),
+        ("cs", "frob2", "frob_norm_sq", "1e6"),
+        ("cs", "frob-norm-sq", "frob_norm_sq", "1e6"),
+        ("cs", "lambda", "lam", "0.05"),
+        ("cs", "delta-m", "delta_m", "0.01"),
+        ("cs", "delta_m", "delta_m", "0.01"),
+    ],
+)
+def test_vary_accepts_field_names_and_flag_spellings(capsys, app, spelling, field, value):
+    code, out, err = run_cli(
+        capsys, ["sweep", app, "--vary", spelling, "--values", value, *SWEEP_BASE_ARGS[app]]
+    )
+    assert code == 0, err
+    manifest, rows = parse_sweep(out)
+    assert manifest["config"]["vary"] == field
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("app, spelling", [("density", "lambda"), ("density", "--n"),
+                                           ("cs", "d"), ("active", "sigma2")])
+def test_vary_rejects_names_the_app_lacks(capsys, app, spelling):
+    argv = ["sweep", app, f"--vary={spelling}", "--values", "1", *SWEEP_BASE_ARGS[app]]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "no sweep parameter" in err
+
+
+def test_package_root_exports_every_module_name():
+    for module in (applications, converse, divergence, oracle, packing):
+        for name in module.__all__:
+            assert getattr(conversekit, name) is getattr(module, name), name
+            assert name in conversekit.__all__, name
+    assert "__version__" in conversekit.__all__
+    assert len(conversekit.__all__) == len(set(conversekit.__all__))
 
 
 # --- exit codes ---
@@ -275,6 +399,28 @@ def test_verify_soundness_small_run(capsys):
     code, out, _ = run_cli(capsys, ["verify", "soundness", "--count", "15", "--seed", "5"])
     assert code == 0
     assert "[ok]" in out and "0 failures" in out
+
+
+def test_verify_packing_rejects_count(capsys):
+    code, out, err = run_cli(capsys, ["verify", "packing", "--count", "5"])
+    assert code == 2 and out == ""
+    assert "--count" in err
+
+
+def test_verify_divergence_rejects_gv_flags(capsys):
+    code, out, err = run_cli(capsys, ["verify", "divergence", "--m", "3", "--dmin", "2"])
+    assert code == 2 and out == ""
+    assert "--m" in err and "--dmin" in err
+
+
+def test_verify_without_seed_uses_suite_default(capsys):
+    default = inspect.signature(fano_recovery_suite).parameters["seed"].default
+    code, implicit, _ = run_cli(capsys, ["verify", "fano-recovery", "--count", "4"])
+    assert code == 0
+    code, explicit, _ = run_cli(
+        capsys, ["verify", "fano-recovery", "--count", "4", "--seed", str(default)]
+    )
+    assert code == 0 and implicit == explicit
 
 
 def test_verify_packing_half_gv_flags_exits_2(capsys):

@@ -444,6 +444,20 @@ def test_operator_norm_near_degenerate_top_pair():
     assert operator_norm(sym) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_packing_suite_opnorm_checks_use_known_spectra(monkeypatch):
+    from conversekit import suites
+
+    result = suites.packing_suite()
+    assert result.passed and result.checks == 39
+    # the largest signed eigenvalue is not the norm when a negative one wins
+    monkeypatch.setattr(
+        suites, "operator_norm", lambda a: float(np.max(np.linalg.eigvalsh(a)))
+    )
+    broken = suites.packing_suite()
+    assert broken.failures > 0
+    assert all(detail.startswith("opnorm ") for detail in broken.details)
+
+
 def test_operator_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         operator_norm(np.array([[1.0, 2.0], [0.0, 1.0]]))
