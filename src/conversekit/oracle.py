@@ -2,16 +2,17 @@
 
 Everything here is deliberately independent of the closed forms elsewhere in
 the package.  Bayes errors come from explicit enumeration, integrals from
-adaptive Simpson quadrature, so the fast paths have something honest to be
-checked against.
+adaptive Gauss-Kronrod quadrature on the raw integrands, so the fast paths
+have something honest to be checked against.
 
-The quadrature is level-synchronous and block-bounded: every panel still to
-be refined waits on one stack, and each step refines up to _SIMPSON_BLOCK of
-them with a single vectorised call to the integrand.  The per-panel rule is
-the classic recursive one unchanged (Lyness 1969; Gander and Gautschi 2000),
-so the same panels are accepted and only the order of summation differs.  A
-panel that reaches max_depth without meeting its tolerance is still taken as
-it is, but the call then warns with QuadratureWarning.
+The quadrature is QUADPACK's 15-point Kronrod rule with its embedded 7-point
+Gauss rule (Kronrod 1965; Piessens et al. 1983), refined breadth-first: each
+step evaluates every panel not yet accepted with a single vectorised call to
+the integrand and bisects those whose Kronrod and Gauss estimates still
+differ by more than their share of the tolerance.  Refinement stops at a
+minimum panel width or at a cap on the open panels of one interval; panels
+such a stop leaves unconverged are taken as they are, and the call then
+warns with QuadratureWarning.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "decoder_error",
     "min_distance_decode",
     "min_distance_decoder_error",
-    "adaptive_simpson",
     "renyi_gaussian_quadrature",
     "HypercubeDensityFamily",
     "density_sq_integral",
@@ -109,107 +109,89 @@ def min_distance_decoder_error(conditionals, estimates, codewords, metric_fn) ->
 
 # === Quadrature ===
 
-
-# Most panels one refinement step takes.  Panels still to be refined wait on
-# a LIFO stack; each step pops at most this many from its top.  Larger blocks
-# run faster but hold more memory; at 384 a Gaussian quadrature adds about
-# 1 MB to the peak RSS of a process that runs it.
-_SIMPSON_BLOCK = 384
-# Splits a panel may take before it is accepted as it is.
+# QUADPACK's QK15 rule (Piessens et al. 1983) on [-1, 1], as the nearest
+# doubles: each non-negative Kronrod node from the outside in, its weight,
+# and its weight in the 7-point Gauss rule, which uses every other node.
+_QK15 = np.array([
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+])
+# All 15 nodes in ascending order, and a (15, 2) matrix whose columns give
+# the K15 and G7 sums of the integrand values at them.
+_GK_NODES = np.concatenate((-_QK15[:, 0], _QK15[-2::-1, 0]))
+_GK_WEIGHTS = np.concatenate((_QK15[:, 1:], _QK15[-2::-1, 1:]))
+# Bisections of an interval before its panels are taken as they are.
 _MAX_DEPTH = 48
-
-
-# Rows of the two halves of a panel, picked from its rows
-# a, mid, b, fa, flm, fm, frm, fb, tol / 2, depth - 1, k.
-_LEFT_HALF = np.array([0, 1, 3, 4, 5, 8, 9, 10])
-_RIGHT_HALF = np.array([1, 2, 5, 6, 7, 8, 9, 10])
+# Most panels of one interval one step evaluates.
+_MAX_OPEN = 2**10
 
 
 class QuadratureWarning(RuntimeWarning):
-    """Adaptive quadrature hit max_depth before meeting its tolerance."""
+    """Adaptive quadrature took panels as they were, short of their tolerance.
+
+    Either stop does it: a panel _MAX_DEPTH bisections deep, or an interval
+    whose unconverged panels would outgrow _MAX_OPEN if they were split.
+    """
 
 
-def _simpson_panels(f, a, b, atol, rtol, max_depth) -> np.ndarray:
-    """Adaptive Simpson with Richardson correction on many intervals at once.
+def _positive(name, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
-    f(x, k) takes arrays of abscissae x and interval indices k and returns f
-    at each x on interval k.  A panel is split until its two-panel estimate is
-    within 15 * max(atol, rtol * |estimate|) of its one-panel estimate (Lyness
-    1969); atol is halved per split so the per-leaf budgets sum to the
-    requested total, and a panel max_depth splits deep is taken as it is.
-    Returns one total per interval, and warns with QuadratureWarning if any
-    panel stopped at max_depth unconverged.
 
-    Each step pops up to _SIMPSON_BLOCK panels off a stack, refines them with
-    one call to f, adds the finished ones to their totals and pushes the
-    halves of the rest, each left half right before its right half.  The
-    stack so stays sorted by depth, and a step that pushes halves of some
-    depth has first popped every panel already of that depth, so the stack
-    never holds more than 2 * _SIMPSON_BLOCK panels of any depth below the
-    starting one.
+def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
+    """Adaptive G7K15 quadrature on many intervals [a[k], b[k]] at once.
+
+    f(x, k) takes a (panels, 15) array of abscissae x and a (panels, 1) array
+    of interval indices k and returns f at each x on interval k.  Refinement
+    is breadth-first: every step evaluates all open panels with one call to f
+    and accepts a panel when |K15 - G7| <= max(atol, rtol * |estimate|) times
+    its share of its interval's width, the estimate being the interval's
+    accepted total plus the K15 values of its open panels.  The rest are
+    bisected.  Returns one total per interval, and warns with
+    QuadratureWarning if either stop took panels unconverged.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     n = a.size
-    k = np.arange(n)
-    fa, fm, fb = np.split(f(np.concatenate((a, 0.5 * (a + b), b)), np.tile(k, 3)), 3)
-    # One column per panel, rows a, b, fa, fm, fb, tol, depth, k; a panel's
-    # Simpson estimate is recomputed from its column, bit for bit as its
-    # parent computed it.  The package's own quadratures stack under nine
-    # blocks of panels; a deeper stack grows.
-    stack = np.empty((8, n + 16 * _SIMPSON_BLOCK))
-    stack[:, :n] = (a, b, fa, fm, fb, np.full(n, float(atol)), np.full(n, float(max_depth)), k)
-    top = n
+    share = 1.0 / (b - a)
     totals = np.zeros(n)
+    lo, hi, k = a, b, np.arange(n)
     stalled = 0
-    while top:
-        base = max(top - _SIMPSON_BLOCK, 0)
-        # views: the halves pushed below overwrite them after their last use
-        a, b, fa, fm, fb, tol, depth, k = stack[:, base:top]
-        top = base
-        cells = k.astype(np.intp)
-        mid = 0.5 * (a + b)
-        fx = f(np.concatenate((0.5 * (a + mid), 0.5 * (mid + b))), np.concatenate((cells, cells)))
-        flm, frm = fx[: cells.size], fx[cells.size :]
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        both = left + right
-        err = both - whole
-        met = np.abs(err) <= 15.0 * np.maximum(tol, rtol * np.abs(both))
-        leaf = met | (depth <= 0)
-        stalled += np.count_nonzero(leaf) - np.count_nonzero(met)
-        totals += np.bincount(cells[leaf], weights=(both + err / 15.0)[leaf], minlength=n)
-        points = np.array((a, mid, b, fa, flm, fm, frm, fb, 0.5 * tol, depth - 1.0, k))[:, ~leaf]
-        end = top + 2 * points.shape[1]
-        if end > stack.shape[1]:
-            stack = np.concatenate((stack[:, :top], np.empty((8, 2 * end - top))), axis=1)
-        stack[:, top:end:2] = points[_LEFT_HALF]
-        stack[:, top + 1 : end : 2] = points[_RIGHT_HALF]
-        top = end
+    for depth in range(_MAX_DEPTH + 1):
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        x = mid[:, None] + half[:, None] * _GK_NODES
+        kron, gauss = (f(x, k[:, None]) @ _GK_WEIGHTS).T * half
+        estimate = totals + np.bincount(k, weights=kron, minlength=n)
+        tol = np.maximum(atol, rtol * np.abs(estimate[k])) * (2.0 * half * share[k])
+        met = np.abs(kron - gauss) <= tol
+        crowded = 2 * np.bincount(k[~met], minlength=n)[k] > _MAX_OPEN
+        done = met | crowded | (depth == _MAX_DEPTH)
+        stalled += np.count_nonzero(done) - np.count_nonzero(met)
+        totals += np.bincount(k[done], weights=kron[done], minlength=n)
+        split = ~done
+        if not split.any():
+            break
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi, k = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(k[split], 2)
     if stalled:
         warnings.warn(
-            f"adaptive Simpson: {stalled} panel(s) reached max_depth={max_depth} "
-            "without meeting the tolerance; the result is a best effort",
+            f"adaptive Gauss-Kronrod: {stalled} panel(s) taken as they were, short of "
+            f"the tolerance, at the depth limit of {_MAX_DEPTH} bisections or the cap of "
+            f"{_MAX_OPEN} open panels per interval; the result is a best effort",
             QuadratureWarning,
             stacklevel=3,
         )
     return totals
-
-
-def adaptive_simpson(f, a, b, atol=1e-10, rtol=0.0, max_depth=_MAX_DEPTH) -> float:
-    """Adaptive Simpson integration of scalar f over [a, b] with Richardson correction.
-
-    Splits an interval until the two-panel estimate is within
-    15 * max(atol, rtol * |estimate|) of the one-panel estimate; atol is
-    halved per split so the per-leaf budgets sum to the requested total.
-    Warns with QuadratureWarning if max_depth stops a split unconverged.
-    """
-
-    def lifted(x, k):
-        return np.array([f(v) for v in x.tolist()], dtype=float)
-
-    return float(_simpson_panels(lifted, float(a), float(b), atol, rtol, max_depth)[0])
 
 
 def renyi_gaussian_quadrature(pair: GaussianShiftPair, order, rtol=1e-11) -> float:
@@ -220,6 +202,7 @@ def renyi_gaussian_quadrature(pair: GaussianShiftPair, order, rtol=1e-11) -> flo
     relevant centers 0, mu and (1+lam) mu padded by 40 sigma.
     """
     lam = _lam(order)
+    rtol = _positive("rtol", rtol)
     mu = math.sqrt(pair.shift_sq)
     sigma = math.sqrt(pair.sigma_sq)
     log_norm = -0.5 * math.log(2.0 * math.pi * pair.sigma_sq)
@@ -231,7 +214,7 @@ def renyi_gaussian_quadrature(pair: GaussianShiftPair, order, rtol=1e-11) -> flo
     centers = (0.0, mu, (1.0 + lam) * mu)
     lo = min(centers) - 40.0 * sigma
     hi = max(centers) + 40.0 * sigma
-    total = _simpson_panels(integrand, lo, hi, 0.0, rtol, _MAX_DEPTH)[0]
+    total = _gk_panels(integrand, lo, hi, 0.0, rtol)[0]
     return math.log(total) / lam
 
 
@@ -310,7 +293,8 @@ def _cell_bump(family: HypercubeDensityFamily, cells):
 
 
 def density_sq_integral(family: HypercubeDensityFamily, tau, atol=1e-12) -> float:
-    """integral of f_tau^2 over [0, 1] by per-cell adaptive Simpson."""
+    """integral of f_tau^2 over [0, 1] by per-cell adaptive quadrature."""
+    atol = _positive("atol", atol)
     sign = family.check_tau(tau).astype(float)
     cells = np.arange(family.m)
     bump = _cell_bump(family, cells)
@@ -320,7 +304,7 @@ def density_sq_integral(family: HypercubeDensityFamily, tau, atol=1e-12) -> floa
         return val * val
 
     m = family.m
-    return float(_simpson_panels(f_sq, cells / m, (cells + 1) / m, atol, 0.0, _MAX_DEPTH).sum())
+    return float(_gk_panels(f_sq, cells / m, (cells + 1) / m, atol, 0.0).sum())
 
 
 def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-13) -> float:
@@ -329,6 +313,7 @@ def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-
     Cells where the sign vectors agree contribute exactly zero and are
     skipped, which also keeps the result symmetric in its arguments.
     """
+    atol = _positive("atol", atol)
     sa = family.check_tau(tau_a).astype(float)
     sb = family.check_tau(tau_b).astype(float)
     cells = np.flatnonzero(sa != sb)
@@ -341,7 +326,7 @@ def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-
         return diff * diff
 
     m = family.m
-    return float(_simpson_panels(gap_sq, cells / m, (cells + 1) / m, atol, 0.0, _MAX_DEPTH).sum())
+    return float(_gk_panels(gap_sq, cells / m, (cells + 1) / m, atol, 0.0).sum())
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ import pytest
 from conversekit.divergence import DiscretePmf
 
 
+def pytest_configure(config):
+    # an unconverged quadrature fails the test that ran it; registered here
+    # rather than in pyproject.toml, whose filter would import numpy before
+    # the BLAS threads above are pinned
+    config.addinivalue_line("filterwarnings", "error::conversekit.oracle.QuadratureWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

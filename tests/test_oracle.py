@@ -13,7 +13,6 @@ from conversekit.oracle import (
     CapabilityError,
     HypercubeDensityFamily,
     QuadratureWarning,
-    adaptive_simpson,
     density_sq_integral,
     exact_bayes_error,
     hellinger_sq_distance,
@@ -115,12 +114,68 @@ def test_triangle_inequality_guarantee(rng):
 # --- quadrature ---
 
 
-def test_adaptive_simpson_known_integrals():
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(lambda x: x**2, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-    assert adaptive_simpson(lambda x: math.exp(-x * x), -10.0, 10.0) == pytest.approx(
-        math.sqrt(math.pi), abs=1e-10
+def gk(f, a, b, atol=1e-10):
+    """Scalar integral of a numpy-vectorised f over [a, b] by the oracle's rule."""
+    return float(oracle._gk_panels(lambda x, k: f(x), a, b, atol, 0.0)[0])
+
+
+def test_gk_rule_constants():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(oracle._GK_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(oracle._GK_WEIGHTS[1::2, 1], weights, rtol=0.0, atol=1e-15)
+    assert not oracle._GK_WEIGHTS[0::2, 1].any()
+    for d in range(23):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert oracle._GK_WEIGHTS[:, 0] @ oracle._GK_NODES**d == pytest.approx(exact, abs=1e-15)
+
+
+def test_adaptive_quadrature_known_integrals():
+    assert gk(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-14)
+    assert gk(np.square, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-14)
+    assert gk(lambda x: np.exp(-x * x), -10.0, 10.0) == pytest.approx(
+        math.sqrt(math.pi), abs=1e-14
     )
+
+
+def test_quadrature_warns_at_depth_stop():
+    # the one panel holding the jump at 1/3 fails at every depth
+    with pytest.warns(QuadratureWarning, match=r"\b1 panel\(s\)"):
+        value = gk(lambda x: (x > 1 / 3).astype(float), 0.0, 1.0)
+    assert value == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_quadrature_bounded_on_nonfinite_integrand():
+    # inf - inf in the raw exponent makes far panels nan, so no panel of the
+    # interval converges and the open-panel cap ends the call
+    for lam in (1e200, 1e300):
+        with pytest.warns(QuadratureWarning, match=rf"\b{oracle._MAX_OPEN} panel\(s\)"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                renyi_gaussian_quadrature(GaussianShiftPair(1.0, 1.0), lam)
+
+
+# No panel can meet such a tolerance, so unchecked the refinement would run
+# toward 2^48 panels.
+MALFORMED_TOLS = (0.0, -1.0, math.inf, math.nan)
+
+
+def test_gaussian_quadrature_rejects_malformed_rtol():
+    for rtol in MALFORMED_TOLS:
+        with pytest.raises(ValueError, match="rtol must be finite and > 0"):
+            renyi_gaussian_quadrature(GaussianShiftPair(1.0, 1.0), 1.0, rtol=rtol)
+
+
+def test_density_integral_rejects_malformed_atol():
+    fam = HypercubeDensityFamily(m=4, c=0.5)
+    for atol in MALFORMED_TOLS:
+        with pytest.raises(ValueError, match="atol must be finite and > 0"):
+            density_sq_integral(fam, [1, -1, 1, -1], atol=atol)
+
+
+def test_hellinger_sq_rejects_malformed_atol():
+    fam = HypercubeDensityFamily(m=4, c=0.5)
+    for atol in MALFORMED_TOLS:
+        with pytest.raises(ValueError, match="atol must be finite and > 0"):
+            hellinger_sq_distance(fam, [1, 1, 1, 1], [1, -1, 1, 1], atol=atol)
 
 
 def test_gaussian_quadrature_matches_closed_form(rng):
@@ -132,12 +187,6 @@ def test_gaussian_quadrature_matches_closed_form(rng):
         quad = renyi_gaussian_quadrature(pair, lam)
         closed = renyi_gaussian_shift(pair, lam)
         assert quad == pytest.approx(closed, rel=1e-8)
-
-
-def test_adaptive_simpson_warns_at_max_depth():
-    # all four depth-2 panels miss the 1e-10 budget
-    with pytest.warns(QuadratureWarning, match=r"4 panel\(s\) reached max_depth=2"):
-        adaptive_simpson(math.sin, 0.0, math.pi, max_depth=2)
 
 
 def test_quadrature_silent_on_acceptance_inputs():
@@ -211,21 +260,6 @@ def reference_cell(family, j, h, atol):
 REF_REL = 1e-13
 
 
-def test_adaptive_simpson_matches_reference():
-    for f, a, b in ((math.sin, 0.0, math.pi), (lambda x: math.exp(-x * x), -10.0, 10.0)):
-        assert adaptive_simpson(f, a, b) == pytest.approx(reference_simpson(f, a, b), rel=REF_REL)
-
-
-def test_block_size_only_reorders_the_sum(monkeypatch):
-    # the singularity at the right end leaves a left half waiting at each of
-    # about 40 depths, which with blocks of 1 or 3 outgrows the first stack
-    f = lambda x: math.sqrt(1.0 - x)
-    ref = reference_simpson(f, 0.0, 1.0)
-    for block in (1, 3, 64):
-        monkeypatch.setattr(oracle, "_SIMPSON_BLOCK", block)
-        assert adaptive_simpson(f, 0.0, 1.0) == pytest.approx(ref, rel=REF_REL)
-
-
 def test_gaussian_quadrature_matches_reference():
     rng = np.random.default_rng(20)
     for _ in range(3):
@@ -234,6 +268,26 @@ def test_gaussian_quadrature_matches_reference():
         assert renyi_gaussian_quadrature(pair, lam) == pytest.approx(
             reference_renyi_gaussian(pair, lam), rel=REF_REL
         )
+
+
+def exact_hellinger_cell(family):
+    """integral over one cell where the signs differ of (sqrt(1 + g) - sqrt(1 - g))^2.
+
+    g = a sin(2 pi (m x - j)), a = c / m^2.  This is (2/m)(1 - (2/pi) E(a^2)),
+    E the complete elliptic integral of the second kind, summed as the series
+    (2/m) sum_{n>=1} (C(2n, n) / 4^n)^2 a^(2n) / (2n - 1), free of cancellation.
+    """
+    a = family.c / family.m**2
+    total, n = 0.0, 1
+    while True:
+        term = (math.comb(2 * n, n) / 4**n) ** 2 * a ** (2 * n) / (2 * n - 1)
+        if total + term == total:
+            return 2.0 / family.m * total
+        total += term
+        n += 1
+
+
+EXACT_REL = 1e-12
 
 
 def test_hypercube_integrals_match_reference():
@@ -247,20 +301,14 @@ def test_hypercube_integrals_match_reference():
         sq.append(reference_cell(fam, j, lambda bump, s=ta[j]: (1.0 + s * bump) ** 2, 1e-12))
     assert density_sq_integral(fam, ta) == pytest.approx(sum(sq), rel=REF_REL)
 
-    gaps = []
+    cell = exact_hellinger_cell(fam)
     for j in range(16):
         # flipping only cell j makes hellinger_sq_distance integrate that one cell
         flipped = list(ta)
         flipped[j] = -ta[j]
-
-        def gap_sq(bump, sa=ta[j], sb=-ta[j]):
-            return (math.sqrt(1.0 + sa * bump) - math.sqrt(1.0 + sb * bump)) ** 2
-
-        ref = reference_cell(fam, j, gap_sq, 1e-13)
-        assert hellinger_sq_distance(fam, ta, flipped) == pytest.approx(ref, rel=REF_REL)
-        if ta[j] != tb[j]:
-            gaps.append(ref)
-    assert hellinger_sq_distance(fam, ta, tb) == pytest.approx(sum(gaps), rel=REF_REL)
+        assert hellinger_sq_distance(fam, ta, flipped) == pytest.approx(cell, rel=EXACT_REL)
+    differing = sum(a != b for a, b in zip(ta, tb))
+    assert hellinger_sq_distance(fam, ta, tb) == pytest.approx(differing * cell, rel=EXACT_REL)
 
 
 # --- hypercube density family ---
@@ -333,7 +381,8 @@ def test_hellinger_sq_golden_and_floor():
     ta = [1, 1, 1, 1, 1, 1]
     tb = [-1, -1, 1, 1, 1, 1]
     val = hellinger_sq_distance(fam, ta, tb)
-    assert val == pytest.approx(1.286010104784889e-06, rel=1e-9)
+    assert val == pytest.approx(1.2860100910029715e-06, rel=EXACT_REL)
+    assert val == pytest.approx(2 * exact_hellinger_cell(fam), rel=EXACT_REL)
     assert val >= 0.5 * 0.1**2 / (3 * 6**4)
 
 
