@@ -47,6 +47,14 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _config_echo(cfg) -> dict:
+    """The config's fields as a flat dict: dataclasses.asdict without its deepcopy.
+
+    Every config field is a scalar or None, so nothing needs copying.
+    """
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+
+
 def _safe_one_minus_scaled_exp(scale: float, exponent: float) -> float:
     """1 - scale * exp(exponent), routing overflow to -inf."""
     if exponent >= _EXP_OVERFLOW:
@@ -234,7 +242,6 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     n = cfg.n
     x = cfg.c**2 * cfg.a
     m_real = n**0.2 / nu
-    config_echo = dataclasses.asdict(cfg)
 
     strong_raw = _safe_one_minus_scaled_exp(
         2.0, -(n**0.2 / (2.0 * nu)) * (cfg.c0 - nu**5 * x)
@@ -252,7 +259,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     rel_gap = abs(pre_risk - strong_risk) / max(abs(strong_risk), 1e-300)
 
     strong_params = {
-        "config": dict(config_echo),
+        "config": _config_echo(cfg),
         "nu_effective": nu,
         "m_real": m_real,
         "presubstitution_risk": pre_risk,
@@ -287,7 +294,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
         eps_raw=fano_raw,
         risk_lower=prefactor * fano_eps,
         params={
-            "config": dict(config_echo),
+            "config": _config_echo(cfg),
             "nu_effective": nu,
             "eps_limit_large_n": 1.0 - 2.0 * x * nu**5 / ((1.0 - c_g) * cfg.c0),
         },
@@ -313,7 +320,6 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
     lh = cfg.L * cfg.H
     rho = cfg.rho
     expo = 2.0 * kappa - 2.0 + rho
-    config_echo = dataclasses.asdict(cfg)
 
     m_real = n ** (1.0 / (alpha * (2.0 * kappa - 2.0) + d - 1.0)) / nu
     beta_m = lh * m_real ** (-alpha)
@@ -358,7 +364,7 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
         lambda_star=lam,
         risk_lower=prefactor * strong_eps,
         params={
-            "config": dict(config_echo),
+            "config": _config_echo(cfg),
             "m_real": m_real,
             "beta_m": beta_m,
             "bracket": bracket,
@@ -383,7 +389,7 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
         eps_raw=fano_raw,
         risk_lower=prefactor * fano_eps,
         params={
-            "config": dict(config_echo),
+            "config": _config_echo(cfg),
             "xi": xi,
             "vacuous": xi >= 0.5,
         },
@@ -411,7 +417,6 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
     """
     log_m = cfg.log_m_codewords
     lam, delta_m = cfg.lam, cfg.delta_m_effective
-    config_echo = dataclasses.asdict(cfg)
 
     log_inner = -cfg.delta * log_m - log(lam) - log(delta_m)
     power = lam / (1.0 + lam)
@@ -441,7 +446,7 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
         lambda_star=lam,
         risk_lower=risk_scale * strong_eps,
         params={
-            "config": dict(config_echo),
+            "config": _config_echo(cfg),
             "log_m_codewords": log_m,
             "packing_radius_sq": c_sq,
             "delta_m": delta_m,
@@ -456,7 +461,7 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
         eps_raw=0.0,
         risk_lower=max(0.0, fano_risk_raw),
         params={
-            "config": dict(config_echo),
+            "config": _config_echo(cfg),
             "log_m_codewords": log_m,
             "risk_raw": fano_risk_raw,
             "degenerate_log_m": log_m <= 2.0,

@@ -386,9 +386,23 @@ def optimize_lambda(
     interval endpoints stay in the candidate set.  The pre-scan is one
     batched evaluation of log S; for q* each order costs one normalizer
     instead of M divergences.
+
+    When the pre-scan maximum is an end of the grid, one probe edge_tol
+    inward of it (edge_tol = sqrt(eps) times the bracket width, the
+    tolerance of the lambda_at_boundary flag) decides: if the probe is not
+    higher, that end is taken as the refined point and golden section is
+    skipped.  Golden section would only have crept to within about edge_tol
+    of the end, beating it, if at all, by rounding.
+
+    lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi, prescan at
+    least 2 and iters non-negative; anything else raises ValueError.
     """
-    if not (0.0 < lam_lo < lam_hi):
-        raise ValueError("need 0 < lam_lo < lam_hi")
+    if not (0.0 < lam_lo < lam_hi and math.isfinite(lam_hi)):
+        raise ValueError(f"need finite 0 < lam_lo < lam_hi, got [{lam_lo!r}, {lam_hi!r}]")
+    if prescan < 2:
+        raise ValueError(f"prescan must be at least 2, got {prescan!r}")
+    if iters < 0:
+        raise ValueError(f"iters must be non-negative, got {iters!r}")
     log_m = math.log(family.m_codewords)
 
     def raw(lams: list) -> list:
@@ -405,7 +419,16 @@ def optimize_lambda(
     best_idx = int(np.argmax(values))
     bracket_lo = grid[max(best_idx - 1, 0)]
     bracket_hi = grid[min(best_idx + 1, prescan - 1)]
-    x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi, iters)
+    # Golden section stalls where rounding in raw_at hides the slope, short
+    # of a maximum at an end of the range by up to about sqrt(eps) times the
+    # bracket it searched (3e-11 in log lam is common).
+    edge_tol = math.sqrt(np.finfo(float).eps) * (bracket_hi - bracket_lo)
+    # An edge maximum that does not rise one edge_tol inward is settled as is.
+    inward = {0: edge_tol, prescan - 1: -edge_tol}.get(best_idx)
+    if inward is not None and raw_at(grid[best_idx] + inward) <= values[best_idx]:
+        x_gold, v_gold = grid[best_idx], values[best_idx]
+    else:
+        x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi, iters)
 
     candidates = [(grid[0], values[0]), (grid[-1], values[-1]),
                   (grid[best_idx], values[best_idx]), (x_gold, v_gold)]
@@ -415,10 +438,6 @@ def optimize_lambda(
     report = strong_converse_bound(family, lam_best)
     params = dict(report.params)
     params["lambda_range"] = [lam_lo, lam_hi]
-    # Golden section stalls where rounding in raw_at hides the slope, short
-    # of a maximum at an end of the range by up to about sqrt(eps) times the
-    # bracket it searched (3e-11 in log lam is common).
-    edge_tol = math.sqrt(np.finfo(float).eps) * (bracket_hi - bracket_lo)
     params["lambda_at_boundary"] = bool(
         x_best <= lo + edge_tol or x_best >= hi - edge_tol
     )

@@ -18,6 +18,8 @@ def pytest_configure(config):
     # rather than in pyproject.toml, whose filter would import numpy before
     # the BLAS threads above are pinned
     config.addinivalue_line("filterwarnings", "error::conversekit.oracle.QuadratureWarning")
+    # a new overflow or invalid-value path in numpy fails its test too
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """The three worked bound assemblies and their agreement with the generic machinery."""
 
 import dataclasses
+import json
 import math
+import os
 
 import pytest
 
@@ -297,6 +299,22 @@ def test_reports_echo_the_same_config():
         assert sorted(blob) == ["app", "asymptote", "fano", "ratio", "strong"]
         assert blob["strong"]["method"] == "strong_converse"
         assert blob["fano"]["method"] == "fano"
+
+
+@pytest.mark.parametrize(
+    "app, config_type",
+    [("density", DensityConfig), ("active", ActiveConfig), ("cs", CsConfig)],
+)
+def test_config_echo_matches_asdict_on_golden_configs(app, config_type):
+    golden = os.path.join(os.path.dirname(__file__), "..", "docs", "golden", f"{app}.json")
+    with open(golden, encoding="utf-8") as fh:
+        cfg = config_type(**json.load(fh)["manifest"]["config"])
+    rep = compute_bounds(cfg)
+    strong, fano = rep.strong.params["config"], rep.fano.params["config"]
+    assert strong == dataclasses.asdict(cfg)
+    assert fano == dataclasses.asdict(cfg)
+    assert list(strong) == list(dataclasses.asdict(cfg))
+    assert strong is not fano
 
 
 def test_compute_bounds_dispatch():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conversekit import converse
 from conversekit.converse import (
     BoundReport,
     ChannelFamily,
@@ -152,6 +153,123 @@ def test_optimize_lambda_domain():
         optimize_lambda(ChannelFamily((p, p)), lam_lo=0.0)
     with pytest.raises(ValueError):
         optimize_lambda(ChannelFamily((p, p)), lam_lo=2.0, lam_hi=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"lam_hi": math.inf},
+        {"lam_lo": math.nan},
+        {"lam_hi": math.nan},
+        {"lam_lo": -math.inf},
+        {"prescan": 1},
+        {"prescan": 0},
+        {"iters": -1},
+    ],
+)
+def test_optimize_lambda_rejects_bad_arguments(kwargs):
+    p = pmf(0.5, 0.5)
+    with pytest.raises(ValueError):
+        optimize_lambda(ChannelFamily((p, p)), **kwargs)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_optimize_lambda_edge_optimum_costs_prescan_and_one_probe(monkeypatch):
+    # the all-equal family of test_optimize_lambda_boundary_flag: with every
+    # divergence 0 the floor 1 - (1+lam) / (lam M)^(lam/(1+lam)) rises with
+    # lam, so it peaks at lam_hi
+    p = pmf(0.5, 0.5)
+    fam = ChannelFamily((p, p, p), q_choice=p)
+    evals = _count_calls(monkeypatch, ChannelFamily, "_log_mean_terms")
+    golden = _count_calls(monkeypatch, converse, "_golden_max")
+    rep = optimize_lambda(fam)
+    assert len(evals) == 2
+    assert not golden
+    assert rep.lambda_star == math.exp(math.log(10.0))
+    assert rep.params["lambda_at_boundary"]
+
+
+def test_optimize_lambda_interior_optimum_runs_golden_section(monkeypatch):
+    # draw 46 of default_rng(11) peaks about 2.9 pre-scan steps below lam_hi
+    rng = np.random.default_rng(11)
+    fam = [random_discrete_family(rng, q_choice="mixture") for _ in range(47)][-1]
+    golden = _count_calls(monkeypatch, converse, "_golden_max")
+    rep = optimize_lambda(fam)
+    grid = np.linspace(math.log(1e-6), math.log(10.0), 64)
+    assert len(golden) == 1
+    assert grid[1] < math.log(rep.lambda_star) < grid[-2]
+    assert not rep.params["lambda_at_boundary"]
+
+
+def _always_golden_reference(family, lam_lo=1e-6, lam_hi=10.0, prescan=64, iters=60):
+    """The order search before edge optima were settled by a probe.
+
+    Returns (eps_raw, lambda_star, lambda_at_boundary): the pre-scan, then
+    golden section on the bracket around its maximum whatever its position.
+    """
+    log_m = math.log(family.m_codewords)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def raw(lams):
+        log_means = family._log_mean_terms(np.array(lams)).tolist()
+        return [strong_converse_eps_from_log_terms(log_m, s, lam)
+                for s, lam in zip(log_means, lams)]
+
+    def g(x):
+        return raw([math.exp(x)])[0]
+
+    lo, hi = math.log(lam_lo), math.log(lam_hi)
+    grid = np.linspace(lo, hi, prescan)
+    values = raw([math.exp(x) for x in grid])
+    best = int(np.argmax(values))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, prescan - 1)]
+    bracket = b - a
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - invphi * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + invphi * (b - a)
+            gd = g(d)
+    gold = (c, gc) if gc >= gd else (d, gd)
+    candidates = [(grid[0], values[0]), (grid[-1], values[-1]), (grid[best], values[best]), gold]
+    x_best = max(candidates, key=lambda t: t[1])[0]
+    edge_tol = math.sqrt(np.finfo(float).eps) * bracket
+    lam_best = math.exp(x_best)
+    at_boundary = x_best <= lo + edge_tol or x_best >= hi - edge_tol
+    return strong_converse_bound(family, lam_best).eps_raw, lam_best, at_boundary
+
+
+def test_optimize_lambda_matches_always_golden_reference():
+    # the probe's candidate set is a subset of the reference's, so the floor
+    # can only fall, and only by rounding; lambda* moves within edge_tol
+    rng = np.random.default_rng(11)
+    step = (math.log(10.0) - math.log(1e-6)) / 63
+    edge_tol = math.sqrt(np.finfo(float).eps) * step
+    for _ in range(60):
+        conds = random_discrete_family(rng).conditionals
+        for q in ("uniform", "mixture", "qstar"):
+            fam = ChannelFamily(conds, q_choice=q)
+            old_raw, old_lam, old_flag = _always_golden_reference(fam)
+            rep = optimize_lambda(fam)
+            assert old_raw - 4.5e-16 <= rep.eps_raw <= old_raw
+            assert abs(math.log(rep.lambda_star / old_lam)) <= edge_tol
+            assert rep.params["lambda_at_boundary"] == old_flag
 
 
 # --- variational form ---
