@@ -13,12 +13,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import log, sqrt
 
 from .converse import (
-    _EXP_OVERFLOW,
     BoundReport,
     _clamp_eps,
+    _one_minus_scaled_exp,
     strong_converse_eps_from_log_terms,
 )
 
@@ -53,13 +53,6 @@ def _config_echo(cfg) -> dict:
     Every config field is a scalar or None, so nothing needs copying.
     """
     return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
-
-
-def _safe_one_minus_scaled_exp(scale: float, exponent: float) -> float:
-    """1 - scale * exp(exponent), routing overflow to -inf."""
-    if exponent >= _EXP_OVERFLOW:
-        return -math.inf
-    return 1.0 - scale * exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -243,18 +236,19 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     x = cfg.c**2 * cfg.a
     m_real = n**0.2 / nu
 
-    strong_raw = _safe_one_minus_scaled_exp(
+    strong_raw = _one_minus_scaled_exp(
         2.0, -(n**0.2 / (2.0 * nu)) * (cfg.c0 - nu**5 * x)
     )
     strong_eps = _clamp_eps(strong_raw)
     prefactor = x * nu**4 / (6.0 * n**0.8)
 
+    def eps_and_risk_at(m):
+        """Clamped floor and its risk at m cells, before m = n^(1/5) / nu is substituted."""
+        eps = _clamp_eps(_one_minus_scaled_exp(2.0, -(m / 2.0) * (cfg.c0 - x * n / m**5)))
+        return eps, x / (6.0 * m**4) * eps
+
     # same floor computed before substituting m, as a consistency record
-    pre_prefactor = x / (6.0 * m_real**4)
-    pre_raw = _safe_one_minus_scaled_exp(
-        2.0, -(m_real / 2.0) * (cfg.c0 - x * n / m_real**5)
-    )
-    pre_risk = pre_prefactor * _clamp_eps(pre_raw)
+    pre_risk = eps_and_risk_at(m_real)[1]
     strong_risk = prefactor * strong_eps
     rel_gap = abs(pre_risk - strong_risk) / max(abs(strong_risk), 1e-300)
 
@@ -267,12 +261,8 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     }
     m_floor = math.floor(m_real)
     if m_floor >= 1:
-        floor_raw = _safe_one_minus_scaled_exp(
-            2.0, -(m_floor / 2.0) * (cfg.c0 - x * n / m_floor**5)
-        )
         strong_params["m_floor"] = m_floor
-        strong_params["floor_m_eps"] = _clamp_eps(floor_raw)
-        strong_params["floor_m_risk"] = x / (6.0 * m_floor**4) * _clamp_eps(floor_raw)
+        strong_params["floor_m_eps"], strong_params["floor_m_risk"] = eps_and_risk_at(m_floor)
     else:
         strong_params["m_floor"] = None
 
@@ -336,7 +326,7 @@ def active_bound(cfg: ActiveConfig) -> ComparisonReport:
             d - 1.0 + 2.0 * alpha * (kappa - 1.0)
         ) / denom_display
         out_of_regime = bracket <= 0.0
-        strong_raw = _safe_one_minus_scaled_exp(
+        strong_raw = _one_minus_scaled_exp(
             scale,
             -(lam * n ** (rho / expo) / ((1.0 + lam) * nu ** (d - 1.0))) * bracket,
         )
@@ -420,7 +410,7 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
 
     log_inner = -cfg.delta * log_m - log(lam) - log(delta_m)
     power = lam / (1.0 + lam)
-    strong_raw = _safe_one_minus_scaled_exp(1.0 + lam, power * log_inner)
+    strong_raw = _one_minus_scaled_exp(1.0 + lam, power * log_inner)
     strong_eps = _clamp_eps(strong_raw)
 
     c_sq = (

@@ -26,6 +26,7 @@ from .applications import (
     ConfigError,
     CsConfig,
     DensityConfig,
+    _config_echo,
     compute_bounds,
 )
 from .oracle import CapabilityError
@@ -215,7 +216,7 @@ def cmd_bound(args: argparse.Namespace, argv: list) -> int:
     cfg = make_config(args.app, _collect_config_values(args.app, args))
     report = compute_bounds(cfg)
     payload = {
-        "manifest": _manifest(argv, dataclasses.asdict(cfg), args.seed),
+        "manifest": _manifest(argv, _config_echo(cfg), args.seed),
         "report": report.to_json_dict(),
     }
     _emit(args, canonical_json(payload))

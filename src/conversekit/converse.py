@@ -16,11 +16,13 @@ plus, for the order-free references (uniform, mixture, an explicit pmf),
 the reference, log Q and the rows Q fails to dominate; it keeps them.
 The terms lam D_i then come from the one log-space kernel
 `divergence._renyi_log_sums`, for a whole axis of orders per call, in
-chunks that bound its memory.  For the optimal reference q* no divergence
-is needed for S itself: with C the normalizer of q*, S = C^(1+lam)
-(Sibson's alpha-mutual information; Sibson 1969, Verdu 2015), which
-`optimize_lambda` and `variational_bound` use.  `strong_converse_bound`
-still reports every D_i, from the same kernel.
+chunks that bound its memory; q*, which moves with the order, takes one
+call per order.  q* itself and its normalizer C come from the same kept
+rows, for `reference_pmf` and `optimal_q_discrete` alike.  For q* no
+divergence is needed for S itself: with C the normalizer of q*,
+S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
+2015), which `optimize_lambda` and `variational_bound` use.
+`strong_converse_bound` still reports every D_i, from the same kernel.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .divergence import (
     _logsumexp,
     _order_chunks,
     _PmfRows,
+    _positive,
     _renyi_log_sums,
     hellinger_kl_coefficient,
     kl_discrete,
@@ -79,6 +82,7 @@ class _FamilyArrays(NamedTuple):
     """A discrete family's rows, plus its reference when that is order-free."""
 
     rows: _PmfRows
+    joint: np.ndarray  # outcomes some conditional puts mass on; rows keep only these
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_q: np.ndarray | None = None
     undominated: np.ndarray | None = None  # rows with mass where Q = 0
@@ -137,7 +141,7 @@ class ChannelFamily:
         for arr in rows:
             arr.setflags(write=False)
         if self.q_choice == "qstar":
-            return _FamilyArrays(rows)
+            return _FamilyArrays(rows, joint)
         if isinstance(self.q_choice, DiscretePmf):
             ref = self.q_choice
         elif self.q_choice == "uniform":
@@ -146,7 +150,7 @@ class ChannelFamily:
             ref = mixture_pmf(self.conditionals)
         q = ref.probs[joint]
         undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
-        return _FamilyArrays(rows, ref, np.log(np.where(q > 0.0, q, 1.0)), undominated)
+        return _FamilyArrays(rows, joint, ref, np.log(np.where(q > 0.0, q, 1.0)), undominated)
 
     @classmethod
     def gaussian(cls, pairs) -> "ChannelFamily":
@@ -171,7 +175,15 @@ class ChannelFamily:
             return self._arrays.ref
         if order is None:
             raise ValueError("q_choice 'qstar' needs the divergence order")
-        return optimal_q_discrete(self.conditionals, order)[0]
+        return DiscretePmf(self._qstar(_lam(order))[0])
+
+    def _qstar(self, lam: float) -> tuple[np.ndarray, float]:
+        """q* at order offset lam on the full alphabet, with its normalizer C."""
+        arrays = self._arrays
+        log_q, log_c = _log_qstar(arrays.rows.log_probs, np.array([lam]))
+        q = np.zeros(arrays.joint.size)
+        q[arrays.joint] = np.exp(log_q[0])
+        return q, math.exp(log_c[0])
 
     def divergences(self, order) -> np.ndarray:
         """Per-codeword divergences to the reference; inf marks a domination failure."""
@@ -186,9 +198,11 @@ class ChannelFamily:
                  for lam in lams.tolist()]
             )
         arrays = self._arrays
-        if arrays.ref is None:
-            log_q = _log_qstar(arrays.rows.log_probs, lams)[0]
-            return _renyi_log_sums(arrays.rows, log_q, lams)
+        if arrays.ref is None:  # q* moves with the order: one kernel call per order
+            return np.concatenate([
+                _renyi_log_sums(arrays.rows, _log_qstar(arrays.rows.log_probs, lam)[0][0], lam)
+                for lam in (lams[i:i + 1] for i in range(lams.size))
+            ])
         out = _renyi_log_sums(arrays.rows, arrays.log_q, lams)
         if arrays.undominated.size:
             out[:, arrays.undominated] = math.inf
@@ -283,6 +297,13 @@ def _log_mean_exp(values):
     return top[..., 0] + np.log(np.exp(arr - top).sum(axis=-1) / arr.shape[-1])
 
 
+def _one_minus_scaled_exp(scale: float, exponent: float) -> float:
+    """1 - scale * exp(exponent), routing overflow to -inf."""
+    if exponent >= _EXP_OVERFLOW:
+        return -math.inf
+    return 1.0 - scale * math.exp(exponent)
+
+
 def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) -> float:
     """Raw eps floor from log M and log S, S the mean of exp(lam D_i).
 
@@ -297,9 +318,7 @@ def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) 
         - lam / (1.0 + lam) * (math.log(lam) + log_m)
         + log_mean_term / (1.0 + lam)
     )
-    if log_factor >= _EXP_OVERFLOW:
-        return -math.inf
-    return 1.0 - math.exp(log_factor)
+    return _one_minus_scaled_exp(1.0, log_factor)
 
 
 def strong_converse_eps_from_divergences(m_codewords: float, divergences, lam) -> float:
@@ -436,19 +455,11 @@ def optimize_lambda(
     lam_best = math.exp(x_best)
 
     report = strong_converse_bound(family, lam_best)
-    params = dict(report.params)
-    params["lambda_range"] = [lam_lo, lam_hi]
-    params["lambda_at_boundary"] = bool(
+    report.params["lambda_range"] = [lam_lo, lam_hi]
+    report.params["lambda_at_boundary"] = bool(
         x_best <= lo + edge_tol or x_best >= hi - edge_tol
     )
-    return BoundReport(
-        method=report.method,
-        eps_lower=report.eps_lower,
-        eps_raw=report.eps_raw,
-        lambda_star=lam_best,
-        gamma_star=report.gamma_star,
-        params=params,
-    )
+    return report
 
 
 def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
@@ -458,9 +469,7 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     single gamma gives a valid (weaker) floor.
     """
     lam = _lam(order)
-    g = float(gamma)
-    if not (math.isfinite(g) and g > 0.0):
-        raise ValueError("gamma must be finite and positive")
+    g = _positive("gamma", gamma)
     log_mean = float(family._log_mean_terms(np.array([lam]))[0])
     log_term = log_mean - lam * math.log(g)
     if log_term >= _EXP_OVERFLOW or math.isinf(log_term):
@@ -480,11 +489,8 @@ def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 
 def _log_qstar(log_probs: np.ndarray, lams: np.ndarray):
-    """log q* and log C per order, shapes (L, K) and (L,)."""
-    log_w = np.concatenate([
-        _log_qstar_weights(log_probs, lams[sl])
-        for sl in _order_chunks(lams.size, log_probs.size)
-    ])
+    """log q* and log C per order, shapes (L, K) and (L,); lams is one chunk."""
+    log_w = _log_qstar_weights(log_probs, lams)
     log_c = _logsumexp(log_w.copy())
     return log_w - log_c[:, None], log_c
 
@@ -503,16 +509,8 @@ def optimal_q_discrete(conditionals, order):
     q*(y) is proportional to (mean_i p_i(y)^(1+lam))^(1/(1+lam)); returns
     (q_star, C) where C is the normalizing constant.
     """
-    lam = _lam(order)
-    pmfs = list(conditionals)
-    if not pmfs:
-        raise ValueError("need at least one conditional")
-    mat = np.stack([pm.probs for pm in pmfs])
-    joint = np.any(mat > 0.0, axis=0)
-    log_q, log_c = _log_qstar(_log_or_neg_inf(mat[:, joint]), np.array([lam]))
-    q = np.zeros(mat.shape[1])
-    q[joint] = np.exp(log_q[0])
-    return DiscretePmf(q), math.exp(log_c[0])
+    q, c = ChannelFamily(tuple(conditionals), "qstar")._qstar(_lam(order))
+    return DiscretePmf(q), c
 
 
 def avg_kl_to_mixture(conditionals) -> float:

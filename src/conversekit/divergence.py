@@ -117,10 +117,7 @@ class RenyiOrder:
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError("order offset lam must be finite and positive")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _positive("order offset lam", self.lam))
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,7 @@ class GaussianShiftPair:
     def __post_init__(self):
         if not (math.isfinite(self.shift_sq) and self.shift_sq >= 0.0):
             raise ValueError("shift_sq must be finite and non-negative")
-        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0.0):
-            raise ValueError("sigma_sq must be finite and positive")
+        _positive("sigma_sq", self.sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -150,12 +146,26 @@ class BernoulliPair:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
+def _positive(name, value) -> float:
+    """value as a float; ValueError unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _positive_int(name, value) -> int:
+    """value as an int; ValueError unless it is a whole number >= 1."""
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _lam(order) -> float:
     """Order offset as a plain float; accepts RenyiOrder or a positive number."""
-    lam = order.lam if isinstance(order, RenyiOrder) else float(order)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("order offset lam must be finite and positive")
-    return lam
+    if isinstance(order, RenyiOrder):
+        return order.lam
+    return _positive("order offset lam", order)
 
 
 def _common_support(p: DiscretePmf, q: DiscretePmf):
@@ -209,8 +219,8 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
 
-    log_q is the reference's log, shape (K,) or (L, K) for one reference per
-    order.  It must be finite: where q = 0 put any stand-in and treat the
+    log_q is the reference's log, shape (K,), one reference for every order.
+    It must be finite: where q = 0 put any stand-in and treat the
     rows with mass there as domination failures.  Outcomes with p_i = 0
     contribute nothing.  All chunks share one orders x M x K buffer.
     """
@@ -222,8 +232,7 @@ def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.n
     with np.errstate(over="ignore"):
         for sl in chunks:
             lam = lams[sl, None, None]
-            chunk_log_q = log_q[sl, None, :] if log_q.ndim == 2 else log_q
-            terms = np.subtract(log_probs, chunk_log_q, out=buffer[: lam.shape[0]])
+            terms = np.subtract(log_probs, log_q, out=buffer[: lam.shape[0]])
             terms *= lam  # lam r, r = log p - log q; -inf where p = 0
             np.expm1(terms, out=terms)
             terms *= probs
@@ -231,7 +240,7 @@ def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.n
             part = np.log1p(excess)
             if excess.max() == math.inf:
                 li, mi = np.nonzero(np.isinf(excess))
-                ratio = log_probs[mi] - (chunk_log_q[li, 0] if log_q.ndim == 2 else log_q)
+                ratio = log_probs[mi] - log_q
                 part[li, mi] = _logsumexp(log_probs[mi] + lam[li, 0] * ratio)
             parts.append(part)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -259,10 +268,7 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
 
 def renyi_product_iid(p: DiscretePmf, q: DiscretePmf, order, n_factors: int) -> float:
     """Divergence between n-fold iid products; additivity gives n * D(p||q)."""
-    n = int(n_factors)
-    if n < 1:
-        raise ValueError("n_factors must be a positive integer")
-    return n * renyi_discrete(p, q, order)
+    return _positive_int("n_factors", n_factors) * renyi_discrete(p, q, order)
 
 
 def renyi_gaussian_shift(pair: GaussianShiftPair, order) -> float:
@@ -364,9 +370,7 @@ def e_gamma_divergence(p: DiscretePmf, q: DiscretePmf, gamma: float) -> float:
     Equals the best advantage P[T=1] - gamma Q[T=1] over all tests T, and is
     attained by the likelihood-ratio threshold test {p > gamma q}.
     """
-    g = float(gamma)
-    if not (math.isfinite(g) and g > 0.0):
-        raise ValueError("gamma must be finite and positive")
+    g = _positive("gamma", gamma)
     p_arr, q_arr = _common_support(p, q)
     return float(np.sum(np.maximum(p_arr - g * q_arr, 0.0)))
 
@@ -378,11 +382,8 @@ def product_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
 
 def iid_product_pmf(p: DiscretePmf, n_factors: int) -> DiscretePmf:
     """n-fold iid product of p with itself."""
-    n = int(n_factors)
-    if n < 1:
-        raise ValueError("n_factors must be a positive integer")
     out = p
-    for _ in range(n - 1):
+    for _ in range(_positive_int("n_factors", n_factors) - 1):
         out = product_pmf(out, p)
     return out
 

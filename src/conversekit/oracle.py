@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DiscretePmf, GaussianShiftPair, _lam
+from .divergence import DiscretePmf, GaussianShiftPair, _lam, _positive, _positive_int
 
 __all__ = [
     "MAX_ORACLE_OUTCOMES",
@@ -140,13 +140,6 @@ class QuadratureWarning(RuntimeWarning):
     """
 
 
-def _positive(name, value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
 def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
     """Adaptive G7K15 quadrature on many intervals [a[k], b[k]] at once.
 
@@ -241,9 +234,7 @@ class HypercubeDensityFamily:
     g_spec: str = "sin"
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("m must be a positive integer")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _positive_int("m", self.m))
         if not (math.isfinite(self.c) and self.c >= 0.0):
             raise ValueError("c must be finite and non-negative")
         if self.g_spec not in _BUMPS:
@@ -345,9 +336,7 @@ def iid_second_moment_check(family: HypercubeDensityFamily, n_samples: int) -> S
     uniform reference (identical for every tau), and exp(x n) is the bound the
     sample-size converse uses in place of it.
     """
-    n = int(n_samples)
-    if n < 1:
-        raise ValueError("n_samples must be a positive integer")
+    n = _positive_int("n_samples", n_samples)
     x = family.sq_integral_excess
     product_term = (1.0 + x) ** n
     exp_bound = math.exp(x * n)

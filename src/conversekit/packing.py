@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergence import _positive, _positive_int
 from .oracle import CapabilityError
 
 __all__ = [
@@ -134,17 +135,12 @@ class SparsePacking:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
-        m_size = vecs.shape[0]
-        if m_size == 1:
-            min_sq = math.inf
-        else:
-            sq = _pairwise_sq_distances(vecs)
-            min_sq = float(sq.min())
+        min_sq = verify_packing(self.to_packing_set()).min_distance ** 2
         if min_sq < SPARSE_MIN_SQ_DIST - 1e-12:
             raise ValueError(
                 f"pairwise squared distance {min_sq} below {SPARSE_MIN_SQ_DIST}"
             )
-        second_moment = vecs.T @ vecs / m_size
+        second_moment = vecs.T @ vecs / vecs.shape[0]
         deviation = second_moment - np.eye(self.n) / self.n
         object.__setattr__(self, "min_sq_distance", min_sq)
         object.__setattr__(self, "beta_hat", self.n * operator_norm(deviation))
@@ -182,8 +178,7 @@ class PackingSet:
             raise ValueError(f"metric must be one of {METRIC_TAGS}")
         if self.metric_fn is None and self.metric in ("hellinger_sq", "set_distance"):
             raise ValueError(f"metric {self.metric!r} needs an explicit metric_fn")
-        if not (math.isfinite(self.d_min) and self.d_min > 0.0):
-            raise ValueError("d_min must be finite and positive")
+        _positive("d_min", self.d_min)
 
     def distance(self, i: int, j: int) -> float:
         a, b = self.elements[i], self.elements[j]
@@ -327,9 +322,7 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
     c ^ {words of weight < d_min}; a candidate is kept iff it is not banned,
     which is the same greedy rule in the same order.
     """
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    m = int(m)
+    m = _positive_int("m", m)
     if m > MAX_GV_BITS:
         raise CapabilityError(f"m = {m} exceeds exhaustive enumeration cap {MAX_GV_BITS}")
     if not 1 <= d_min <= m:
@@ -362,14 +355,6 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
 # === Sparse spherical packings ===
 
 
-def _pairwise_sq_distances(vecs: np.ndarray) -> np.ndarray:
-    gram = vecs @ vecs.T
-    norms = np.diag(gram)
-    sq = norms[:, None] + norms[None, :] - 2.0 * gram
-    iu = np.triu_indices(vecs.shape[0], k=1)
-    return np.maximum(sq[iu], 0.0)
-
-
 def cs_random_packing(
     n: int,
     k: int,
@@ -389,8 +374,7 @@ def cs_random_packing(
         raise CapabilityError(f"n = {n} exceeds sampler cap {MAX_SPARSE_DIM}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if m_target < 1:
-        raise ValueError("m_target must be a positive integer")
+    m_target = _positive_int("m_target", m_target)
     if max_attempts is None:
         max_attempts = 1000 * m_target
     rng = np.random.default_rng(seed)

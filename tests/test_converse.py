@@ -131,7 +131,8 @@ def test_optimize_lambda_beats_dense_grid(rng):
 
 
 def test_optimize_lambda_boundary_flag():
-    # all divergences zero: floor increases as lam -> 0+, optimum at the edge
+    # all divergences zero: the floor 1 - (1+lam) / (lam M)^(lam/(1+lam))
+    # rises with lam, so the optimum is the edge lam_hi
     p = pmf(0.5, 0.5)
     fam = ChannelFamily((p, p, p), q_choice=p)
     rep = optimize_lambda(fam)
@@ -319,6 +320,22 @@ def test_optimal_q_orthogonal_pair():
     q, c_norm = optimal_q_discrete([pmf(1.0, 0.0), pmf(0.0, 1.0)], 1.0)
     assert np.allclose(q.probs, [0.5, 0.5])
     assert c_norm == pytest.approx(math.sqrt(2.0), rel=1e-14)
+
+
+def test_qstar_reference_is_optimal_q(rng):
+    # both read q* off the family's kept rows; neither may drift from the other
+    for _ in range(40):
+        fam = random_discrete_family(rng, q_choice="qstar")
+        for lam in (0.01, 0.3, 1.0, 4.0):
+            q, _ = optimal_q_discrete(fam.conditionals, lam)
+            assert np.array_equal(fam.reference_pmf(lam).probs, q.probs)
+
+
+def test_optimal_q_rejects_bad_families():
+    with pytest.raises(ValueError):
+        optimal_q_discrete([], 1.0)
+    with pytest.raises(ValueError):
+        optimal_q_discrete([pmf(0.5, 0.5), pmf(0.2, 0.3, 0.5)], 1.0)
 
 
 def test_optimal_q_beats_other_references(rng):

@@ -147,6 +147,22 @@ def test_product_additivity(rng):
         assert left == pytest.approx(n * renyi_discrete(p, q, lam), rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.5, math.inf, math.nan])
+def test_factor_counts_must_be_positive_integers(bad):
+    # a fractional count must not be truncated (2.5 factors giving 2 D)
+    p, q = pmf(0.3, 0.7), pmf(0.5, 0.5)
+    with pytest.raises(ValueError, match="n_factors"):
+        renyi_product_iid(p, q, 1.0, bad)
+    with pytest.raises(ValueError, match="n_factors"):
+        iid_product_pmf(p, bad)
+
+
+def test_factor_counts_accept_integral_floats():
+    p, q = pmf(0.3, 0.7), pmf(0.5, 0.5)
+    assert renyi_product_iid(p, q, 1.0, 3.0) == 3 * renyi_discrete(p, q, 1.0)
+    assert np.array_equal(iid_product_pmf(p, 2.0).probs, product_pmf(p, p).probs)
+
+
 def test_product_pmf_shapes():
     pq = product_pmf(pmf(0.3, 0.7), pmf(0.5, 0.5))
     assert pq.support_size == 4

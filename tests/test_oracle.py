@@ -1,5 +1,7 @@
 """Ground-truth enumerations and quadrature the bound machinery is checked against."""
 
+import ast
+import inspect
 import math
 import warnings
 
@@ -330,6 +332,16 @@ def test_density_family_validation():
         fam.check_tau([1, 1, 0, 1])  # not a sign
 
 
+@pytest.mark.parametrize("bad", [0, 2.5, math.inf, math.nan])
+def test_counts_must_be_positive_integers(bad):
+    # a fractional count must not be truncated (2.5 samples running as 2)
+    fam = HypercubeDensityFamily(m=4, c=0.5)
+    with pytest.raises(ValueError, match="n_samples"):
+        iid_second_moment_check(fam, bad)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        HypercubeDensityFamily(m=bad, c=0.1)
+
+
 def test_density_integral_frozen_value():
     # a = 1/2 for the sine bump: 1 + 0.25 * 0.5 / 256
     fam = HypercubeDensityFamily(m=4, c=0.5)
@@ -429,3 +441,27 @@ def test_second_moment_holds_broadly(rng):
             m=int(rng.integers(2, 10)), c=float(rng.uniform(0.05, 0.8))
         )
         assert iid_second_moment_check(fam, int(rng.integers(1, 30))).ok
+
+
+# --- independence from the code under test ---
+
+
+def test_oracle_shares_no_code_with_the_bounds():
+    # the soundness checks would be a tautology if the oracles computed with
+    # the divergence kernel or the bound machinery they are checked against
+    tree = ast.parse(inspect.getsource(oracle))
+    modules, from_divergence = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.removeprefix("conversekit.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("conversekit.")
+            if module in ("", "conversekit"):  # from . import x, from conversekit import x
+                modules.update(a.name for a in node.names)
+            else:
+                modules.add(module)
+            if module == "divergence":
+                from_divergence.update(a.name for a in node.names)
+    assert not modules & {"converse", "applications", "packing", "suites"}
+    allowed = {"DiscretePmf", "GaussianShiftPair", "_lam", "_positive", "_positive_int"}
+    assert from_divergence <= allowed

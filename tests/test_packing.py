@@ -335,6 +335,23 @@ def test_cs_random_packing_caps():
         cs_random_packing(16, 4, 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+def test_counts_must_be_positive_integers(bad):
+    # ValueError, not the TypeError or OverflowError of the arithmetic on them
+    with pytest.raises(ValueError, match="m_target must be a positive integer"):
+        cs_random_packing(32, 3, bad)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        gv_greedy(bad, 1)
+
+
+def test_sparse_min_sq_distance_is_the_certificate():
+    for seed in range(10):
+        packing = cs_random_packing(32, 3, 12, seed=seed)
+        cert = verify_packing(packing.to_packing_set())
+        assert packing.min_sq_distance == cert.min_distance**2
+    assert SparsePacking(n=4, k=1, vectors=np.eye(4)[:1]).min_sq_distance == math.inf
+
+
 def test_beta_hat_shrinks_along_design_scale():
     # with M = (n/k)^(k/4) tied to n (k = 8), the empirical second moment
     # approaches isotropic and beta_hat falls; at fixed M it would not
