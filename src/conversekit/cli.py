@@ -234,15 +234,15 @@ def _sweep_values(args: argparse.Namespace) -> list:
         raise ConfigError("--points must be at least 1")
     if args.points == 1:
         return [args.start]
+    last = args.points - 1
     if args.spacing == "log":
         if args.start <= 0.0 or args.stop <= 0.0:
             raise ConfigError("log spacing needs positive --from/--to")
         lo, hi = math.log(args.start), math.log(args.stop)
-        return [math.exp(lo + (hi - lo) * i / (args.points - 1)) for i in range(args.points)]
-    return [
-        args.start + (args.stop - args.start) * i / (args.points - 1)
-        for i in range(args.points)
-    ]
+        inner = [math.exp(lo + (hi - lo) * i / last) for i in range(1, last)]
+    else:
+        inner = [args.start + (args.stop - args.start) * i / last for i in range(1, last)]
+    return [args.start, *inner, args.stop]  # the ends exactly as given
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:

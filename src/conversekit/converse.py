@@ -76,6 +76,9 @@ Q_CHOICES = ("uniform", "mixture", "qstar")
 _EXP_OVERFLOW = 709.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# optimize_lambda: pre-scan orders, then golden-section steps in one bracket.
+_PRESCAN = 64
+_GOLDEN_ITERS = 60
 
 
 class _FamilyArrays(NamedTuple):
@@ -297,11 +300,14 @@ def _log_mean_exp(values):
     return top[..., 0] + np.log(np.exp(arr - top).sum(axis=-1) / arr.shape[-1])
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), with inf from _EXP_OVERFLOW up instead of an OverflowError."""
+    return math.inf if x >= _EXP_OVERFLOW else math.exp(x)
+
+
 def _one_minus_scaled_exp(scale: float, exponent: float) -> float:
     """1 - scale * exp(exponent), routing overflow to -inf."""
-    if exponent >= _EXP_OVERFLOW:
-        return -math.inf
-    return 1.0 - scale * math.exp(exponent)
+    return 1.0 - scale * _exp_or_inf(exponent)
 
 
 def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) -> float:
@@ -333,10 +339,7 @@ def strong_converse_eps_from_divergences(m_codewords: float, divergences, lam) -
 
 def _optimal_gamma(log_m: float, log_mean_term: float, lam: float) -> float:
     """Maximizer gamma* = (lam S M)^(1/(1+lam)) of the variational form."""
-    log_g = (math.log(lam) + log_mean_term + log_m) / (1.0 + lam)
-    if log_g >= _EXP_OVERFLOW:
-        return math.inf
-    return math.exp(log_g)
+    return _exp_or_inf((math.log(lam) + log_mean_term + log_m) / (1.0 + lam))
 
 
 def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
@@ -373,13 +376,13 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
     )
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 60):
+def _golden_max(g, lo: float, hi: float):
     """Golden-section maximization of g on [lo, hi]; returns (x, g(x))."""
     span = hi - lo
     c = hi - _INVPHI * span
     d = lo + _INVPHI * span
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if gc >= gd:
             hi, d, gd = d, c, gc
             c = hi - _INVPHI * (hi - lo)
@@ -392,36 +395,29 @@ def _golden_max(g, lo: float, hi: float, iters: int = 60):
 
 
 def optimize_lambda(
-    family: ChannelFamily,
-    lam_lo: float = 1e-6,
-    lam_hi: float = 10.0,
-    prescan: int = 64,
-    iters: int = 60,
+    family: ChannelFamily, lam_lo: float = 1e-6, lam_hi: float = 10.0
 ) -> BoundReport:
     """Best strong-converse bound over lam in [lam_lo, lam_hi].
 
-    The raw bound need not be unimodal in lam, so a geometric pre-scan picks
-    the basin first and golden section on log lam refines inside it; both
-    interval endpoints stay in the candidate set.  The pre-scan is one
-    batched evaluation of log S; for q* each order costs one normalizer
-    instead of M divergences.
+    The raw bound need not be unimodal in lam, so a geometric pre-scan of
+    _PRESCAN orders picks the basin first and golden section on log lam
+    refines inside it, replacing the pre-scan maximum only when strictly
+    higher.  The pre-scan is one batched evaluation of log S; for q* each
+    order costs one normalizer instead of M divergences.
 
     When the pre-scan maximum is an end of the grid, one probe edge_tol
     inward of it (edge_tol = sqrt(eps) times the bracket width, the
     tolerance of the lambda_at_boundary flag) decides: if the probe is not
-    higher, that end is taken as the refined point and golden section is
-    skipped.  Golden section would only have crept to within about edge_tol
-    of the end, beating it, if at all, by rounding.
+    higher, that end is kept and golden section is skipped.  Golden section
+    would only have crept to within about edge_tol of the end, beating it,
+    if at all, by rounding.  An end of the range is reported as lam_lo or
+    lam_hi exactly.
 
-    lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi, prescan at
-    least 2 and iters non-negative; anything else raises ValueError.
+    lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi; anything
+    else raises ValueError.
     """
     if not (0.0 < lam_lo < lam_hi and math.isfinite(lam_hi)):
         raise ValueError(f"need finite 0 < lam_lo < lam_hi, got [{lam_lo!r}, {lam_hi!r}]")
-    if prescan < 2:
-        raise ValueError(f"prescan must be at least 2, got {prescan!r}")
-    if iters < 0:
-        raise ValueError(f"iters must be non-negative, got {iters!r}")
     log_m = math.log(family.m_codewords)
 
     def raw(lams: list) -> list:
@@ -433,26 +429,23 @@ def optimize_lambda(
         return raw([math.exp(log_lam)])[0]
 
     lo, hi = math.log(lam_lo), math.log(lam_hi)
-    grid = np.linspace(lo, hi, prescan)
+    grid = np.linspace(lo, hi, _PRESCAN)
     values = raw([math.exp(x) for x in grid])
     best_idx = int(np.argmax(values))
+    x_best, v_best = grid[best_idx], values[best_idx]
     bracket_lo = grid[max(best_idx - 1, 0)]
-    bracket_hi = grid[min(best_idx + 1, prescan - 1)]
+    bracket_hi = grid[min(best_idx + 1, _PRESCAN - 1)]
     # Golden section stalls where rounding in raw_at hides the slope, short
     # of a maximum at an end of the range by up to about sqrt(eps) times the
     # bracket it searched (3e-11 in log lam is common).
     edge_tol = math.sqrt(np.finfo(float).eps) * (bracket_hi - bracket_lo)
     # An edge maximum that does not rise one edge_tol inward is settled as is.
-    inward = {0: edge_tol, prescan - 1: -edge_tol}.get(best_idx)
-    if inward is not None and raw_at(grid[best_idx] + inward) <= values[best_idx]:
-        x_gold, v_gold = grid[best_idx], values[best_idx]
-    else:
-        x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi, iters)
-
-    candidates = [(grid[0], values[0]), (grid[-1], values[-1]),
-                  (grid[best_idx], values[best_idx]), (x_gold, v_gold)]
-    x_best, _ = max(candidates, key=lambda t: t[1])
-    lam_best = math.exp(x_best)
+    inward = {0: edge_tol, _PRESCAN - 1: -edge_tol}.get(best_idx)
+    if inward is None or raw_at(x_best + inward) > v_best:
+        x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi)
+        if v_gold > v_best:
+            x_best = x_gold
+    lam_best = {lo: lam_lo, hi: lam_hi}.get(x_best, math.exp(x_best))
 
     report = strong_converse_bound(family, lam_best)
     report.params["lambda_range"] = [lam_lo, lam_hi]
@@ -471,10 +464,7 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     lam = _lam(order)
     g = _positive("gamma", gamma)
     log_mean = float(family._log_mean_terms(np.array([lam]))[0])
-    log_term = log_mean - lam * math.log(g)
-    if log_term >= _EXP_OVERFLOW or math.isinf(log_term):
-        return -math.inf
-    return 1.0 - g / family.m_codewords - math.exp(log_term)
+    return 1.0 - g / family.m_codewords - _exp_or_inf(log_mean - lam * math.log(g))
 
 
 def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -388,17 +388,6 @@ def iid_product_pmf(p: DiscretePmf, n_factors: int) -> DiscretePmf:
     return out
 
 
-def mixture_pmf(pmfs, weights=None) -> DiscretePmf:
-    """Convex mixture of pmfs on a shared alphabet; uniform weights by default."""
-    stack = np.stack([pm.probs for pm in pmfs])
-    if weights is None:
-        mixed = stack.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (stack.shape[0],) or np.any(w < 0.0):
-            raise ValueError("weights must be non-negative, one per pmf")
-        total = w.sum()
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=PMF_SUM_TOL):
-            raise ValueError("weights must sum to 1")
-        mixed = w @ stack
-    return DiscretePmf(mixed)
+def mixture_pmf(pmfs) -> DiscretePmf:
+    """Uniform mixture of pmfs on a shared alphabet."""
+    return DiscretePmf(np.stack([pm.probs for pm in pmfs]).mean(axis=0))

@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import os
+import re
+import shlex
 
 import pytest
 
@@ -21,6 +23,7 @@ SCHEMA_PATH = os.path.join(
     "comparison_report.schema.json",
 )
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 CONFIGS = {"density": DensityConfig, "active": ActiveConfig, "cs": CsConfig}
 # the flags that are not the field name with "-" for "_"
@@ -312,9 +315,38 @@ def test_sweep_csv_shape_and_manifest(capsys):
     assert manifest["config"]["vary"] == "n"
     assert len(manifest["config"]["values"]) == 9
     assert len(rows) == 9
+    # the ends are --from and --to exactly, not exp(log(x))
+    assert manifest["config"]["values"][0] == 1e6 and manifest["config"]["values"][-1] == 1e14
+    assert float(rows[0][0]) == 1e6 and float(rows[-1][0]) == 1e14
     eps = [float(r[1]) for r in rows]
     assert all(b >= a for a, b in zip(eps, eps[1:]))
     assert eps[-1] >= 0.99
+
+
+def test_sweep_linear_spacing_is_even_with_exact_ends(capsys):
+    # 0.03 + (0.3 - 0.03) rounds to 0.30000000000000004, so the last row
+    # is set to --to rather than computed
+    code, out, _ = run_cli(
+        capsys,
+        ["sweep", "cs", "--vary", "lambda", "--from", "0.03", "--to", "0.3", "--points", "4",
+         "--spacing", "linear", "--n", "1e6", "--k", "128", "--sigma2", "1", "--frob2", "1e6",
+         "--delta", "0.05"],
+    )
+    assert code == 0
+    manifest, rows = parse_sweep(out)
+    want = [0.03, 0.03 + (0.3 - 0.03) * 1 / 3, 0.03 + (0.3 - 0.03) * 2 / 3, 0.3]
+    assert manifest["config"]["values"] == want
+    assert [r[0] for r in rows] == [format_number(v) for v in want]
+
+
+def test_sweep_single_point_is_from(capsys):
+    base = ["sweep", "density", "--vary", "n", "--nu", "1", "--c", "0.1", "--a", "0.5"]
+    code, out, _ = run_cli(capsys, [*base, "--from", "1e6", "--to", "1e14", "--points", "1"])
+    assert code == 0
+    manifest, rows = parse_sweep(out)
+    assert manifest["config"]["values"] == [1e6]
+    _, by_value, _ = run_cli(capsys, [*base, "--values", "1e6"])
+    assert out.partition("\n")[2] == by_value.partition("\n")[2]
 
 
 def test_sweep_single_point_matches_bound(capsys):
@@ -440,3 +472,23 @@ def test_format_number_round_trips(x):
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_format_number_non_finite(x):
     assert format_number(x) == "null"
+
+
+# --- README usage ---
+
+
+def test_readme_usage_examples_run(capsys):
+    with open(README_PATH, encoding="utf-8") as fh:
+        text = fh.read()
+    (library,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(library, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+    shell = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in shell.splitlines()]
+    run = [argv[1:] for argv in commands if argv[:1] == ["conversekit"]
+           and argv[1] in ("bound", "sweep")]
+    assert run
+    for argv in run:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
+        assert out
