@@ -10,7 +10,6 @@ and oracle modules.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from math import log, sqrt
@@ -42,17 +41,20 @@ class ConfigError(ValueError):
     """A configuration violates one of its stated inequalities."""
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """Raise ConfigError(message.format(*args)) unless cond; a passing check formats nothing."""
     if not cond:
-        raise ConfigError(message)
+        raise ConfigError(message.format(*args))
 
 
 def _config_echo(cfg) -> dict:
-    """The config's fields as a flat dict: dataclasses.asdict without its deepcopy.
+    """The config's fields as a new flat dict, in declaration order.
 
-    Every config field is a scalar or None, so nothing needs copying.
+    A config's instance dict holds exactly its fields (no slots, no cached
+    properties), and every field is a scalar or None, so a shallow copy of
+    vars(cfg) equals dataclasses.asdict without its reflection and deepcopy.
     """
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    return dict(vars(cfg))
 
 
 @dataclass(frozen=True)
@@ -74,24 +76,24 @@ class DensityConfig:
     nu_schedule_kappa: float | None = None
 
     def __post_init__(self):
-        _require(self.n > 0.0, f"n > 0 violated: n = {self.n}")
-        _require(self.c >= 0.0, f"c >= 0 violated: c = {self.c}")
-        _require(self.a > 0.0, f"a > 0 violated: a = {self.a}")
-        _require(self.c0 > 0.0, f"c0 > 0 violated: c0 = {self.c0}")
+        _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
+        _require(self.c >= 0.0, "c >= 0 violated: c = {}", self.c)
+        _require(self.a > 0.0, "a > 0 violated: a = {}", self.a)
+        _require(self.c0 > 0.0, "c0 > 0 violated: c0 = {}", self.c0)
         _require(
             0.0 <= self.c_g_effective < 1.0,
-            f"0 <= c_g < 1 violated: c_g = {self.c_g_effective}",
+            "0 <= c_g < 1 violated: c_g = {}", self.c_g_effective,
         )
-        _require(self.nu > 0.0, f"nu > 0 violated: nu = {self.nu}")
+        _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
         limit = self.nu_limit
         _require(
             self.nu < limit,
-            f"nu < (c0 / (c^2 a))^(1/5) violated: nu = {self.nu}, limit = {limit}",
+            "nu < (c0 / (c^2 a))^(1/5) violated: nu = {}, limit = {}", self.nu, limit,
         )
         if self.nu_schedule_kappa is not None:
             _require(
                 self.nu_schedule_kappa > 25.0,
-                f"schedule exponent > 25 violated: {self.nu_schedule_kappa}",
+                "schedule exponent > 25 violated: {}", self.nu_schedule_kappa,
             )
             _require(
                 self.c > 0.0,
@@ -139,18 +141,18 @@ class ActiveConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        _require(self.n > 0.0, f"n > 0 violated: n = {self.n}")
+        _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
         _require(
             isinstance(self.d, int) and self.d >= 2,
-            f"integer d >= 2 violated: d = {self.d}",
+            "integer d >= 2 violated: d = {}", self.d,
         )
-        _require(self.alpha > 0.0, f"alpha > 0 violated: alpha = {self.alpha}")
-        _require(self.kappa >= 1.0, f"kappa >= 1 violated: kappa = {self.kappa}")
-        _require(self.L > 0.0, f"L > 0 violated: L = {self.L}")
-        _require(self.H > 0.0, f"H > 0 violated: H = {self.H}")
-        _require(0.0 < self.c <= 0.5, f"0 < c <= 1/2 violated: c = {self.c}")
-        _require(self.nu > 0.0, f"nu > 0 violated: nu = {self.nu}")
-        _require(0.0 < self.lam <= 1.0, f"0 < lam <= 1 violated: lam = {self.lam}")
+        _require(self.alpha > 0.0, "alpha > 0 violated: alpha = {}", self.alpha)
+        _require(self.kappa >= 1.0, "kappa >= 1 violated: kappa = {}", self.kappa)
+        _require(self.L > 0.0, "L > 0 violated: L = {}", self.L)
+        _require(self.H > 0.0, "H > 0 violated: H = {}", self.H)
+        _require(0.0 < self.c <= 0.5, "0 < c <= 1/2 violated: c = {}", self.c)
+        _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
+        _require(0.0 < self.lam <= 1.0, "0 < lam <= 1 violated: lam = {}", self.lam)
 
     @property
     def rho(self) -> float:
@@ -176,21 +178,21 @@ class CsConfig:
     delta_m: float | None = None
 
     def __post_init__(self):
-        _require(self.k >= 1.0, f"k >= 1 violated: k = {self.k}")
-        _require(self.n > self.k, f"n > k violated: n = {self.n}, k = {self.k}")
-        _require(self.sigma_sq > 0.0, f"sigma_sq > 0 violated: {self.sigma_sq}")
-        _require(self.frob_norm_sq > 0.0, f"frob_norm_sq > 0 violated: {self.frob_norm_sq}")
-        _require(self.lam > 0.0, f"lam > 0 violated: lam = {self.lam}")
-        _require(0.0 < self.delta < 1.0, f"0 < delta < 1 violated: delta = {self.delta}")
-        _require(self.beta >= 0.0, f"beta >= 0 violated: beta = {self.beta}")
+        _require(self.k >= 1.0, "k >= 1 violated: k = {}", self.k)
+        _require(self.n > self.k, "n > k violated: n = {}, k = {}", self.n, self.k)
+        _require(self.sigma_sq > 0.0, "sigma_sq > 0 violated: {}", self.sigma_sq)
+        _require(self.frob_norm_sq > 0.0, "frob_norm_sq > 0 violated: {}", self.frob_norm_sq)
+        _require(self.lam > 0.0, "lam > 0 violated: lam = {}", self.lam)
+        _require(0.0 < self.delta < 1.0, "0 < delta < 1 violated: delta = {}", self.delta)
+        _require(self.beta >= 0.0, "beta >= 0 violated: beta = {}", self.beta)
         log_m = self.log_m_codewords
-        _require(log_m > 1.0, f"(k/4) log(n/k) > 1 violated: value = {log_m}")
+        _require(log_m > 1.0, "(k/4) log(n/k) > 1 violated: value = {}", log_m)
         dm = self.delta_m_effective
-        _require(0.0 < dm < 1.0, f"0 < delta_m < 1 violated: delta_m = {dm}")
+        _require(0.0 < dm < 1.0, "0 < delta_m < 1 violated: delta_m = {}", dm)
         # the trim must leave at least one codeword on each side
         _require(
             log(dm) >= -log_m and log(1.0 - dm) >= -log_m,
-            f"delta_m = {dm} outside [1/M, 1 - 1/M]",
+            "delta_m = {} outside [1/M, 1 - 1/M]", dm,
         )
 
     @property
@@ -476,11 +478,15 @@ def compute_bounds(cfg) -> ComparisonReport:
 
 
 def sweep(template, vary: str, values) -> list:
-    """Bounds for template with its field `vary` replaced by each value, in order."""
-    if vary not in {f.name for f in dataclasses.fields(template)}:
+    """Bounds for template with its field `vary` replaced by each value, in order.
+
+    Each point goes through the config's constructor, so each is validated,
+    and every point is built before any is computed: a ConfigError at any
+    point wins over an error computing an earlier one.
+    """
+    fields = _config_echo(template)
+    if vary not in fields:
         raise ValueError(f"{type(template).__name__} has no parameter {vary!r}")
-    out = []
-    for value in values:
-        cfg = dataclasses.replace(template, **{vary: value})
-        out.append(compute_bounds(cfg))
-    return out
+    make = type(template)
+    configs = [make(**{**fields, vary: value}) for value in values]
+    return [compute_bounds(cfg) for cfg in configs]

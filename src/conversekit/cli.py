@@ -28,6 +28,7 @@ from .applications import (
     DensityConfig,
     _config_echo,
     compute_bounds,
+    sweep,
 )
 from .oracle import CapabilityError
 from .suites import SUITE_NAMES, run_suite
@@ -71,7 +72,7 @@ def _config_fields(config_type) -> _ConfigFields:
     )
 
 
-# built once: sweep builds a config per point
+# read once, at import
 _FIELDS = {app: _config_fields(cls) for app, cls in _CONFIG_TYPES.items()}
 
 # keyword through which each suite takes --count (packing takes none)
@@ -89,9 +90,15 @@ def format_number(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render_json(obj, level: int) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
+def _join(parts: list, pad: str | None) -> str:
+    """Members between their brackets: indented lines under pad, or one line for None."""
+    if pad is None:
+        return " " + ", ".join(parts) + " "
+    inner = "\n" + pad + "  "
+    return inner + ("," + inner).join(parts) + "\n" + pad
+
+
+def _render_json(obj, pad: str | None) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -102,30 +109,29 @@ def _render_json(obj, level: int) -> str:
         return format_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    deeper = None if pad is None else pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(v, level + 1)}"
-            for k, v in sorted(obj.items())
+            f"{json.dumps(str(k))}: {_render_json(v, deeper)}" for k, v in sorted(obj.items())
         ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return "{" + _join(parts, pad) + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{_render_json(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return "[" + _join([_render_json(v, deeper) for v in obj], pad) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
     """Pretty JSON with sorted keys and pinned float formatting."""
-    return _render_json(obj, 0) + "\n"
+    return _render_json(obj, "") + "\n"
 
 
 def compact_json(obj) -> str:
-    text = _render_json(obj, 0)
-    return " ".join(line.strip() for line in text.splitlines())
+    """canonical_json on one line: each line break and the indent after it become one space."""
+    return _render_json(obj, None)
 
 
 def write_atomic(path: str, text: str):
@@ -196,10 +202,14 @@ def make_config(app: str, values: dict):
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     kwargs = dict(values)
     for field in table.ints:
-        value = kwargs.get(field)
-        if isinstance(value, float) and value.is_integer():
-            kwargs[field] = int(value)
+        if field in kwargs:
+            kwargs[field] = _int_if_integral(kwargs[field])
     return _CONFIG_TYPES[app](**kwargs)
+
+
+def _int_if_integral(value):
+    """An integral float as an int; anything else unchanged, for the config to judge."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 # === subcommands ===
@@ -245,42 +255,39 @@ def _sweep_values(args: argparse.Namespace) -> list:
     return [args.start, *inner, args.stop]  # the ends exactly as given
 
 
+def _csv_row(value: float, rep) -> str:
+    ratio = "" if rep.ratio is None else format_number(rep.ratio)
+    return ",".join([
+        format_number(value),
+        format_number(rep.strong.eps_lower),
+        format_number(rep.fano.eps_lower),
+        format_number(rep.strong.risk_lower),
+        format_number(rep.fano.risk_lower),
+        ratio,
+    ])
+
+
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
-    vary = _FIELDS[args.app].vary.get(args.vary.replace("-", "_"))
+    """Flags are checked and cast once, on the first point; applications.sweep runs the points."""
+    table = _FIELDS[args.app]
+    vary = table.vary.get(args.vary.replace("-", "_"))
     if vary is None:
         raise ConfigError(f"{args.app} has no sweep parameter {args.vary!r}")
     base_values = _collect_config_values(args.app, args)
     points = _sweep_values(args)
-
-    configs = []
-    for value in points:
-        merged = dict(base_values)
-        merged[vary] = value
-        configs.append(make_config(args.app, merged))
-
-    reports = [compute_bounds(cfg) for cfg in configs]
+    reports = []
+    if points:
+        template = make_config(args.app, {**base_values, vary: points[0]})
+        cast = points if vary not in table.ints else [_int_if_integral(v) for v in points]
+        reports = sweep(template, vary, cast)
 
     manifest = _manifest(
         argv,
         {"app": args.app, "vary": vary, "base": base_values, "values": points},
         args.seed,
     )
-    lines = ["# manifest: " + compact_json(manifest)]
-    lines.append(",".join(CSV_COLUMNS))
-    for value, rep in zip(points, reports):
-        ratio = "" if rep.ratio is None else format_number(rep.ratio)
-        lines.append(
-            ",".join(
-                [
-                    format_number(value),
-                    format_number(rep.strong.eps_lower),
-                    format_number(rep.fano.eps_lower),
-                    format_number(rep.strong.risk_lower),
-                    format_number(rep.fano.risk_lower),
-                    ratio,
-                ]
-            )
-        )
+    lines = ["# manifest: " + compact_json(manifest), ",".join(CSV_COLUMNS)]
+    lines += map(_csv_row, points, reports)
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -19,6 +19,7 @@ from conversekit.applications import (
     density_bound,
     sweep,
 )
+from conversekit.cli import canonical_json
 from conversekit.converse import LossSpec, risk_from_eps, strong_converse_eps_from_log_terms
 
 DENSITY_GUIDE = DensityConfig(n=1e11, nu=1.0, c=0.1, a=0.5)
@@ -109,6 +110,56 @@ def test_density_config_errors_name_the_inequality():
         DensityConfig(n=1e6, nu=1.0, c=0.1, a=0.5, nu_schedule_kappa=20.0)
     with pytest.raises(ConfigError, match="schedule"):
         DensityConfig(n=1e6, nu=1.0, c=0.0, a=0.5, nu_schedule_kappa=26.0)
+
+
+# Every inequality of the three configs, broken one at a time, with its whole
+# message: checks format their message only when they fail, and the text
+# must not drift.
+CS_BASE = CsConfig(n=1e6, k=128.0, sigma_sq=1.0, frob_norm_sq=1e6, lam=0.05, delta=0.05)
+CONFIG_MESSAGES = [
+    (DENSITY_GUIDE, {"n": -1.0}, "n > 0 violated: n = -1.0"),
+    (DENSITY_GUIDE, {"n": math.nan}, "n > 0 violated: n = nan"),
+    (DENSITY_GUIDE, {"c": -0.5}, "c >= 0 violated: c = -0.5"),
+    (DENSITY_GUIDE, {"a": 0.0}, "a > 0 violated: a = 0.0"),
+    (DENSITY_GUIDE, {"c0": 0.0}, "c0 > 0 violated: c0 = 0.0"),
+    (DENSITY_GUIDE, {"c_g": 1.0}, "0 <= c_g < 1 violated: c_g = 1.0"),
+    (DENSITY_GUIDE, {"nu": -1.0}, "nu > 0 violated: nu = -1.0"),
+    (DENSITY_GUIDE, {"nu": 100.0},
+     "nu < (c0 / (c^2 a))^(1/5) violated: nu = 100.0, limit = 1.749720860568452"),
+    (DENSITY_GUIDE, {"nu_schedule_kappa": 25.0}, "schedule exponent > 25 violated: 25.0"),
+    (DENSITY_GUIDE, {"c": 0.0, "nu_schedule_kappa": 26.0},
+     "nu schedule needs c > 0 so its limit is finite"),
+    (ACTIVE_GUIDE, {"n": 0.0}, "n > 0 violated: n = 0.0"),
+    (ACTIVE_GUIDE, {"d": 2.5}, "integer d >= 2 violated: d = 2.5"),
+    (ACTIVE_GUIDE, {"d": 1}, "integer d >= 2 violated: d = 1"),
+    (ACTIVE_GUIDE, {"alpha": 0.0}, "alpha > 0 violated: alpha = 0.0"),
+    (ACTIVE_GUIDE, {"kappa": 0.5}, "kappa >= 1 violated: kappa = 0.5"),
+    (ACTIVE_GUIDE, {"L": 0.0}, "L > 0 violated: L = 0.0"),
+    (ACTIVE_GUIDE, {"H": -1.0}, "H > 0 violated: H = -1.0"),
+    (ACTIVE_GUIDE, {"c": 0.6}, "0 < c <= 1/2 violated: c = 0.6"),
+    (ACTIVE_GUIDE, {"nu": 0.0}, "nu > 0 violated: nu = 0.0"),
+    (ACTIVE_GUIDE, {"lam": 1.5}, "0 < lam <= 1 violated: lam = 1.5"),
+    (CS_BASE, {"k": 0.5}, "k >= 1 violated: k = 0.5"),
+    (CS_BASE, {"n": 100.0}, "n > k violated: n = 100.0, k = 128.0"),
+    (CS_BASE, {"sigma_sq": 0.0}, "sigma_sq > 0 violated: 0.0"),
+    (CS_BASE, {"frob_norm_sq": -1.0}, "frob_norm_sq > 0 violated: -1.0"),
+    (CS_BASE, {"lam": 0.0}, "lam > 0 violated: lam = 0.0"),
+    (CS_BASE, {"delta": 1.0}, "0 < delta < 1 violated: delta = 1.0"),
+    (CS_BASE, {"beta": -0.1}, "beta >= 0 violated: beta = -0.1"),
+    (CS_BASE, {"n": 2.0, "k": 1.0},
+     "(k/4) log(n/k) > 1 violated: value = 0.17328679513998632"),
+    (CS_BASE, {"delta_m": 1.5}, "0 < delta_m < 1 violated: delta_m = 1.5"),
+    (CS_BASE, {"delta_m": 1e-300}, "delta_m = 1e-300 outside [1/M, 1 - 1/M]"),
+    (CS_BASE, {"n": 4000.0, "k": 4.0, "delta_m": 1.0 - 1e-10},
+     "delta_m = 0.9999999999 outside [1/M, 1 - 1/M]"),
+]
+
+
+@pytest.mark.parametrize("base, change, message", CONFIG_MESSAGES)
+def test_config_error_message_is_exact(base, change, message):
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(base, **change)
+    assert str(info.value) == message
 
 
 def test_density_nu_schedule():
@@ -329,6 +380,31 @@ def test_sweep_empty_and_unknown():
     assert sweep(DENSITY_GUIDE, "n", []) == []
     with pytest.raises(ValueError, match="no parameter"):
         sweep(DENSITY_GUIDE, "bandwidth", [1.0])
+
+
+@pytest.mark.parametrize("template, vary, values", [
+    (DENSITY_GUIDE, "n", [1e3, 1e7, 1e11, 3e20]),
+    (DENSITY_GUIDE, "nu", [0.25, 1.0, 1.7]),
+    (ACTIVE_GUIDE, "n", [1e2, 1e6, 1e12]),
+    (ACTIVE_GUIDE, "d", [2, 3, 5]),
+    (cs_guide(), "lam", [0.01, 0.05, 0.5]),
+    (cs_guide(), "n", [1e4, 1e8, 1e40]),
+])
+def test_sweep_matches_per_point_replace(template, vary, values):
+    want = [compute_bounds(dataclasses.replace(template, **{vary: v})) for v in values]
+    got = sweep(template, vary, values)
+    assert [canonical_json(r.to_json_dict()) for r in got] == [
+        canonical_json(r.to_json_dict()) for r in want
+    ]
+
+
+def test_sweep_validates_every_point_before_computing_any():
+    # n = inf passes DensityConfig but its report evaluates to NaN; the
+    # later point's ConfigError is raised first
+    with pytest.raises(ValueError, match="NaN"):
+        sweep(DENSITY_GUIDE, "n", [math.inf])
+    with pytest.raises(ConfigError, match=r"^n > 0 violated: n = -1.0$"):
+        sweep(DENSITY_GUIDE, "n", [math.inf, 1e6, -1.0])
 
 
 def test_sweep_density_eps_monotone():

@@ -15,7 +15,15 @@ jsonschema = pytest.importorskip("jsonschema")
 import conversekit
 from conversekit import applications, converse, divergence, oracle, packing
 from conversekit.applications import ActiveConfig, CsConfig, DensityConfig, compute_bounds
-from conversekit.cli import CSV_COLUMNS, build_parser, format_number, main, make_config
+from conversekit.cli import (
+    CSV_COLUMNS,
+    build_parser,
+    canonical_json,
+    compact_json,
+    format_number,
+    main,
+    make_config,
+)
 from conversekit.suites import fano_recovery_suite
 
 SCHEMA_PATH = os.path.join(
@@ -409,6 +417,76 @@ def test_sweep_ratio_blank_when_undefined(capsys):
     _, rows = parse_sweep(out)
     assert rows[0][5] == ""
     assert float(rows[0][4]) == 0.0
+
+
+def test_sweep_bad_middle_point_exits_2_with_nothing_on_stdout(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["sweep", "density", "--vary", "nu", "--values", "0.5,100,0.6", "--n", "1e11",
+         "--c", "0.1", "--a", "0.5"],
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: nu < (c0 / (c^2 a))^(1/5) violated: nu = 100.0, limit = 1.749720860568452\n"
+    )
+
+
+def test_sweep_config_error_wins_over_earlier_compute_error(capsys):
+    # n = inf is a valid DensityConfig whose report evaluates to NaN
+    base = ["sweep", "density", "--vary", "n", *DENSITY_ARGS[2:]]
+    code, out, err = run_cli(capsys, [*base, "--values", "inf,1e6"])
+    assert code == 2 and out == "" and "NaN" in err
+    code, out, err = run_cli(capsys, [*base, "--values", "inf,1e6,-1"])
+    assert code == 2 and out == ""
+    assert err == "error: n > 0 violated: n = -1.0\n"
+
+
+def test_sweep_casts_integral_int_field_like_make_config(capsys):
+    base = ["sweep", "active", "--vary", "d", *ACTIVE_ARGS]
+    code, out, _ = run_cli(capsys, [*base, "--values", "2,3"])
+    assert code == 0
+    manifest, rows = parse_sweep(out)
+    assert manifest["config"]["values"] == [2, 3]
+    values = {"n": 1e6, "alpha": 1.0, "kappa": 2.0, "L": 1.0, "c": 0.1, "H": 1.0, "nu": 0.5}
+    for d, row in zip((2.0, 3.0), rows):
+        rep = compute_bounds(make_config("active", {**values, "d": d}))
+        assert row[1:5] == [format_number(x) for x in (
+            rep.strong.eps_lower, rep.fano.eps_lower, rep.strong.risk_lower, rep.fano.risk_lower
+        )]
+    code, out, err = run_cli(capsys, [*base, "--values", "2,2.5"])
+    assert code == 2 and out == ""
+    assert err == "error: integer d >= 2 violated: d = 2.5\n"
+
+
+def _pretty_then_strip(obj) -> str:
+    """compact_json as it was first written: the pretty form, its lines stripped and joined."""
+    return " ".join(line.strip() for line in canonical_json(obj).splitlines())
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}, []]},
+    {"z": [1, [2, [3, {"y": None, "x": True}]]], "a": {"b": {"c": False}}},
+    [math.inf, -math.inf, math.nan, 0.1, -0.0, 1e-300, 10**20],
+    {"  spaced key  ": "  inner  spaces  ", "s": ["a b", " c ", "x\ny", "\u2028\x1c\x0c"]},
+    ("tuple", 2, 3.5),
+    "top level string",
+    None,
+])
+def test_compact_json_matches_pretty_then_strip(obj):
+    assert compact_json(obj) == _pretty_then_strip(obj)
+
+
+def test_compact_json_manifest_of_a_real_sweep(capsys):
+    argv = ["sweep", "cs", "--vary", "n", "--from", "1e3", "--to", "1e40", "--points", "50",
+            *CS_ARGS[2:]]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    head = out.partition("\n")[0]
+    manifest = json.loads(head[len("# manifest: "):])
+    assert head == "# manifest: " + _pretty_then_strip(manifest)
+    assert head.startswith('# manifest: { "command": [ "sweep", "cs", ')
 
 
 # --- verify subcommand ---

@@ -341,6 +341,49 @@ def test_variational_bound_term_that_underflows_drops_out():
     assert variational_bound(fam, 1.7e308, 1e10) == 1.0 - 1e10 / 2
 
 
+# q* at orders near the float maximum: (1+lam) log p overflows to -inf.  In
+# the first family both products of outcome 0 overflow at lam = 1.7e308; in
+# the second only one does.
+QSTAR_HUGE_ORDER_FAMILIES = [
+    (pmf(0.2, 0.8), pmf(0.3, 0.7)),
+    (pmf(0.5, 0.5), pmf(0.3, 0.7)),
+]
+
+
+@pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
+def test_qstar_floor_at_huge_order_is_finite_and_sound(conds):
+    # a RuntimeWarning fails the test (conftest)
+    fam = ChannelFamily(conds, "qstar")
+    rep = strong_converse_bound(fam, 1.7e308)
+    assert math.isfinite(rep.eps_raw)
+    assert rep.eps_raw <= exact_bayes_error(conds) + 1e-12
+    assert variational_bound(fam, 1.7e308, 2.0) == 0.0
+    # q* tends to max_i p_i / sum_y max_i p_i as lam grows
+    top = np.max([c.probs for c in conds], axis=0)
+    assert np.allclose(fam.reference_pmf(1.7e308).probs, top / top.sum(), rtol=1e-15, atol=0.0)
+
+
+def _plain_log_qstar_weights(log_probs, lams):
+    power = 1.0 + lams[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = power[..., None] * log_probs
+        top = scaled.max(axis=1, keepdims=True)
+        lse = top[:, 0] + np.log(np.exp(scaled - top).sum(axis=1))
+    return (lse - math.log(log_probs.shape[0])) / power
+
+
+@pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
+def test_qstar_weights_redo_only_overflowed_columns(conds):
+    arrays = ChannelFamily(conds, "qstar")._arrays
+    lams = np.array([0.5, 1e300, 1.7e308])
+    got = converse._log_qstar_weights(arrays, lams)
+    plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
+    overflowed = np.isnan(plain)
+    assert np.array_equal(got[~overflowed], plain[~overflowed])
+    assert np.isfinite(got).all()
+    assert overflowed.any() == (conds[0].probs[0] == 0.2)
+
+
 # --- reference optimization ---
 
 
