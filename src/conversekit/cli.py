@@ -188,11 +188,7 @@ def _collect_config_values(app: str, args: argparse.Namespace) -> dict:
 
 
 def make_config(app: str, values: dict):
-    """Build the app's config from flag values, naming any missing flag.
-
-    Flags parse as floats, so an integral value of an int field becomes an
-    int; any other value goes through for the config to reject.
-    """
+    """Build the app's config from flag values, naming any missing flag."""
     table = _FIELDS[app]
     missing = [table.flags[f] for f in table.required if f not in values]
     if missing:
@@ -200,16 +196,18 @@ def make_config(app: str, values: dict):
     unknown = values.keys() - table.flags.keys()
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    kwargs = dict(values)
-    for field in table.ints:
-        if field in kwargs:
-            kwargs[field] = _int_if_integral(kwargs[field])
-    return _CONFIG_TYPES[app](**kwargs)
+    return _CONFIG_TYPES[app](**{f: _flag_value(table, f, v) for f, v in values.items()})
 
 
-def _int_if_integral(value):
-    """An integral float as an int; anything else unchanged, for the config to judge."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
+def _flag_value(table, field: str, value):
+    """A flag's value as its config field takes it.
+
+    Flags parse as floats, so an integral value of an int field becomes an
+    int; any other value goes through for the config to reject.
+    """
+    if field in table.ints and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 # === subcommands ===
@@ -268,7 +266,7 @@ def _csv_row(value: float, rep) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
-    """Flags are checked and cast once, on the first point; applications.sweep runs the points."""
+    """Flags are checked once, on the first point; applications.sweep runs the points."""
     table = _FIELDS[args.app]
     vary = table.vary.get(args.vary.replace("-", "_"))
     if vary is None:
@@ -277,9 +275,11 @@ def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
     points = _sweep_values(args)
     reports = []
     if points:
+        # make_config checks the flags once, on point 0; sweep builds every
+        # point, point 0 included, from config-typed values, so the swept
+        # floats get the same int cast here as the flags get in make_config.
         template = make_config(args.app, {**base_values, vary: points[0]})
-        cast = points if vary not in table.ints else [_int_if_integral(v) for v in points]
-        reports = sweep(template, vary, cast)
+        reports = sweep(template, vary, [_flag_value(table, vary, v) for v in points])
 
     manifest = _manifest(
         argv,

@@ -89,7 +89,6 @@ class _FamilyArrays(NamedTuple):
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_q: np.ndarray | None = None
     undominated: np.ndarray | None = None  # rows with mass where Q = 0
-    log_p_min: float | None = None  # q* only: the smallest finite log p_i(y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +144,7 @@ class ChannelFamily:
         for arr in rows:
             arr.setflags(write=False)
         if self.q_choice == "qstar":
-            return _FamilyArrays(rows, joint, log_p_min=float(rows.log_probs[probs > 0.0].min()))
+            return _FamilyArrays(rows, joint)
         if isinstance(self.q_choice, DiscretePmf):
             ref = self.q_choice
         elif self.q_choice == "uniform":
@@ -184,7 +183,7 @@ class ChannelFamily:
     def _qstar(self, lam: float) -> tuple[np.ndarray, float]:
         """q* at order offset lam on the full alphabet, with its normalizer C."""
         arrays = self._arrays
-        log_q, log_c = _log_qstar(arrays, np.array([lam]))
+        log_q, log_c = _log_qstar(arrays.rows.log_probs, np.array([lam]))
         q = np.zeros(arrays.joint.size)
         q[arrays.joint] = np.exp(log_q[0])
         return q, math.exp(log_c[0])
@@ -204,7 +203,7 @@ class ChannelFamily:
         arrays = self._arrays
         if arrays.ref is None:  # q* moves with the order: one kernel call per order
             return np.concatenate([
-                _renyi_log_sums(arrays.rows, _log_qstar(arrays, lam)[0][0], lam)
+                _renyi_log_sums(arrays.rows, _log_qstar(arrays.rows.log_probs, lam)[0][0], lam)
                 for lam in (lams[i:i + 1] for i in range(lams.size))
             ])
         out = _renyi_log_sums(arrays.rows, arrays.log_q, lams)
@@ -218,7 +217,7 @@ class ChannelFamily:
         For q* this is (1+lam) log C from the normalizer alone.
         """
         if self.q_choice == "qstar":
-            return (1.0 + lams) * _log_qstar_norm(self._arrays, lams)
+            return (1.0 + lams) * _log_qstar_norm(self._arrays.rows.log_probs, lams)
         return _log_mean_exp(self._scaled_divergences(lams))
 
 
@@ -468,46 +467,44 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     return 1.0 - g / family.m_codewords - _exp_or_inf(log_mean - lam * math.log(g))
 
 
-def _log_qstar_weights(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
+def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """log w(y) = log(mean_i p_i(y)^(1+lam)) / (1+lam) per order, shape (L, K).
 
     q* is w / C with C = sum_y w(y).  Every column needs a positive entry.
     Unchunked: callers pass at most one chunk of orders.
 
-    Only at orders near the float maximum can (1+lam) log p overflow to
-    -inf; the scalar test on the largest order and log_p_min keeps the
-    usual path free of that check.  An overflowed product lies below every
-    finite one by far more than exp can resolve, so it drops out, unless
-    its whole column overflowed: those columns are redone shifted by their
-    top, log w = top + (logsumexp((1+lam)(log p - top)) - log M) / (1+lam).
+    At orders near the float maximum (1+lam) log p can overflow to -inf.
+    An overflowed product lies below every finite one by far more than exp
+    can resolve, so it drops out, unless its whole column overflowed: those
+    columns come out NaN and are redone shifted by their top,
+    log w = top + (logsumexp((1+lam)(log p - top)) - log M) / (1+lam).
     """
-    log_probs = arrays.rows.log_probs
     log_m = math.log(log_probs.shape[0])
     power = 1.0 + lams[:, None]
-    if (1.0 + max(lams.tolist())) * arrays.log_p_min > -math.inf:
-        return (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
     with np.errstate(over="ignore", invalid="ignore"):
         log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
-        at, y = np.nonzero(np.isnan(log_w))  # the columns whose every product overflowed
-        cols = log_probs[:, y].T
-        top = cols.max(axis=1)
-        shifted = power[at] * (cols - top[:, None])
-        log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
+        overflowed = np.isnan(log_w)  # the columns whose every product overflowed
+        if overflowed.any():
+            at, y = np.nonzero(overflowed)
+            cols = log_probs[:, y].T
+            top = cols.max(axis=1)
+            shifted = power[at] * (cols - top[:, None])
+            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
     return log_w
 
 
-def _log_qstar(arrays: _FamilyArrays, lams: np.ndarray):
+def _log_qstar(log_probs: np.ndarray, lams: np.ndarray):
     """log q* and log C per order, shapes (L, K) and (L,); lams is one chunk."""
-    log_w = _log_qstar_weights(arrays, lams)
+    log_w = _log_qstar_weights(log_probs, lams)
     log_c = _logsumexp(log_w.copy())
     return log_w - log_c[:, None], log_c
 
 
-def _log_qstar_norm(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
+def _log_qstar_norm(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """log C per order, shape (L,), holding one chunk of weights at a time."""
     return np.concatenate([
-        _logsumexp(_log_qstar_weights(arrays, lams[sl]))
-        for sl in _order_chunks(lams.size, arrays.rows.log_probs.size)
+        _logsumexp(_log_qstar_weights(log_probs, lams[sl]))
+        for sl in _order_chunks(lams.size, log_probs.size)
     ])
 
 

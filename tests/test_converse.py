@@ -356,7 +356,7 @@ def test_qstar_floor_at_huge_order_is_finite_and_sound(conds):
     fam = ChannelFamily(conds, "qstar")
     rep = strong_converse_bound(fam, 1.7e308)
     assert math.isfinite(rep.eps_raw)
-    assert rep.eps_raw <= exact_bayes_error(conds) + 1e-12
+    assert rep.eps_raw <= exact_bayes_error(conds)
     assert variational_bound(fam, 1.7e308, 2.0) == 0.0
     # q* tends to max_i p_i / sum_y max_i p_i as lam grows
     top = np.max([c.probs for c in conds], axis=0)
@@ -374,10 +374,10 @@ def _plain_log_qstar_weights(log_probs, lams):
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
 def test_qstar_weights_redo_only_overflowed_columns(conds):
-    arrays = ChannelFamily(conds, "qstar")._arrays
+    log_probs = ChannelFamily(conds, "qstar")._arrays.rows.log_probs
     lams = np.array([0.5, 1e300, 1.7e308])
-    got = converse._log_qstar_weights(arrays, lams)
-    plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
+    got = converse._log_qstar_weights(log_probs, lams)
+    plain = _plain_log_qstar_weights(log_probs, lams)
     overflowed = np.isnan(plain)
     assert np.array_equal(got[~overflowed], plain[~overflowed])
     assert np.isfinite(got).all()
