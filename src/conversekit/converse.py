@@ -188,6 +188,16 @@ class ChannelFamily:
         q[arrays.joint] = np.exp(log_q[0])
         return q, math.exp(log_c[0])
 
+    def _dominated(self) -> bool:
+        """Whether Q dominates every conditional; q* and the Gaussian centres do.
+
+        Not read off the divergences: lam D overflows to inf at orders near
+        the float maximum even where Q dominates.
+        """
+        if self.kind == "gaussian" or self.q_choice == "qstar":
+            return True
+        return not self._arrays.undominated.size
+
     def divergences(self, order) -> np.ndarray:
         """Per-codeword divergences to the reference; inf marks a domination failure."""
         lam = _lam(order)
@@ -217,7 +227,7 @@ class ChannelFamily:
         For q* this is (1+lam) log C from the normalizer alone.
         """
         if self.q_choice == "qstar":
-            return (1.0 + lams) * _log_qstar_norm(self._arrays.rows.log_probs, lams)
+            return _log_qstar_mean_terms(self._arrays.rows.log_probs, lams)
         return _log_mean_exp(self._scaled_divergences(lams))
 
 
@@ -352,7 +362,7 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
     m = family.m_codewords
     scaled = family._scaled_divergences(np.array([lam]))[0]
     divs = scaled / lam
-    dominated = bool(np.all(np.isfinite(divs)))
+    dominated = family._dominated()
     log_mean = float(_log_mean_exp(scaled))
     raw = strong_converse_eps_from_log_terms(math.log(m), log_mean, lam)
     gamma_star = _optimal_gamma(math.log(m), log_mean, lam) if dominated else None
@@ -479,17 +489,22 @@ def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     columns come out NaN and are redone shifted by their top,
     log w = top + (logsumexp((1+lam)(log p - top)) - log M) / (1+lam).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_qstar_weights_in_errstate(log_probs, lams)
+
+
+def _log_qstar_weights_in_errstate(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """_log_qstar_weights, for callers that already ignore over and invalid."""
     log_m = math.log(log_probs.shape[0])
     power = 1.0 + lams[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
-        overflowed = np.isnan(log_w)  # the columns whose every product overflowed
-        if overflowed.any():
-            at, y = np.nonzero(overflowed)
-            cols = log_probs[:, y].T
-            top = cols.max(axis=1)
-            shifted = power[at] * (cols - top[:, None])
-            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
+    log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
+    overflowed = np.isnan(log_w)  # the columns whose every product overflowed
+    if overflowed.any():
+        at, y = np.nonzero(overflowed)
+        cols = log_probs[:, y].T
+        top = cols.max(axis=1)
+        shifted = power[at] * (cols - top[:, None])
+        log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
     return log_w
 
 
@@ -500,12 +515,19 @@ def _log_qstar(log_probs: np.ndarray, lams: np.ndarray):
     return log_w - log_c[:, None], log_c
 
 
-def _log_qstar_norm(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """log C per order, shape (L,), holding one chunk of weights at a time."""
-    return np.concatenate([
-        _logsumexp(_log_qstar_weights(log_probs, lams[sl]))
-        for sl in _order_chunks(lams.size, log_probs.size)
-    ])
+def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log S = (1+lam) log C per order, shape (L,), one chunk of weights at a time.
+
+    Each w(y) is a power mean of the p_i(y), so at least their mean, and
+    C >= 1: the product overflows only to +inf, which is lam D as a float
+    (a vacuous floor).  One errstate covers it and every chunk's weights.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_c = np.concatenate([
+            _logsumexp(_log_qstar_weights_in_errstate(log_probs, lams[sl]))
+            for sl in _order_chunks(lams.size, log_probs.size)
+        ])
+        return (1.0 + lams) * log_c
 
 
 def optimal_q_discrete(conditionals, order):

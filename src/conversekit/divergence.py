@@ -19,7 +19,8 @@ whole axis of orders at once, as an (orders, rows) array:
   log-sum-exp of log p + lam r.  So reference masses down to the
   subnormal 5e-324 and orders up to 100 give finite values: `renyi_discrete`
   no longer returns inf (or NaN, where one term underflowed to 0 and its
-  partner overflowed) where the true divergence is finite.
+  partner overflowed) where the true divergence is finite.  Where lam r
+  itself passes the float maximum (orders near 1.7e308), lam D is +inf.
 - The order axis is split into chunks of max(1, 2^12 // (M K)) orders
   (`_CHUNK_CELLS`), and all chunks share one orders x M x K buffer.  Small
   families take the 64-order pre-scan of `converse.optimize_lambda` in a few
@@ -240,8 +241,12 @@ def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.n
             part = np.log1p(excess)
             if excess.max() == math.inf:
                 li, mi = np.nonzero(np.isinf(excess))
-                ratio = log_probs[mi] - log_q
-                part[li, mi] = _logsumexp(log_probs[mi] + lam[li, 0] * ratio)
+                logs = log_probs[mi] + lam[li, 0] * (log_probs[mi] - log_q)
+                # where lam r itself overflowed, lam D is +inf as a float, and
+                # the log-sum-exp would meet inf - inf
+                finite = logs.max(axis=-1) < math.inf
+                part[li, mi] = math.inf
+                part[li[finite], mi[finite]] = _logsumexp(logs[finite])
             parts.append(part)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -16,6 +16,19 @@ have to trust a construction on faith.
   within a rounding slack of the screened minimum are measured again with
   `PackingSet.distance`, in (i, j) order, so the certificate is the one the
   plain pair loop gives.  Opaque metrics (a `metric_fn`) take that loop.
+- `cs_random_packing` tests a candidate x with support S against the
+  accepted rows a by the gaps |a|^2 + |x|^2 - 2 a[S].x, O(M k) per
+  candidate instead of a dense O(M n) difference row, and keeps the rows
+  in a buffer that doubles when full.  The two forms round differently, so
+  an accept can flip only for a gap within a few ulps of 1/2; the packing
+  is the one the dense loop gives on every seed tested, and the
+  `verify_packing` certificate that `SparsePacking` takes still rejects a
+  packing that is truly too close.
+- `SparsePacking.beta_hat` is n ||(1/M) V^T V - I/n||_op.  For M < n it
+  comes from the M x M Gram (1/M) V V^T, which has the same nonzero
+  eigenvalues; the n - M unspanned directions add -1/n, so the norm is
+  max(||V V^T/M - I_M/n||, 1/n).  For M >= n the n x n form is used.
+  Both go through `operator_norm`.
 - `operator_norm` is the largest |eigenvalue| from `np.linalg.eigvalsh`.
 """
 
@@ -41,8 +54,6 @@ __all__ = [
     "cs_random_packing",
     "trim_packing",
     "operator_norm",
-    "save_packing_text",
-    "load_packing_text",
 ]
 
 METRIC_TAGS = ("hamming", "l2", "hellinger_sq", "set_distance")
@@ -140,10 +151,8 @@ class SparsePacking:
             raise ValueError(
                 f"pairwise squared distance {min_sq} below {SPARSE_MIN_SQ_DIST}"
             )
-        second_moment = vecs.T @ vecs / vecs.shape[0]
-        deviation = second_moment - np.eye(self.n) / self.n
         object.__setattr__(self, "min_sq_distance", min_sq)
-        object.__setattr__(self, "beta_hat", self.n * operator_norm(deviation))
+        object.__setattr__(self, "beta_hat", self.n * _isotropy_deviation(vecs))
 
     @property
     def size(self) -> int:
@@ -155,6 +164,19 @@ class SparsePacking:
             metric="l2",
             d_min=math.sqrt(SPARSE_MIN_SQ_DIST),
         )
+
+
+def _isotropy_deviation(vecs: np.ndarray) -> float:
+    """||(1/M) V^T V - I/n||_op for the (M, n) rows V, from the smaller Gram.
+
+    (1/M) V V^T and (1/M) V^T V share their nonzero eigenvalues mu_j; when
+    M < n the n - M directions no row spans add eigenvalue 0, so the
+    deviation there is -1/n and the norm is max(||V V^T/M - I_M/n||, 1/n).
+    """
+    size, n = vecs.shape
+    if size >= n:
+        return operator_norm(vecs.T @ vecs / size - np.eye(n) / n)
+    return max(operator_norm(vecs @ vecs.T / size - np.eye(size) / n), 1.0 / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,25 +400,35 @@ def cs_random_packing(
     if max_attempts is None:
         max_attempts = 1000 * m_target
     rng = np.random.default_rng(seed)
-    accepted = np.empty((0, n))
+    # accepted rows and their squared norms, in a buffer that doubles when
+    # full: m_target is unbounded, and a target that fails reserves nothing
+    rows = np.zeros((min(m_target, 16), n))
+    sq_norms = np.empty(rows.shape[0])
+    count = 0
     for _ in range(max_attempts):
         support = rng.choice(n, size=k, replace=False)
         entries = rng.standard_normal(k)
         norm = np.linalg.norm(entries)
         if norm == 0.0:
             continue
-        vec = np.zeros(n)
-        vec[support] = entries / norm
-        if accepted.shape[0]:
-            gaps = np.sum((accepted - vec) ** 2, axis=1)
+        vec = entries / norm
+        vec_sq = float(vec @ vec)
+        if count:
+            gaps = sq_norms[:count] + vec_sq - 2.0 * (rows[:count, support] @ vec)
             if gaps.min() < SPARSE_MIN_SQ_DIST:
                 continue
-        accepted = np.vstack([accepted, vec])
-        if accepted.shape[0] == m_target:
-            return SparsePacking(n=n, k=k, vectors=accepted)
-    partial = SparsePacking(n=n, k=k, vectors=accepted) if accepted.shape[0] else None
+        if count == rows.shape[0]:
+            grow = min(count, m_target - count)
+            rows = np.concatenate([rows, np.zeros((grow, n))])
+            sq_norms = np.concatenate([sq_norms, np.empty(grow)])
+        rows[count, support] = vec
+        sq_norms[count] = vec_sq
+        count += 1
+        if count == m_target:
+            return SparsePacking(n=n, k=k, vectors=rows)
+    partial = SparsePacking(n=n, k=k, vectors=rows[:count]) if count else None
     raise PackingIncompleteError(
-        f"placed {accepted.shape[0]} of {m_target} vectors in {max_attempts} attempts",
+        f"placed {count} of {m_target} vectors in {max_attempts} attempts",
         partial,
     )
 
@@ -441,51 +473,3 @@ def operator_norm(mat: np.ndarray) -> float:
         raise ValueError("matrix must be symmetric")
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
-
-# === Line-oriented text serialization ===
-
-
-def save_packing_text(path, packing) -> None:
-    """Write a codebook or sparse packing as `m k M d_min metric` plus rows.
-
-    Binary codewords serialize as 01 strings, real vectors as float hex so
-    the round trip is bit exact.
-    """
-    if isinstance(packing, BinaryCodebook):
-        header = f"{packing.m} {packing.m} {packing.size} {packing.d_min} hamming"
-        rows = ["".join(str(int(b)) for b in row) for row in packing.codewords]
-    elif isinstance(packing, SparsePacking):
-        d_min = math.sqrt(SPARSE_MIN_SQ_DIST)
-        header = f"{packing.n} {packing.k} {packing.size} {d_min!r} l2"
-        rows = [" ".join(float(x).hex() for x in row) for row in packing.vectors]
-    else:
-        raise TypeError("only BinaryCodebook and SparsePacking serialize to text")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def load_packing_text(path):
-    """Inverse of save_packing_text; derived fields are recomputed on load."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ValueError("empty packing file")
-    fields = lines[0].split()
-    if len(fields) != 5:
-        raise ValueError("header must read: m k M d_min metric")
-    m_dim, k, m_size, d_min_text, metric = fields
-    m_dim, k, m_size = int(m_dim), int(k), int(m_size)
-    body = lines[1:]
-    if len(body) != m_size:
-        raise ValueError(f"expected {m_size} codeword rows, found {len(body)}")
-    if metric == "hamming":
-        bits = np.array([[int(ch) for ch in row] for row in body], dtype=np.uint8)
-        return BinaryCodebook(m=m_dim, d_min=int(d_min_text), codewords=bits)
-    if metric == "l2":
-        vecs = np.array(
-            [[float.fromhex(tok) for tok in row.split()] for row in body]
-        )
-        return SparsePacking(n=m_dim, k=k, vectors=vecs)
-    raise ValueError(f"unsupported metric tag {metric!r}")

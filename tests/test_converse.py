@@ -363,6 +363,34 @@ def test_qstar_floor_at_huge_order_is_finite_and_sound(conds):
     assert np.allclose(fam.reference_pmf(1.7e308).probs, top / top.sum(), rtol=1e-15, atol=0.0)
 
 
+OVERFLOWING_ORDER_FAMILY = (pmf(0.98, 0.01, 0.01), pmf(0.01, 0.98, 0.01), pmf(0.01, 0.01, 0.98))
+
+
+@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
+def test_floor_where_lam_d_overflows_is_minus_inf(q_choice):
+    # lam D_i = 1.7e308 * 1.078 passes the float maximum: the floor is the
+    # vacuous -inf, with no NaN and no warning (a RuntimeWarning fails the
+    # test), and a Q that dominates is not flagged
+    fam = ChannelFamily(OVERFLOWING_ORDER_FAMILY, q_choice)
+    rep = strong_converse_bound(fam, 1.7e308)
+    assert rep.eps_raw == -math.inf
+    assert rep.eps_lower == 0.0
+    assert "domination_violation" not in rep.params
+    assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
+    assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
+
+
+def test_kernel_where_lam_r_overflows_is_plus_inf():
+    conds = OVERFLOWING_ORDER_FAMILY
+    fam = ChannelFamily(conds, "uniform")
+    lams = np.array([1.0, 1e300, 1.7e308])
+    out = fam._scaled_divergences(lams)
+    assert np.all(out[2] == math.inf)
+    # the rows at the finite orders keep the bits of a call without the huge one
+    assert np.array_equal(out[:2], fam._scaled_divergences(lams[:2]))
+    assert np.all(np.isfinite(out[:2]))
+
+
 def _plain_log_qstar_weights(log_probs, lams):
     power = 1.0 + lams[:, None]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,16 +8,13 @@ import pytest
 
 from conversekit.oracle import CapabilityError, HypercubeDensityFamily, hellinger_sq_distance
 from conversekit.packing import (
-    BinaryCodebook,
     PackingCertificate,
     PackingIncompleteError,
     PackingSet,
     SparsePacking,
     cs_random_packing,
     gv_greedy,
-    load_packing_text,
     operator_norm,
-    save_packing_text,
     trim_packing,
     verify_packing,
 )
@@ -90,6 +87,34 @@ def reference_power_norm(mat, rtol=1e-8, max_iters=50_000):
         if float(np.linalg.norm(bv - rq * v)) <= rtol * abs(rq):
             break
     return math.sqrt(max(rq, 0.0))
+
+
+def reference_cs_random_packing(n, k, m_target, seed=0, max_attempts=None):
+    """(message, rows) of the vstack loop with a dense gap row per candidate.
+
+    message is None when m_target rows were placed, else the text of the
+    PackingIncompleteError the loop raised.
+    """
+    if max_attempts is None:
+        max_attempts = 1000 * m_target
+    rng = np.random.default_rng(seed)
+    accepted = np.empty((0, n))
+    for _ in range(max_attempts):
+        support = rng.choice(n, size=k, replace=False)
+        entries = rng.standard_normal(k)
+        norm = np.linalg.norm(entries)
+        if norm == 0.0:
+            continue
+        vec = np.zeros(n)
+        vec[support] = entries / norm
+        if accepted.shape[0]:
+            gaps = np.sum((accepted - vec) ** 2, axis=1)
+            if gaps.min() < 0.5:
+                continue
+        accepted = np.vstack([accepted, vec])
+        if accepted.shape[0] == m_target:
+            return None, accepted
+    return f"placed {accepted.shape[0]} of {m_target} vectors in {max_attempts} attempts", accepted
 
 
 # --- Gilbert-Varshamov greedy codes ---
@@ -310,6 +335,66 @@ def test_cs_random_packing_certified():
     assert packing.beta_hat == pytest.approx(7.007390192182628, rel=1e-9)
 
 
+# (n, k, m_target, max_attempts) and seeds; the last two run out of attempts,
+# (8, 2, 200) after the buffer has doubled three times
+SPARSE_GRID = [
+    ((256, 4, 64, None), range(8)),
+    ((32, 3, 8, None), range(20)),
+    ((64, 4, 16, None), range(10)),
+    ((6, 6, 2, None), range(5)),
+    ((2, 1, 100, 500), range(5)),
+    ((8, 2, 200, 2000), range(5)),
+]
+
+
+@pytest.mark.parametrize("case,seeds", SPARSE_GRID)
+def test_cs_random_packing_matches_reference_loop(case, seeds):
+    n, k, m_target, max_attempts = case
+    for seed in seeds:
+        message, rows = reference_cs_random_packing(n, k, m_target, seed, max_attempts)
+        if message is None:
+            packing = cs_random_packing(n, k, m_target, seed, max_attempts)
+        else:
+            with pytest.raises(PackingIncompleteError) as info:
+                cs_random_packing(n, k, m_target, seed, max_attempts)
+            assert str(info.value) == message
+            packing = info.value.partial
+        assert packing.vectors.tobytes() == rows.tobytes()
+        assert packing.min_sq_distance == verify_packing(packing.to_packing_set()).min_distance ** 2
+
+
+def _dense_beta_hat(vecs):
+    size, n = vecs.shape
+    return n * operator_norm(vecs.T @ vecs / size - np.eye(n) / n)
+
+
+def test_beta_hat_from_the_smaller_gram_matches_the_dense_form():
+    eight_directions = np.array([[math.cos(t), math.sin(t)] for t in np.arange(8) * math.pi / 4])
+    cases = [
+        cs_random_packing(256, 4, 64, seed=3),  # M < n, the Gram route
+        SparsePacking(4, 1, np.eye(4)[:3]),  # M < n, where the -1/n directions win
+        SparsePacking(4, 1, np.eye(4)),  # M = n
+        SparsePacking(2, 2, eight_directions),  # M > n
+    ]
+    for packing in cases:
+        dense = _dense_beta_hat(packing.vectors)
+        assert packing.beta_hat == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert cases[1].beta_hat == 1.0
+
+
+def test_cs_random_packing_memory_does_not_scale_with_target():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PackingIncompleteError) as info:
+            cs_random_packing(32, 3, 10**6, max_attempts=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1 <= info.value.partial.size <= 200
+    # 10^6 rows of 32 doubles reserved up front would be 256 MB
+    assert peak < 5 * 2**20
+
+
 def test_cs_random_packing_trivial_target():
     packing = cs_random_packing(6, 6, 2, seed=1)
     assert packing.size == 2
@@ -481,41 +566,3 @@ def test_operator_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         operator_norm(np.zeros((2, 3)))
 
-
-# --- serialization ---
-
-
-def test_codebook_round_trip(tmp_path):
-    book = gv_greedy(8, 3)
-    path = tmp_path / "book.txt"
-    save_packing_text(path, book)
-    loaded = load_packing_text(path)
-    assert isinstance(loaded, BinaryCodebook)
-    assert loaded.m == book.m and loaded.d_min == book.d_min
-    assert np.array_equal(loaded.codewords, book.codewords)
-    header = path.read_text().splitlines()[0]
-    assert header.split()[4] == "hamming"
-
-
-def test_sparse_packing_round_trip_bit_exact(tmp_path):
-    packing = cs_random_packing(32, 3, 8, seed=2)
-    path = tmp_path / "packing.txt"
-    save_packing_text(path, packing)
-    loaded = load_packing_text(path)
-    assert isinstance(loaded, SparsePacking)
-    assert loaded.n == packing.n and loaded.k == packing.k
-    assert np.array_equal(loaded.vectors, packing.vectors)  # float-hex exactness
-    assert loaded.beta_hat == pytest.approx(packing.beta_hat, rel=1e-9)
-
-
-def test_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_packing_text(path)
-    path.write_text("8 8 2 3\n00000000\n11111111\n")
-    with pytest.raises(ValueError):
-        load_packing_text(path)
-    path.write_text("8 8 2 3 hamming\n00000000\n")
-    with pytest.raises(ValueError):
-        load_packing_text(path)
