@@ -1,4 +1,4 @@
-"""Lower bounds on M-ary identification error and the risks they imply.
+"""Lower bounds on M-ary identification error.
 
 The central bound turns per-codeword Renyi divergences to a reference
 distribution into a floor on the average error probability of any decoder:
@@ -43,6 +43,7 @@ from .divergence import (
     _order_chunks,
     _PmfRows,
     _positive,
+    _positive_int,
     _renyi_log_sums,
     hellinger_kl_coefficient,
     kl_discrete,
@@ -54,9 +55,7 @@ __all__ = [
     "Q_CHOICES",
     "ChannelFamily",
     "BoundReport",
-    "LossSpec",
     "strong_converse_eps_from_log_terms",
-    "strong_converse_eps_from_divergences",
     "strong_converse_bound",
     "optimize_lambda",
     "variational_bound",
@@ -65,7 +64,6 @@ __all__ = [
     "fano_bound",
     "generalized_fano_log_m_bound",
     "generalized_fano_fixed_order_check",
-    "risk_from_eps",
 ]
 
 # Reference-distribution choices for discrete families ("explicit" is spelled
@@ -261,41 +259,6 @@ class BoundReport:
         }
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Loss shape w plus the packing scale it is evaluated at.
-
-    w_kind "identity" is w(u) = u, "power" is w(u) = u^p, "indicator" is
-    w(u) = 1{u >= c}.  The risk floor uses w at u = A * psi_n, half the
-    minimum packing distance.
-    """
-
-    w_kind: str
-    A: float = 1.0
-    psi_n: float = 1.0
-    p: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.w_kind not in ("identity", "power", "indicator"):
-            raise ValueError("w_kind must be identity, power or indicator")
-        if self.A < 0.0 or self.psi_n < 0.0:
-            raise ValueError("A and psi_n must be non-negative")
-        if self.w_kind == "power" and (self.p is None or self.p <= 0.0):
-            raise ValueError("power loss needs exponent p > 0")
-        if self.w_kind == "indicator" and (self.c is None or self.c <= 0.0):
-            raise ValueError("indicator loss needs threshold c > 0")
-
-    def evaluate_w(self, u: float) -> float:
-        if u < 0.0:
-            raise ValueError("w is defined on u >= 0")
-        if self.w_kind == "identity":
-            return u
-        if self.w_kind == "power":
-            return u**self.p
-        return 1.0 if u >= self.c else 0.0
-
-
 def _clamp_eps(raw: float) -> float:
     if math.isnan(raw):
         raise ValueError("bound evaluated to NaN")
@@ -335,16 +298,6 @@ def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) 
         + log_mean_term / (1.0 + lam)
     )
     return _one_minus_scaled_exp(1.0, log_factor)
-
-
-def strong_converse_eps_from_divergences(m_codewords: float, divergences, lam) -> float:
-    """Raw eps floor for a (possibly fractional) codeword count and divergence list."""
-    lam = _lam(lam)
-    if m_codewords < 1.0:
-        raise ValueError("m_codewords must be at least 1")
-    divs = np.asarray(divergences, dtype=np.float64)
-    log_mean = float(_log_mean_exp(lam * divs))
-    return strong_converse_eps_from_log_terms(math.log(m_codewords), log_mean, lam)
 
 
 def _optimal_gamma(log_m: float, log_mean_term: float, lam: float) -> float:
@@ -553,7 +506,7 @@ def avg_kl_to_mixture(conditionals) -> float:
 
 def fano_bound(m_codewords: int, avg_kl: float) -> BoundReport:
     """Classic Fano floor eps >= 1 - (log 2 + avg_kl) / log M."""
-    m = int(m_codewords)
+    m = _positive_int("m_codewords", m_codewords)
     if m < 2:
         raise ValueError("Fano bound needs at least two codewords")
     if not (math.isfinite(avg_kl) and avg_kl >= 0.0):
@@ -596,7 +549,7 @@ def generalized_fano_fixed_order_check(order, m_codewords: int, mutual_info: flo
     is non-positive and the variant is vacuous.
     """
     lam = _lam(order)
-    m = int(m_codewords)
+    m = _positive_int("m_codewords", m_codewords)
     if m < 3:
         raise ValueError("fixed-order variant needs M >= 3")
     if not 0.0 <= eps < 1.0:
@@ -605,21 +558,3 @@ def generalized_fano_fixed_order_check(order, m_codewords: int, mutual_info: flo
     if den <= 0.0:
         return None
     return 1.0 + mutual_info / den
-
-
-def risk_from_eps(loss: LossSpec, eps_lower: float, packing=None) -> float:
-    """Risk floor w(A psi_n) * eps_lower implied by an error floor.
-
-    When a packing is supplied, its minimum distance must equal 2 A psi_n
-    (the separation that makes estimation at least as hard as testing).
-    """
-    if not 0.0 <= eps_lower <= 1.0:
-        raise ValueError("eps_lower must lie in [0, 1]")
-    if packing is not None:
-        want = 2.0 * loss.A * loss.psi_n
-        have = float(packing.d_min)
-        if not math.isclose(have, want, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(
-                f"packing minimum distance {have!r} != 2 A psi_n = {want!r}"
-            )
-    return loss.evaluate_w(loss.A * loss.psi_n) * eps_lower

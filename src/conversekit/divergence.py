@@ -50,12 +50,9 @@ __all__ = [
     "renyi_product_iid",
     "renyi_gaussian_shift",
     "renyi_bernoulli",
-    "verdu_sason_renyi_upper",
     "hellinger_discrete",
     "kl_discrete",
     "hellinger_kl_coefficient",
-    "e_gamma_divergence",
-    "product_pmf",
     "iid_product_pmf",
     "mixture_pmf",
 ]
@@ -169,17 +166,12 @@ def _lam(order) -> float:
     return _positive("order offset lam", order)
 
 
-def _common_support(p: DiscretePmf, q: DiscretePmf):
-    if p.support_size != q.support_size:
-        raise ValueError("pmfs must share one alphabet")
-    return p.probs, q.probs
-
-
 def _on_support(p: DiscretePmf, q: DiscretePmf):
     """p and q restricted to the outcomes where p > 0; q must not vanish there."""
-    p_arr, q_arr = _common_support(p, q)
-    sup = p_arr > 0.0
-    ps, qs = p_arr[sup], q_arr[sup]
+    if p.support_size != q.support_size:
+        raise ValueError("pmfs must share one alphabet")
+    sup = p.probs > 0.0
+    ps, qs = p.probs[sup], q.probs[sup]
     if not qs.all():
         raise AbsoluteContinuityError("p puts mass on a zero of q")
     return ps, qs
@@ -309,23 +301,6 @@ def renyi_bernoulli(pair: BernoulliPair, order) -> float:
         return (top + math.log(math.fsum(math.exp(v - top) for v in logs))) / lam
 
 
-def verdu_sason_renyi_upper(pair: BernoulliPair, order) -> float:
-    """Upper bound log(1 + 2 tv^2 / q_min) on the order-(1+lam) divergence.
-
-    Valid for lam in (0, 1]; tv = |p - q| and q_min = min(q, 1 - q).
-    """
-    lam = _lam(order)
-    if lam > 1.0:
-        raise ValueError("upper bound only holds for lam in (0, 1]")
-    tv = abs(pair.p - pair.q)
-    q_min = min(pair.q, 1.0 - pair.q)
-    if tv == 0.0:
-        return 0.0
-    if q_min == 0.0:
-        return math.inf
-    return math.log1p(2.0 * tv * tv / q_min)
-
-
 def hellinger_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """Hellinger divergence of order 1+lam: (sum_i p_i^(1+lam) q_i^(-lam) - 1) / lam.
 
@@ -369,27 +344,11 @@ def hellinger_kl_coefficient(order, ratio_sup: float) -> float:
     return num / den
 
 
-def e_gamma_divergence(p: DiscretePmf, q: DiscretePmf, gamma: float) -> float:
-    """E_gamma divergence sum_i max(p_i - gamma q_i, 0) for gamma > 0.
-
-    Equals the best advantage P[T=1] - gamma Q[T=1] over all tests T, and is
-    attained by the likelihood-ratio threshold test {p > gamma q}.
-    """
-    g = _positive("gamma", gamma)
-    p_arr, q_arr = _common_support(p, q)
-    return float(np.sum(np.maximum(p_arr - g * q_arr, 0.0)))
-
-
-def product_pmf(p: DiscretePmf, q: DiscretePmf) -> DiscretePmf:
-    """Product distribution on the pair alphabet, row-major outcome order."""
-    return DiscretePmf(np.outer(p.probs, q.probs).ravel())
-
-
 def iid_product_pmf(p: DiscretePmf, n_factors: int) -> DiscretePmf:
-    """n-fold iid product of p with itself."""
+    """n-fold iid product of p with itself, outcomes in row-major order."""
     out = p
     for _ in range(_positive_int("n_factors", n_factors) - 1):
-        out = product_pmf(out, p)
+        out = DiscretePmf(np.outer(out.probs, p.probs).ravel())
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact small-instance oracles: enumeration, quadrature, direct inequalities.
+"""Exact small-instance oracles: enumeration and quadrature.
 
 Everything here is deliberately independent of the closed forms elsewhere in
 the package.  Bayes errors come from explicit enumeration, integrals from
@@ -23,22 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DiscretePmf, GaussianShiftPair, _lam, _positive, _positive_int
+from .divergence import GaussianShiftPair, _lam, _positive, _positive_int
 
 __all__ = [
     "MAX_ORACLE_OUTCOMES",
     "CapabilityError",
     "QuadratureWarning",
     "exact_bayes_error",
-    "decoder_error",
-    "min_distance_decode",
-    "min_distance_decoder_error",
     "renyi_gaussian_quadrature",
     "HypercubeDensityFamily",
     "density_sq_integral",
     "hellinger_sq_distance",
-    "SecondMomentCheck",
-    "iid_second_moment_check",
 ]
 
 # Enumeration cap: joint outcome count above this raises CapabilityError.
@@ -71,40 +66,6 @@ def exact_bayes_error(conditionals) -> float:
     mat = _conditional_matrix(conditionals)
     m_codewords = mat.shape[0]
     return float(1.0 - mat.max(axis=0).sum() / m_codewords)
-
-
-def decoder_error(conditionals, decisions) -> float:
-    """Exact average error of the decoder given by decisions[y] = index."""
-    mat = _conditional_matrix(conditionals)
-    m_codewords, size = mat.shape
-    dec = np.asarray(decisions, dtype=np.int64).reshape(-1)
-    if dec.shape != (size,):
-        raise ValueError("decisions must assign one index per outcome")
-    if np.any(dec < 0) or np.any(dec >= m_codewords):
-        raise ValueError("decision index out of range")
-    correct = mat[dec, np.arange(size)]
-    return float(1.0 - correct.sum() / m_codewords)
-
-
-def min_distance_decode(point, codewords, metric_fn) -> int:
-    """Index of the codeword nearest to point; ties go to the lowest index."""
-    best = 0
-    best_d = metric_fn(point, codewords[0])
-    for j in range(1, len(codewords)):
-        d = metric_fn(point, codewords[j])
-        if d < best_d:
-            best, best_d = j, d
-    return best
-
-
-def min_distance_decoder_error(conditionals, estimates, codewords, metric_fn) -> float:
-    """Exact error of estimate-then-round decoding.
-
-    estimates[y] is the estimator output for outcome y; it is rounded to the
-    nearest codeword under metric_fn.  Never beats exact_bayes_error.
-    """
-    decisions = [min_distance_decode(est, codewords, metric_fn) for est in estimates]
-    return decoder_error(conditionals, decisions)
 
 
 # === Quadrature ===
@@ -318,26 +279,3 @@ def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-
 
     m = family.m
     return float(_gk_panels(gap_sq, cells / m, (cells + 1) / m, atol, 0.0).sum())
-
-
-@dataclass(frozen=True)
-class SecondMomentCheck:
-    """Outcome of the iid second-moment inequality check."""
-
-    product_term: float
-    exp_bound: float
-    ok: bool
-
-
-def iid_second_moment_check(family: HypercubeDensityFamily, n_samples: int) -> SecondMomentCheck:
-    """Check (1 + x)^n <= exp(x n) at x = c^2 a / m^4.
-
-    (1 + x)^n is the exact n-sample second moment of dP_tau/dQ under the
-    uniform reference (identical for every tau), and exp(x n) is the bound the
-    sample-size converse uses in place of it.
-    """
-    n = _positive_int("n_samples", n_samples)
-    x = family.sq_integral_excess
-    product_term = (1.0 + x) ** n
-    exp_bound = math.exp(x * n)
-    return SecondMomentCheck(product_term, exp_bound, product_term <= exp_bound)

@@ -347,7 +347,8 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
     m = _positive_int("m", m)
     if m > MAX_GV_BITS:
         raise CapabilityError(f"m = {m} exceeds exhaustive enumeration cap {MAX_GV_BITS}")
-    if not 1 <= d_min <= m:
+    d_min = _positive_int("d_min", d_min)
+    if d_min > m:
         raise ValueError("d_min must lie in [1, m]")
     if order not in ("lexicographic", "seeded_random"):
         raise ValueError("order must be 'lexicographic' or 'seeded_random'")
@@ -371,7 +372,7 @@ def gv_greedy(m: int, d_min: int, order: str = "lexicographic", seed: int = 0) -
             chosen.append(c)
             banned_view[ball ^ c] = 1
     bits = _ints_to_bits(np.array(chosen, dtype=np.uint32), m)
-    return BinaryCodebook(m=m, d_min=int(d_min), codewords=bits)
+    return BinaryCodebook(m=m, d_min=d_min, codewords=bits)
 
 
 # === Sparse spherical packings ===

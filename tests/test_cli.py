@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: JSON/CSV contracts, determinism, exit codes."""
 
+import ast
 import dataclasses
+import glob
+import importlib
 import inspect
 import json
 import math
@@ -32,6 +35,7 @@ SCHEMA_PATH = os.path.join(
 )
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
 README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
+FORMATS_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")
 
 CONFIGS = {"density": DensityConfig, "active": ActiveConfig, "cs": CsConfig}
 # the flags that are not the field name with "-" for "_"
@@ -247,6 +251,35 @@ def test_package_root_exports_every_module_name():
             assert name in conversekit.__all__, name
     assert "__version__" in conversekit.__all__
     assert len(conversekit.__all__) == len(set(conversekit.__all__))
+
+
+def test_every_public_name_has_a_non_test_caller():
+    # a public name that only its own tests reach is code nothing runs
+    root = os.path.join(os.path.dirname(__file__), "..")
+    modules = [path for path in glob.glob(os.path.join(root, "src", "conversekit", "*.py"))
+               if os.path.basename(path) != "__init__.py"]
+    referenced = set()
+    for path in modules + glob.glob(os.path.join(root, "perfbench", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+    for path in (README_PATH, FORMATS_PATH):
+        with open(path, encoding="utf-8") as fh:
+            referenced.update(re.findall(r"\w+", fh.read()))
+    unreached = [
+        name
+        for path in sorted(modules)
+        for name in getattr(
+            importlib.import_module("conversekit." + os.path.basename(path)[:-3]), "__all__", ()
+        )
+        if name not in referenced
+    ]
+    assert not unreached, unreached
 
 
 # --- exit codes ---

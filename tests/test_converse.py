@@ -10,22 +10,18 @@ from conversekit.cli import canonical_json
 from conversekit.converse import (
     BoundReport,
     ChannelFamily,
-    LossSpec,
     avg_kl_to_mixture,
     fano_bound,
     generalized_fano_fixed_order_check,
     generalized_fano_log_m_bound,
     optimal_q_discrete,
     optimize_lambda,
-    risk_from_eps,
     strong_converse_bound,
-    strong_converse_eps_from_divergences,
     strong_converse_eps_from_log_terms,
     variational_bound,
 )
 from conversekit.divergence import DiscretePmf, GaussianShiftPair
 from conversekit.oracle import exact_bayes_error
-from conversekit.packing import PackingSet
 from conversekit.suites import random_discrete_family
 from conftest import pmf, random_pmf
 
@@ -72,8 +68,8 @@ def test_eps_all_equal_reference_is_zero():
 
 
 def test_eps_large_m_zero_divergence_profile():
-    # 10^6 codewords with zero divergences: 1 - 2/1000
-    raw = strong_converse_eps_from_divergences(1e6, [0.0], 1.0)
+    # 10^6 codewords with zero divergences (log S = 0): 1 - 2/1000
+    raw = strong_converse_eps_from_log_terms(math.log(1e6), 0.0, 1.0)
     assert raw == pytest.approx(0.998, abs=1e-15)
 
 
@@ -83,9 +79,10 @@ def test_eps_log_terms_overflow_degrades():
 
 
 def test_eps_monotone_in_m():
-    divs = [0.3, 0.7, 1.1]
+    lam = 0.8
+    log_mean = math.log(np.mean(np.exp(lam * np.array([0.3, 0.7, 1.1]))))
     vals = [
-        strong_converse_eps_from_divergences(m, divs, 0.8)
+        strong_converse_eps_from_log_terms(math.log(m), log_mean, lam)
         for m in (2.0, 4.0, 16.0, 1e4, 1e8)
     ]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -461,6 +458,7 @@ def test_fano_frozen_value():
     rep = fano_bound(16, math.log(2.0))
     assert rep.eps_lower == pytest.approx(0.5, abs=1e-15)
     assert rep.method == "fano"
+    assert fano_bound(16.0, math.log(2.0)).params["m_codewords"] == 16
 
 
 def test_fano_validation():
@@ -470,6 +468,15 @@ def test_fano_validation():
         fano_bound(4, -0.1)
     with pytest.raises(ValueError):
         fano_bound(4, math.inf)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.inf, math.nan])
+def test_fano_codeword_counts_must_be_positive_integers(bad):
+    # a fractional count must not be truncated (2.9 codewords run as 2)
+    with pytest.raises(ValueError, match="m_codewords"):
+        fano_bound(bad, 0.0)
+    with pytest.raises(ValueError, match="m_codewords"):
+        generalized_fano_fixed_order_check(1.0, bad, 1.0, 0.0)
 
 
 def test_fano_sound_on_random_families(rng):
@@ -532,41 +539,6 @@ def test_fixed_order_check_caps_log_m(rng):
             checked += 1
             assert math.log(m) <= cap + 1e-9
     assert checked > 0
-
-
-# --- risk assembly ---
-
-
-def test_risk_from_eps_identity_and_power():
-    loss = LossSpec("identity", A=1.0, psi_n=0.25)
-    assert risk_from_eps(loss, 0.8) == pytest.approx(0.2)
-    c_norm = 3.0
-    loss = LossSpec("power", A=c_norm / (2.0 * math.sqrt(2.0)), psi_n=1.0, p=2.0)
-    assert risk_from_eps(loss, 1.0) == pytest.approx(c_norm**2 / 8.0, rel=1e-14)
-    loss = LossSpec("indicator", A=2.0, psi_n=0.5, c=0.9)
-    assert risk_from_eps(loss, 0.5) == pytest.approx(0.5)
-
-
-def test_risk_from_eps_packing_contract():
-    loss = LossSpec("identity", A=1.0, psi_n=0.5)
-    packing = PackingSet(elements=(0.0, 1.0), metric="l2", d_min=1.0)
-    assert risk_from_eps(loss, 0.6, packing) == pytest.approx(0.3)
-    mismatched = PackingSet(elements=(0.0, 1.0), metric="l2", d_min=1.5)
-    with pytest.raises(ValueError):
-        risk_from_eps(loss, 0.6, mismatched)
-    with pytest.raises(ValueError):
-        risk_from_eps(loss, 1.5)
-
-
-def test_loss_spec_validation():
-    with pytest.raises(ValueError):
-        LossSpec("cubic")
-    with pytest.raises(ValueError):
-        LossSpec("power", p=None)
-    with pytest.raises(ValueError):
-        LossSpec("indicator", c=0.0)
-    with pytest.raises(ValueError):
-        LossSpec("identity", A=-1.0)
 
 
 # --- report serialization ---

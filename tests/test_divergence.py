@@ -14,18 +14,15 @@ from conversekit.divergence import (
     DiscretePmf,
     GaussianShiftPair,
     RenyiOrder,
-    e_gamma_divergence,
     hellinger_discrete,
     hellinger_kl_coefficient,
     iid_product_pmf,
     kl_discrete,
     mixture_pmf,
-    product_pmf,
     renyi_bernoulli,
     renyi_discrete,
     renyi_gaussian_shift,
     renyi_product_iid,
-    verdu_sason_renyi_upper,
 )
 from conftest import decimal_log_renyi_sum, pmf, random_pmf
 
@@ -160,13 +157,16 @@ def test_factor_counts_must_be_positive_integers(bad):
 def test_factor_counts_accept_integral_floats():
     p, q = pmf(0.3, 0.7), pmf(0.5, 0.5)
     assert renyi_product_iid(p, q, 1.0, 3.0) == 3 * renyi_discrete(p, q, 1.0)
-    assert np.array_equal(iid_product_pmf(p, 2.0).probs, product_pmf(p, p).probs)
+    assert np.array_equal(iid_product_pmf(p, 2.0).probs, np.outer(p.probs, p.probs).ravel())
 
 
 def test_product_pmf_shapes():
-    pq = product_pmf(pmf(0.3, 0.7), pmf(0.5, 0.5))
-    assert pq.support_size == 4
-    assert pq.probs[0] == pytest.approx(0.15)
+    p = pmf(0.3, 0.7)
+    cube = iid_product_pmf(p, 3)
+    assert cube.support_size == 8
+    assert cube.probs[0] == pytest.approx(0.027)
+    outer = np.outer(np.outer(p.probs, p.probs).ravel(), p.probs).ravel()
+    assert np.array_equal(cube.probs, outer)  # row-major outcome order
     mix = mixture_pmf([pmf(1.0, 0.0), pmf(0.0, 1.0)])
     assert np.allclose(mix.probs, [0.5, 0.5])
 
@@ -212,25 +212,6 @@ def test_bernoulli_underflowing_reference_stays_finite(q, lam):
         closed = renyi_bernoulli(BernoulliPair(p, q), lam)
         exact = decimal_log_renyi_sum([p, 1.0 - p], [q, 1.0 - q], lam) / lam
         assert closed == pytest.approx(exact, rel=1e-12, abs=0.0)
-
-
-def test_verdu_sason_upper_bound():
-    # tv = 0.1, q_min = 0.4: log(1 + 2*0.01/0.4) = log 1.05
-    ub = verdu_sason_renyi_upper(BernoulliPair(0.5, 0.4), 1.0)
-    assert ub == pytest.approx(math.log(1.05), abs=1e-15)
-    assert ub >= renyi_bernoulli(BernoulliPair(0.5, 0.4), 1.0)
-
-
-def test_verdu_sason_dominates_divergence(rng):
-    for _ in range(1000):
-        pair = BernoulliPair(float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.99)))
-        lam = float(rng.uniform(0.01, 1.0))
-        assert verdu_sason_renyi_upper(pair, lam) >= renyi_bernoulli(pair, lam) - 1e-12
-
-
-def test_verdu_sason_order_restriction():
-    with pytest.raises(ValueError):
-        verdu_sason_renyi_upper(BernoulliPair(0.6, 0.5), 1.5)
 
 
 # --- Hellinger divergence and the kappa coefficient ---
@@ -318,40 +299,6 @@ def test_kappa_closed_form_cap():
             lhs = lam * hellinger_kl_coefficient(lam, float(t))
             rhs = float(t) ** lam / (math.log(t) - 1.0)
             assert lhs <= rhs * (1.0 + 1e-12)
-
-
-# --- E_gamma divergence ---
-
-
-def test_e_gamma_tv_case():
-    assert e_gamma_divergence(pmf(0.9, 0.1), pmf(0.5, 0.5), 1.0) == pytest.approx(0.4)
-
-
-def test_e_gamma_test_sandwich(rng):
-    # best-test advantage from below, likelihood-ratio tail from above
-    for _ in range(100):
-        size = int(rng.integers(2, 8))
-        p = random_pmf(rng, size)
-        q = random_pmf(rng, size)
-        gamma = float(rng.uniform(0.2, 3.0))
-        e_gam = e_gamma_divergence(p, q, gamma)
-        test = rng.integers(0, 2, size=size).astype(bool)
-        advantage = float(p.probs[test].sum() - gamma * q.probs[test].sum())
-        assert advantage <= e_gam + 1e-12
-        with np.errstate(divide="ignore"):
-            tail = (p.probs > gamma * q.probs)
-        assert e_gam <= float(p.probs[tail].sum()) + 1e-12
-
-
-def test_e_gamma_range(rng):
-    for _ in range(50):
-        p = random_pmf(rng, 5)
-        q = random_pmf(rng, 5)
-        gamma = float(rng.uniform(0.1, 4.0))
-        val = e_gamma_divergence(p, q, gamma)
-        assert max(0.0, 1.0 - gamma) - 1e-12 <= val <= 1.0 + 1e-12
-    with pytest.raises(ValueError):
-        e_gamma_divergence(p, q, 0.0)
 
 
 # --- hypothesis properties ---

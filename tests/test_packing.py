@@ -177,6 +177,9 @@ def test_gv_greedy_caps_and_domain():
         gv_greedy(8, 0)
     with pytest.raises(ValueError):
         gv_greedy(8, 9)
+    for bad in (2.5, math.inf, math.nan):  # not truncated to a smaller label
+        with pytest.raises(ValueError, match="d_min"):
+            gv_greedy(8, bad)
     with pytest.raises(ValueError):
         gv_greedy(8, 3, order="sorted")
 
