@@ -10,18 +10,18 @@ valid for every lam > 0 and every reference Q dominating all conditionals.
 Fano-type baselines live here too, so the two can be compared on equal
 footing.
 
-On first use a discrete ChannelFamily builds its conditionals once as
-matrices (see `divergence._PmfRows`) restricted to their joint support,
-plus, for the order-free references (uniform, mixture, an explicit pmf),
-the reference, log Q and the rows Q fails to dominate; it keeps them.
-The terms lam D_i then come from the one log-space kernel
+On first use a ChannelFamily builds its conditionals once as matrices
+(see `divergence._PmfRows`) restricted to their joint support, plus, for
+the order-free references (uniform, mixture, an explicit pmf), the
+reference, log Q and the rows Q fails to dominate; it keeps them.  The
+terms lam D_i then come from the one log-space kernel
 `divergence._renyi_log_sums`, for a whole axis of orders per call, in
 chunks that bound its memory; q*, which moves with the order, takes one
-call per order.  q* itself and its normalizer C come from the same kept
-rows, for `reference_pmf` and `optimal_q_discrete` alike.  For q* no
-divergence is needed for S itself: with C the normalizer of q*,
-S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
-2015), which `optimize_lambda` and `variational_bound` use.
+call per order.  q* itself (`reference_pmf`) and its normalizer C come
+from the same kept rows.  For q* no divergence is needed for S itself:
+with C the normalizer of q*, S = C^(1+lam) (Sibson's alpha-mutual
+information; Sibson 1969, Verdu 2015), which `optimize_lambda` and
+`variational_bound` use.
 `strong_converse_bound` still reports every D_i, from the same kernel.
 """
 
@@ -36,7 +36,6 @@ import numpy as np
 
 from .divergence import (
     DiscretePmf,
-    GaussianShiftPair,
     _lam,
     _log_or_neg_inf,
     _logsumexp,
@@ -48,7 +47,6 @@ from .divergence import (
     hellinger_kl_coefficient,
     kl_discrete,
     mixture_pmf,
-    renyi_gaussian_shift,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "strong_converse_bound",
     "optimize_lambda",
     "variational_bound",
-    "optimal_q_discrete",
     "avg_kl_to_mixture",
     "fano_bound",
     "generalized_fano_log_m_bound",
@@ -91,12 +88,7 @@ class _FamilyArrays(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ChannelFamily:
-    """M conditional distributions plus a reference-distribution choice.
-
-    Conditionals are either all DiscretePmf on one alphabet or all
-    GaussianShiftPair (each pair already names its centered reference, so
-    q_choice is pinned to "centered" there).
-    """
+    """M DiscretePmf conditionals on one alphabet plus a reference choice."""
 
     conditionals: tuple
     q_choice: object = "mixture"
@@ -106,24 +98,17 @@ class ChannelFamily:
         if not conds:
             raise ValueError("family needs at least one conditional")
         object.__setattr__(self, "conditionals", conds)
-        if all(isinstance(c, DiscretePmf) for c in conds):
-            kind = "discrete"
-            size = conds[0].support_size
-            if any(c.support_size != size for c in conds):
-                raise ValueError("conditionals must share one alphabet")
-            q = self.q_choice
-            if isinstance(q, DiscretePmf):
-                if q.support_size != size:
-                    raise ValueError("explicit q must live on the family alphabet")
-            elif q not in Q_CHOICES:
-                raise ValueError(f"q_choice must be a DiscretePmf or one of {Q_CHOICES}")
-        elif all(isinstance(c, GaussianShiftPair) for c in conds):
-            kind = "gaussian"
-            if self.q_choice != "centered":
-                raise ValueError('gaussian families use q_choice="centered"')
-        else:
-            raise ValueError("conditionals must be all DiscretePmf or all GaussianShiftPair")
-        object.__setattr__(self, "_kind", kind)
+        if not all(isinstance(c, DiscretePmf) for c in conds):
+            raise ValueError("conditionals must all be DiscretePmf")
+        size = conds[0].support_size
+        if any(c.support_size != size for c in conds):
+            raise ValueError("conditionals must share one alphabet")
+        q = self.q_choice
+        if isinstance(q, DiscretePmf):
+            if q.support_size != size:
+                raise ValueError("explicit q must live on the family alphabet")
+        elif q not in Q_CHOICES:
+            raise ValueError(f"q_choice must be a DiscretePmf or one of {Q_CHOICES}")
 
     @cached_property
     def _arrays(self) -> _FamilyArrays:
@@ -153,14 +138,6 @@ class ChannelFamily:
         undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
         return _FamilyArrays(rows, joint, ref, np.log(np.where(q > 0.0, q, 1.0)), undominated)
 
-    @classmethod
-    def gaussian(cls, pairs) -> "ChannelFamily":
-        return cls(tuple(pairs), q_choice="centered")
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
     @property
     def m_codewords(self) -> int:
         return len(self.conditionals)
@@ -170,8 +147,6 @@ class ChannelFamily:
 
     def reference_pmf(self, order=None) -> DiscretePmf:
         """The reference distribution Q actually used, resolved per q_choice."""
-        if self.kind != "discrete":
-            raise ValueError("reference_pmf applies to discrete families")
         if self.q_choice != "qstar":
             return self._arrays.ref
         if order is None:
@@ -187,12 +162,12 @@ class ChannelFamily:
         return q, math.exp(log_c[0])
 
     def _dominated(self) -> bool:
-        """Whether Q dominates every conditional; q* and the Gaussian centres do.
+        """Whether Q dominates every conditional; q* does.
 
         Not read off the divergences: lam D overflows to inf at orders near
         the float maximum even where Q dominates.
         """
-        if self.kind == "gaussian" or self.q_choice == "qstar":
+        if self.q_choice == "qstar":
             return True
         return not self._arrays.undominated.size
 
@@ -203,11 +178,6 @@ class ChannelFamily:
 
     def _scaled_divergences(self, lams: np.ndarray) -> np.ndarray:
         """lam D_i for each order in lams and each codeword, shape (L, M)."""
-        if self.kind == "gaussian":
-            return np.array(
-                [[lam * renyi_gaussian_shift(pair, lam) for pair in self.conditionals]
-                 for lam in lams.tolist()]
-            )
         arrays = self._arrays
         if arrays.ref is None:  # q* moves with the order: one kernel call per order
             return np.concatenate([
@@ -481,16 +451,6 @@ def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray
             for sl in _order_chunks(lams.size, log_probs.size)
         ])
         return (1.0 + lams) * log_c
-
-
-def optimal_q_discrete(conditionals, order):
-    """Reference pmf minimizing the strong-converse prefactor, with its normalizer.
-
-    q*(y) is proportional to (mean_i p_i(y)^(1+lam))^(1/(1+lam)); returns
-    (q_star, C) where C is the normalizing constant.
-    """
-    q, c = ChannelFamily(tuple(conditionals), "qstar")._qstar(_lam(order))
-    return DiscretePmf(q), c
 
 
 def avg_kl_to_mixture(conditionals) -> float:

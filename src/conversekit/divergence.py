@@ -43,7 +43,6 @@ __all__ = [
     "PMF_SUM_TOL",
     "AbsoluteContinuityError",
     "DiscretePmf",
-    "RenyiOrder",
     "GaussianShiftPair",
     "BernoulliPair",
     "renyi_discrete",
@@ -98,24 +97,11 @@ class DiscretePmf:
     def support_size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return int(self.probs.size)
-
     @cached_property
     def _mass_defect(self) -> float:
         """sum(probs) - 1, correctly rounded; kept, as the pmf is immutable."""
         # probs.data hands fsum one double at a time, with no list of them
         return math.fsum(itertools.chain(self.probs.data, (-1.0,)))
-
-
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Order 1 + lam of a Renyi divergence, stored through the offset lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _positive("order offset lam", self.lam))
 
 
 @dataclass(frozen=True)
@@ -160,9 +146,7 @@ def _positive_int(name, value) -> int:
 
 
 def _lam(order) -> float:
-    """Order offset as a plain float; accepts RenyiOrder or a positive number."""
-    if isinstance(order, RenyiOrder):
-        return order.lam
+    """Order offset as a plain float; ValueError unless finite and > 0."""
     return _positive("order offset lam", order)
 
 

@@ -223,14 +223,6 @@ class HypercubeDensityFamily:
             raise ValueError("tau must be a vector of m entries in {-1, +1}")
         return arr
 
-    def density_value(self, tau, x: float) -> float:
-        """f_tau(x) for scalar x in [0, 1]; right endpoint folds to the last cell."""
-        tau = self.check_tau(tau)
-        g = _BUMPS[self.g_spec][0]
-        j = min(int(x * self.m), self.m - 1)
-        u = x * self.m - j
-        return 1.0 + tau[j] * (self.c / self.m**2) * float(g(u))
-
 
 def _cell_bump(family: HypercubeDensityFamily, cells):
     """bump(x, k) = (c / m^2) g(m x - j) at abscissae x in cell j = cells[k]."""

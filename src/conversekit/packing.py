@@ -1,21 +1,23 @@
 """Packing constructions: greedy binary codes, sparse spherical packings, trims.
 
-Constructors certify their separation claims directly (measured pairwise
-distances, measured covariance deviation), so downstream risk bounds never
-have to trust a construction on faith.
+Separation claims are certified by measurement (pairwise distances from
+`verify_packing`, the covariance deviation), so downstream risk bounds never
+have to trust a construction on faith.  `SparsePacking` does so at
+construction; a `BinaryCodebook`'s d_min is a claim its caller certifies.
 
 - `gv_greedy` keeps a byte per word of {0,1}^m.  Each kept codeword c bans
   its Hamming ball c ^ {words of weight < d_min} in one numpy store, and a
   candidate is kept iff it is not banned: the greedy rule, in candidate
   order, with no distance computed.
-- `verify_packing` compares elements of one shape as the rows of one array,
-  in row blocks of at most 2^20 elements (`_PAIR_BLOCK_ELEMENTS`) or one
-  row, so its memory stays bounded on large codes.  Hamming distances are exact integer
-  counts, so the first lexicographic minimum is read off directly.  For l2
-  the Gram form |a|^2 + |b|^2 - 2 a.b screens every pair, and only pairs
-  within a rounding slack of the screened minimum are measured again with
+- `verify_packing` compares the elements, which share one shape, as the
+  rows of one array, in row blocks of at most 2^20 elements
+  (`_PAIR_BLOCK_ELEMENTS`) or one row, so its memory stays bounded on large
+  codes.  Hamming distances are exact integer counts, so the first
+  lexicographic minimum is read off directly.  For l2 the Gram form
+  |a|^2 + |b|^2 - 2 a.b screens every pair, and only pairs within a rounding
+  slack of the screened minimum are measured again with
   `PackingSet.distance`, in (i, j) order, so the certificate is the one the
-  plain pair loop gives.  Opaque metrics (a `metric_fn`) take that loop.
+  plain pair loop gives.  l2 rows the Gram form cannot screen take that loop.
 - `cs_random_packing` tests a candidate x with support S against the
   accepted rows a by the gaps |a|^2 + |x|^2 - 2 a[S].x, O(M k) per
   candidate instead of a dense O(M n) difference row, and keeps the rows
@@ -56,7 +58,7 @@ __all__ = [
     "operator_norm",
 ]
 
-METRIC_TAGS = ("hamming", "l2", "hellinger_sq", "set_distance")
+METRIC_TAGS = ("hamming", "l2")
 
 # Exhaustive binary enumeration cap (2^m candidate vectors).
 MAX_GV_BITS = 24
@@ -80,7 +82,13 @@ class PackingIncompleteError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BinaryCodebook:
-    """Binary codewords of length m with pairwise Hamming distance >= d_min."""
+    """Binary codewords of length m, claimed pairwise Hamming distance >= d_min.
+
+    Construction checks the bits and that d_min is a whole number in [1, m],
+    but does not measure the distance: `gv_greedy(24, 1)` holds 2^24 words,
+    about 1.4e14 pairs.  `verify_packing(codebook.to_packing_set())`
+    certifies it.
+    """
 
     m: int
     d_min: int
@@ -94,8 +102,10 @@ class BinaryCodebook:
             raise ValueError("codebook must hold at least one codeword")
         if np.any(bits > 1):
             raise ValueError("codeword entries must be bits")
-        if not 1 <= self.d_min <= self.m:
+        d_min = _positive_int("d_min", self.d_min)
+        if d_min > self.m:
             raise ValueError("d_min must lie in [1, m]")
+        object.__setattr__(self, "d_min", d_min)
         bits = bits.copy()
         bits.setflags(write=False)
         object.__setattr__(self, "codewords", bits)
@@ -103,10 +113,6 @@ class BinaryCodebook:
     @property
     def size(self) -> int:
         return int(self.codewords.shape[0])
-
-    def sign_vectors(self) -> np.ndarray:
-        """Codewords mapped to {-1, +1}^m via bit -> 2 bit - 1."""
-        return (2 * self.codewords.astype(np.int8) - 1).astype(np.int8)
 
     def to_packing_set(self) -> "PackingSet":
         return PackingSet(
@@ -181,31 +187,24 @@ def _isotropy_deviation(vecs: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PackingSet:
-    """Elements claimed pairwise >= d_min apart under the tagged metric.
-
-    hamming and l2 come with built-in distance functions; hellinger_sq and
-    set_distance need an explicit metric_fn since their elements are opaque.
-    """
+    """Elements of one shape, claimed pairwise >= d_min apart under hamming or l2."""
 
     elements: tuple
     metric: str
     d_min: float
-    metric_fn: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("packing set must hold at least one element")
+        if len({np.shape(e) for e in self.elements}) != 1:
+            raise ValueError("packing elements must all have one shape")
         if self.metric not in METRIC_TAGS:
             raise ValueError(f"metric must be one of {METRIC_TAGS}")
-        if self.metric_fn is None and self.metric in ("hellinger_sq", "set_distance"):
-            raise ValueError(f"metric {self.metric!r} needs an explicit metric_fn")
         _positive("d_min", self.d_min)
 
     def distance(self, i: int, j: int) -> float:
         a, b = self.elements[i], self.elements[j]
-        if self.metric_fn is not None:
-            return float(self.metric_fn(a, b))
         if self.metric == "hamming":
             return float(np.sum(np.asarray(a) != np.asarray(b)))
         return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
@@ -259,14 +258,9 @@ def _first_min_pair(packing: PackingSet, pairs) -> tuple[float, tuple | None]:
 def _element_rows(packing: PackingSet) -> np.ndarray | None:
     """Elements as one (M, dim) array, or None when only the pair loop applies.
 
-    That is the case for a metric_fn, for elements of differing shapes and,
-    under l2, for non-finite entries or squared norms within a factor 4 of
-    overflow, where the Gram screen would meet inf - inf.
+    That is the case under l2 for non-finite entries or squared norms within
+    a factor 4 of overflow, where the Gram screen would meet inf - inf.
     """
-    if packing.metric_fn is not None:
-        return None
-    if len({np.shape(e) for e in packing.elements}) != 1:
-        return None
     rows = np.asarray(packing.elements)
     rows = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
     if packing.metric == "l2":

@@ -254,31 +254,44 @@ def test_package_root_exports_every_module_name():
 
 
 def test_every_public_name_has_a_non_test_caller():
-    # a public name that only its own tests reach is code nothing runs
+    # a public name, or a public method of an exported class, that only its
+    # own tests reach is code nothing runs
     root = os.path.join(os.path.dirname(__file__), "..")
     modules = [path for path in glob.glob(os.path.join(root, "src", "conversekit", "*.py"))
                if os.path.basename(path) != "__init__.py"]
-    referenced = set()
+    trees = {}
     for path in modules + glob.glob(os.path.join(root, "perfbench", "*.py")):
         with open(path, encoding="utf-8") as fh:
-            for node in ast.walk(ast.parse(fh.read())):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    referenced.add(node.name)
+            trees[path] = ast.parse(fh.read())
+    words, attributes, names = set(), set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
     for path in (README_PATH, FORMATS_PATH):
         with open(path, encoding="utf-8") as fh:
-            referenced.update(re.findall(r"\w+", fh.read()))
-    unreached = [
-        name
-        for path in sorted(modules)
-        for name in getattr(
+            words.update(re.findall(r"\w+", fh.read()))
+    referenced = names | attributes | words
+    member_referenced = attributes | words  # a method is reached through an attribute
+    unreached = []
+    for path in sorted(modules):
+        exported = getattr(
             importlib.import_module("conversekit." + os.path.basename(path)[:-3]), "__all__", ()
         )
-        if name not in referenced
-    ]
+        unreached += [name for name in exported if name not in referenced]
+        unreached += [
+            f"{cls.name}.{member.name}"
+            for cls in trees[path].body
+            if isinstance(cls, ast.ClassDef) and cls.name in exported
+            for member in cls.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not member.name.startswith("_")
+            and member.name not in member_referenced
+        ]
     assert not unreached, unreached
 
 

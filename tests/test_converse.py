@@ -14,7 +14,6 @@ from conversekit.converse import (
     fano_bound,
     generalized_fano_fixed_order_check,
     generalized_fano_log_m_bound,
-    optimal_q_discrete,
     optimize_lambda,
     strong_converse_bound,
     strong_converse_eps_from_log_terms,
@@ -39,9 +38,9 @@ def test_family_validation():
     with pytest.raises(ValueError):
         ChannelFamily((pmf(0.5, 0.5),), q_choice=pmf(0.2, 0.3, 0.5))
     with pytest.raises(ValueError):
-        ChannelFamily((GaussianShiftPair(1.0, 1.0),), q_choice="mixture")
-    fam = ChannelFamily.gaussian([GaussianShiftPair(1.0, 1.0)])
-    assert fam.kind == "gaussian" and fam.m_codewords == 1
+        ChannelFamily((GaussianShiftPair(1.0, 1.0),))
+    with pytest.raises(ValueError):
+        ChannelFamily((pmf(0.5, 0.5), GaussianShiftPair(1.0, 1.0)))
 
 
 def test_family_reference_choices():
@@ -414,31 +413,15 @@ def test_qstar_weights_redo_only_overflowed_columns(conds):
 
 def test_optimal_q_identical_conditionals():
     p = pmf(0.3, 0.7)
-    q, c_norm = optimal_q_discrete([p, p, p], 1.0)
-    assert np.allclose(q.probs, p.probs)
-    assert c_norm == pytest.approx(1.0, rel=1e-14)
+    fam = ChannelFamily((p, p, p), "qstar")
+    assert np.allclose(fam.reference_pmf(1.0).probs, p.probs)
+    assert fam._qstar(1.0)[1] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_optimal_q_orthogonal_pair():
-    q, c_norm = optimal_q_discrete([pmf(1.0, 0.0), pmf(0.0, 1.0)], 1.0)
-    assert np.allclose(q.probs, [0.5, 0.5])
-    assert c_norm == pytest.approx(math.sqrt(2.0), rel=1e-14)
-
-
-def test_qstar_reference_is_optimal_q(rng):
-    # both read q* off the family's kept rows; neither may drift from the other
-    for _ in range(40):
-        fam = random_discrete_family(rng, q_choice="qstar")
-        for lam in (0.01, 0.3, 1.0, 4.0):
-            q, _ = optimal_q_discrete(fam.conditionals, lam)
-            assert np.array_equal(fam.reference_pmf(lam).probs, q.probs)
-
-
-def test_optimal_q_rejects_bad_families():
-    with pytest.raises(ValueError):
-        optimal_q_discrete([], 1.0)
-    with pytest.raises(ValueError):
-        optimal_q_discrete([pmf(0.5, 0.5), pmf(0.2, 0.3, 0.5)], 1.0)
+    fam = ChannelFamily((pmf(1.0, 0.0), pmf(0.0, 1.0)), "qstar")
+    assert np.allclose(fam.reference_pmf(1.0).probs, [0.5, 0.5])
+    assert fam._qstar(1.0)[1] == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_optimal_q_beats_other_references(rng):

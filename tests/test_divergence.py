@@ -13,7 +13,6 @@ from conversekit.divergence import (
     BernoulliPair,
     DiscretePmf,
     GaussianShiftPair,
-    RenyiOrder,
     hellinger_discrete,
     hellinger_kl_coefficient,
     iid_product_pmf,
@@ -50,18 +49,8 @@ def test_pmf_sum_tolerance():
 def test_pmf_is_frozen():
     p = pmf(0.3, 0.7)
     assert p.support_size == 2
-    assert len(p) == 2
     with pytest.raises(ValueError):
         p.probs[0] = 1.0
-
-
-def test_order_wrapper_matches_float():
-    p, q = pmf(0.9, 0.1), pmf(0.5, 0.5)
-    assert renyi_discrete(p, q, RenyiOrder(1.0)) == renyi_discrete(p, q, 1.0)
-    with pytest.raises(ValueError):
-        RenyiOrder(0.0)
-    with pytest.raises(ValueError):
-        renyi_discrete(p, q, -1.0)
 
 
 # --- Renyi divergence, discrete ---
@@ -94,6 +83,13 @@ def test_renyi_zero_iff_equal(rng):
 def test_renyi_domination_failure_raises():
     with pytest.raises(AbsoluteContinuityError):
         renyi_discrete(pmf(0.5, 0.5), pmf(1.0, 0.0), 1.0)
+
+
+def test_renyi_order_offset_must_be_positive():
+    p, q = pmf(0.9, 0.1), pmf(0.5, 0.5)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="order offset lam"):
+            renyi_discrete(p, q, bad)
 
 
 def test_renyi_zero_in_p_is_fine():

@@ -9,7 +9,6 @@ import pytest
 from conversekit import divergence
 from conversekit.converse import (
     ChannelFamily,
-    optimal_q_discrete,
     optimize_lambda,
     strong_converse_bound,
 )
@@ -179,7 +178,7 @@ def test_sibson_identity_for_qstar(rng):
         fam = random_discrete_family(rng, q_choice="qstar")
         for lam in np.geomspace(1e-6, 10.0, 9):
             lam = float(lam)
-            _, c_norm = optimal_q_discrete(fam.conditionals, lam)
+            c_norm = fam._qstar(lam)[1]
             shortcut = (1.0 + lam) * math.log(c_norm)
             scaled = [lam * d for d in strong_converse_bound(fam, lam).params["divergences"]]
             # the bound needs log S to a few ulps in absolute terms; below
@@ -209,6 +208,6 @@ def test_optimal_q_matches_direct_formula(rng):
         lam = float(rng.uniform(0.1, 3.0))
         mat = np.stack([c.probs for c in fam.conditionals])
         weights = np.mean(mat ** (1.0 + lam), axis=0) ** (1.0 / (1.0 + lam))
-        q, c_norm = optimal_q_discrete(fam.conditionals, lam)
+        q, c_norm = fam.reference_pmf(lam), fam._qstar(lam)[1]
         assert c_norm == pytest.approx(weights.sum(), rel=1e-13, abs=0.0)
         assert np.allclose(q.probs, weights / weights.sum(), rtol=1e-13, atol=0.0)

@@ -338,13 +338,6 @@ def test_density_closed_form_grid():
             )
 
 
-def test_density_values_positive():
-    fam = HypercubeDensityFamily(m=3, c=0.9)
-    tau = [1, -1, 1]
-    for x in np.linspace(0.0, 1.0, 301):
-        assert fam.density_value(tau, float(x)) > 0.0
-
-
 # --- Hellinger distance between hypercube densities ---
 
 

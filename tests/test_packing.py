@@ -8,6 +8,7 @@ import pytest
 
 from conversekit.oracle import CapabilityError, HypercubeDensityFamily, hellinger_sq_distance
 from conversekit.packing import (
+    BinaryCodebook,
     PackingCertificate,
     PackingIncompleteError,
     PackingSet,
@@ -261,11 +262,11 @@ def test_verify_l2_near_ties_inside_screen_slack(rng):
 
 
 def test_verify_pair_loop_cases_match_reference():
-    # scalars, mixed shapes and non-finite entries keep the plain pair loop
+    # scalars as rows of one entry; non-finite or huge l2 entries keep the
+    # plain pair loop
     cases = [
         PackingSet(elements=(3.0, 1.0, 2.5), metric="l2", d_min=0.1),
         PackingSet(elements=(1, 0, 1), metric="hamming", d_min=1.0),
-        PackingSet(elements=(np.zeros(2), np.ones(1), np.ones(2)), metric="l2", d_min=0.5),
         PackingSet(elements=(np.array([np.inf, 0.0]), np.zeros(2), np.array([1.0, 0.0])),
                    metric="l2", d_min=0.5),
         PackingSet(elements=(np.full(2, 1e200), np.zeros(2), np.array([1.0, 0.0])),
@@ -302,6 +303,12 @@ def test_packing_set_validation():
         PackingSet(elements=(1,), metric="hellinger_sq", d_min=1.0)
     with pytest.raises(ValueError):
         PackingSet(elements=(1,), metric="l2", d_min=0.0)
+    # elements of different shapes are not measured by broadcasting
+    with pytest.raises(ValueError, match="one shape"):
+        PackingSet(elements=(np.zeros(2), np.ones(1), np.array([5.0, 5.0])),
+                   metric="l2", d_min=1.0)
+    with pytest.raises(ValueError, match="one shape"):
+        PackingSet(elements=(np.zeros(3), np.ones(5)), metric="hamming", d_min=1.0)
 
 
 def test_hypercube_embedding_respects_hellinger_floor():
@@ -310,16 +317,11 @@ def test_hypercube_embedding_respects_hellinger_floor():
     m, c = 6, 0.1
     fam = HypercubeDensityFamily(m=m, c=c)
     book = gv_greedy(m, 2)
-    taus = tuple(2 * row.astype(np.int64) - 1 for row in book.codewords)
+    taus = [2 * row.astype(np.int64) - 1 for row in book.codewords]
     floor = 0.5 * c * c / (3.0 * m**4)
-    packing = PackingSet(
-        elements=taus,
-        metric="hellinger_sq",
-        d_min=floor,
-        metric_fn=lambda ta, tb: hellinger_sq_distance(fam, ta, tb),
-    )
-    cert = verify_packing(packing)
-    assert cert.passed
+    closest = min(hellinger_sq_distance(fam, ta, tb)
+                  for i, ta in enumerate(taus) for tb in taus[i + 1:])
+    assert closest >= floor
 
 
 # --- sparse random packings ---
@@ -430,6 +432,9 @@ def test_counts_must_be_positive_integers(bad):
         cs_random_packing(32, 3, bad)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         gv_greedy(bad, 1)
+    # a codebook's d_min is a whole number too, not 2.5 kept in an int field
+    with pytest.raises(ValueError, match="d_min must be a positive integer"):
+        BinaryCodebook(m=3, d_min=bad, codewords=np.zeros((1, 3)))
 
 
 def test_sparse_min_sq_distance_is_the_certificate():
