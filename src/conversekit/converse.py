@@ -412,22 +412,17 @@ def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     columns come out NaN and are redone shifted by their top,
     log w = top + (logsumexp((1+lam)(log p - top)) - log M) / (1+lam).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _log_qstar_weights_in_errstate(log_probs, lams)
-
-
-def _log_qstar_weights_in_errstate(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """_log_qstar_weights, for callers that already ignore over and invalid."""
     log_m = math.log(log_probs.shape[0])
     power = 1.0 + lams[:, None]
-    log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
-    overflowed = np.isnan(log_w)  # the columns whose every product overflowed
-    if overflowed.any():
-        at, y = np.nonzero(overflowed)
-        cols = log_probs[:, y].T
-        top = cols.max(axis=1)
-        shifted = power[at] * (cols - top[:, None])
-        log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
+        overflowed = np.isnan(log_w)  # the columns whose every product overflowed
+        if overflowed.any():
+            at, y = np.nonzero(overflowed)
+            cols = log_probs[:, y].T
+            top = cols.max(axis=1)
+            shifted = power[at] * (cols - top[:, None])
+            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
     return log_w
 
 
@@ -443,13 +438,13 @@ def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray
 
     Each w(y) is a power mean of the p_i(y), so at least their mean, and
     C >= 1: the product overflows only to +inf, which is lam D as a float
-    (a vacuous floor).  One errstate covers it and every chunk's weights.
+    (a vacuous floor).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_c = np.concatenate([
-            _logsumexp(_log_qstar_weights_in_errstate(log_probs, lams[sl]))
-            for sl in _order_chunks(lams.size, log_probs.size)
-        ])
+    log_c = np.concatenate([
+        _logsumexp(_log_qstar_weights(log_probs, lams[sl]))
+        for sl in _order_chunks(lams.size, log_probs.size)
+    ])
+    with np.errstate(over="ignore"):
         return (1.0 + lams) * log_c
 
 

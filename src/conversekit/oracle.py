@@ -12,7 +12,8 @@ the integrand and bisects those whose Kronrod and Gauss estimates still
 differ by more than their share of the tolerance.  Refinement stops at a
 minimum panel width or at a cap on the open panels of one interval; panels
 such a stop leaves unconverged are taken as they are, and the call then
-warns with QuadratureWarning.
+warns with QuadratureWarning.  Each integral has one fixed tolerance, stated
+in its docstring.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import GaussianShiftPair, _lam, _positive, _positive_int
+from .divergence import GaussianShiftPair, _lam, _positive_int
 
 __all__ = [
     "MAX_ORACLE_OUTCOMES",
@@ -148,15 +149,15 @@ def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
     return totals
 
 
-def renyi_gaussian_quadrature(pair: GaussianShiftPair, order, rtol=1e-11) -> float:
+def renyi_gaussian_quadrature(pair: GaussianShiftPair, order) -> float:
     """Gaussian-pair Renyi divergence by direct quadrature, no closed form.
 
     Integrates p(y)^(1+lam) q(y)^(-lam) for p = N(mu, sigma_sq),
     q = N(0, sigma_sq), mu = sqrt(shift_sq), over the hull of the three
-    relevant centers 0, mu and (1+lam) mu padded by 40 sigma.
+    relevant centers 0, mu and (1+lam) mu padded by 40 sigma, to a relative
+    tolerance of 1e-11.
     """
     lam = _lam(order)
-    rtol = _positive("rtol", rtol)
     mu = math.sqrt(pair.shift_sq)
     sigma = math.sqrt(pair.sigma_sq)
     log_norm = -0.5 * math.log(2.0 * math.pi * pair.sigma_sq)
@@ -168,54 +169,39 @@ def renyi_gaussian_quadrature(pair: GaussianShiftPair, order, rtol=1e-11) -> flo
     centers = (0.0, mu, (1.0 + lam) * mu)
     lo = min(centers) - 40.0 * sigma
     hi = max(centers) + 40.0 * sigma
-    total = _gk_panels(integrand, lo, hi, 0.0, rtol)[0]
+    total = _gk_panels(integrand, lo, hi, 0.0, 1e-11)[0]
     return math.log(total) / lam
 
 
 # === Piecewise-perturbed densities on [0, 1] ===
 
-_BUMPS = {
-    # tag: (g on [0, 1), integral of g^2, sup |g|)
-    "sin": (lambda u: np.sin(2.0 * np.pi * u), 0.5, 1.0),
-    "double_sin": (lambda u: np.sin(4.0 * np.pi * u), 0.5, 1.0),
-}
+# The bump g(u) = sin(2 pi u) on [0, 1): the integral of g^2, and sup |g|.
+_BUMP_SQ_INTEGRAL = 0.5
+_BUMP_SUP = 1.0
 
 
 @dataclass(frozen=True)
 class HypercubeDensityFamily:
     """Densities f_tau = 1 + sum_j tau_j g_j on [0, 1], tau in {-1, +1}^m.
 
-    g_j(x) = (c / m^2) g(m x - j) on [j/m, (j+1)/m) and zero elsewhere, with a
-    mean-zero bump g.  The bump is chosen by tag; its squared integral a and
-    sup norm are recorded so closed forms can be stated per instance.
+    g_j(x) = (c / m^2) g(m x - j) on [j/m, (j+1)/m) and zero elsewhere, with
+    the mean-zero bump g(u) = sin(2 pi u), whose squared integral is a = 1/2.
     """
 
     m: int
     c: float
-    g_spec: str = "sin"
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int("m", self.m))
         if not (math.isfinite(self.c) and self.c >= 0.0):
             raise ValueError("c must be finite and non-negative")
-        if self.g_spec not in _BUMPS:
-            raise ValueError(f"unknown bump tag {self.g_spec!r}")
-        if self.c * self.bump_sup / self.m**2 >= 1.0:
+        if self.c * _BUMP_SUP / self.m**2 >= 1.0:
             raise ValueError("c sup|g| / m^2 must stay below 1 for positivity")
-
-    @property
-    def bump_sq_integral(self) -> float:
-        """a = integral of g^2 over [0, 1]."""
-        return _BUMPS[self.g_spec][1]
-
-    @property
-    def bump_sup(self) -> float:
-        return _BUMPS[self.g_spec][2]
 
     @property
     def sq_integral_excess(self) -> float:
         """Closed form for integral(f_tau^2) - 1, the same for every tau."""
-        return self.c**2 * self.bump_sq_integral / self.m**4
+        return self.c**2 * _BUMP_SQ_INTEGRAL / self.m**4
 
     def check_tau(self, tau) -> np.ndarray:
         arr = np.asarray(tau, dtype=np.int64).reshape(-1)
@@ -227,18 +213,16 @@ class HypercubeDensityFamily:
 def _cell_bump(family: HypercubeDensityFamily, cells):
     """bump(x, k) = (c / m^2) g(m x - j) at abscissae x in cell j = cells[k]."""
     m = family.m
-    g = _BUMPS[family.g_spec][0]
     scale = family.c / m**2
 
     def bump(x, k):
-        return scale * g(x * m - cells[k])
+        return scale * np.sin(2.0 * np.pi * (x * m - cells[k]))
 
     return bump
 
 
-def density_sq_integral(family: HypercubeDensityFamily, tau, atol=1e-12) -> float:
-    """integral of f_tau^2 over [0, 1] by per-cell adaptive quadrature."""
-    atol = _positive("atol", atol)
+def density_sq_integral(family: HypercubeDensityFamily, tau) -> float:
+    """integral of f_tau^2 over [0, 1] by per-cell adaptive quadrature, to 1e-12 absolute."""
     sign = family.check_tau(tau).astype(float)
     cells = np.arange(family.m)
     bump = _cell_bump(family, cells)
@@ -248,16 +232,15 @@ def density_sq_integral(family: HypercubeDensityFamily, tau, atol=1e-12) -> floa
         return val * val
 
     m = family.m
-    return float(_gk_panels(f_sq, cells / m, (cells + 1) / m, atol, 0.0).sum())
+    return float(_gk_panels(f_sq, cells / m, (cells + 1) / m, 1e-12, 0.0).sum())
 
 
-def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-13) -> float:
-    """integral of (sqrt(f_a) - sqrt(f_b))^2, cell by cell.
+def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b) -> float:
+    """integral of (sqrt(f_a) - sqrt(f_b))^2, cell by cell, to 1e-13 absolute.
 
     Cells where the sign vectors agree contribute exactly zero and are
     skipped, which also keeps the result symmetric in its arguments.
     """
-    atol = _positive("atol", atol)
     sa = family.check_tau(tau_a).astype(float)
     sb = family.check_tau(tau_b).astype(float)
     cells = np.flatnonzero(sa != sb)
@@ -270,4 +253,4 @@ def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b, atol=1e-
         return diff * diff
 
     m = family.m
-    return float(_gk_panels(gap_sq, cells / m, (cells + 1) / m, atol, 0.0).sum())
+    return float(_gk_panels(gap_sq, cells / m, (cells + 1) / m, 1e-13, 0.0).sum())

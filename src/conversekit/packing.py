@@ -95,18 +95,19 @@ class BinaryCodebook:
     codewords: np.ndarray  # shape (M, m), entries in {0, 1}
 
     def __post_init__(self):
-        bits = np.asarray(self.codewords, dtype=np.uint8)
-        if bits.ndim != 2 or bits.shape[1] != self.m:
+        raw = np.asarray(self.codewords)
+        if raw.ndim != 2 or raw.shape[1] != self.m:
             raise ValueError("codewords must be an (M, m) bit array")
-        if bits.shape[0] < 1:
+        if raw.shape[0] < 1:
             raise ValueError("codebook must hold at least one codeword")
-        if np.any(bits > 1):
+        # checked before the cast to uint8, which would truncate 0.5 or 1.7 to a bit
+        if not np.array_equal(raw, raw.astype(bool)):
             raise ValueError("codeword entries must be bits")
         d_min = _positive_int("d_min", self.d_min)
         if d_min > self.m:
             raise ValueError("d_min must lie in [1, m]")
         object.__setattr__(self, "d_min", d_min)
-        bits = bits.copy()
+        bits = raw.astype(np.uint8)
         bits.setflags(write=False)
         object.__setattr__(self, "codewords", bits)
 
@@ -136,12 +137,14 @@ class SparsePacking:
     vectors: np.ndarray  # shape (M, n)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _positive_int("n", self.n))
+        object.__setattr__(self, "k", _positive_int("k", self.k))
         vecs = np.asarray(self.vectors, dtype=np.float64)
         if vecs.ndim != 2 or vecs.shape[1] != self.n:
             raise ValueError("vectors must be an (M, n) array")
         if vecs.shape[0] < 1:
             raise ValueError("packing must hold at least one vector")
-        if not 1 <= self.k <= self.n:
+        if self.k > self.n:
             raise ValueError("need 1 <= k <= n")
         norms = np.linalg.norm(vecs, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
@@ -187,7 +190,11 @@ def _isotropy_deviation(vecs: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PackingSet:
-    """Elements of one shape, claimed pairwise >= d_min apart under hamming or l2."""
+    """Elements of one shape, claimed pairwise >= d_min apart under hamming or l2.
+
+    l2 elements must be finite: a NaN entry, or inf - inf, makes a distance
+    NaN, which compares below nothing, so a certificate would skip that pair.
+    """
 
     elements: tuple
     metric: str
@@ -201,6 +208,8 @@ class PackingSet:
             raise ValueError("packing elements must all have one shape")
         if self.metric not in METRIC_TAGS:
             raise ValueError(f"metric must be one of {METRIC_TAGS}")
+        if self.metric == "l2" and not np.all(np.isfinite(np.asarray(self.elements, float))):
+            raise ValueError("l2 packing elements must be finite")
         _positive("d_min", self.d_min)
 
     def distance(self, i: int, j: int) -> float:
@@ -258,8 +267,8 @@ def _first_min_pair(packing: PackingSet, pairs) -> tuple[float, tuple | None]:
 def _element_rows(packing: PackingSet) -> np.ndarray | None:
     """Elements as one (M, dim) array, or None when only the pair loop applies.
 
-    That is the case under l2 for non-finite entries or squared norms within
-    a factor 4 of overflow, where the Gram screen would meet inf - inf.
+    That is the case under l2 for squared norms within a factor 4 of
+    overflow, where the Gram screen would meet inf - inf.
     """
     rows = np.asarray(packing.elements)
     rows = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
@@ -387,9 +396,11 @@ def cs_random_packing(
     with PackingIncompleteError (carrying the best partial packing) when the
     attempt budget runs out.
     """
+    n = _positive_int("n", n)
     if n > MAX_SPARSE_DIM:
         raise CapabilityError(f"n = {n} exceeds sampler cap {MAX_SPARSE_DIM}")
-    if not 1 <= k <= n:
+    k = _positive_int("k", k)
+    if k > n:
         raise ValueError("need 1 <= k <= n")
     m_target = _positive_int("m_target", m_target)
     if max_attempts is None:

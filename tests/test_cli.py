@@ -253,16 +253,31 @@ def test_package_root_exports_every_module_name():
     assert len(conversekit.__all__) == len(set(conversekit.__all__))
 
 
-def test_every_public_name_has_a_non_test_caller():
-    # a public name, or a public method of an exported class, that only its
-    # own tests reach is code nothing runs
+def _program_trees():
+    """The package modules but __init__.py, their exports, and the parsed program.
+
+    The program is those modules and perfbench/*.py: what runs outside the tests.
+    """
     root = os.path.join(os.path.dirname(__file__), "..")
-    modules = [path for path in glob.glob(os.path.join(root, "src", "conversekit", "*.py"))
-               if os.path.basename(path) != "__init__.py"]
+    modules = sorted(path for path in glob.glob(os.path.join(root, "src", "conversekit", "*.py"))
+                     if os.path.basename(path) != "__init__.py")
+    exports = {
+        path: getattr(
+            importlib.import_module("conversekit." + os.path.basename(path)[:-3]), "__all__", ()
+        )
+        for path in modules
+    }
     trees = {}
     for path in modules + glob.glob(os.path.join(root, "perfbench", "*.py")):
         with open(path, encoding="utf-8") as fh:
             trees[path] = ast.parse(fh.read())
+    return exports, trees
+
+
+def test_every_public_name_has_a_non_test_caller():
+    # a public name, or a public method of an exported class, that only its
+    # own tests reach is code nothing runs
+    exports, trees = _program_trees()
     words, attributes, names = set(), set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -278,10 +293,7 @@ def test_every_public_name_has_a_non_test_caller():
     referenced = names | attributes | words
     member_referenced = attributes | words  # a method is reached through an attribute
     unreached = []
-    for path in sorted(modules):
-        exported = getattr(
-            importlib.import_module("conversekit." + os.path.basename(path)[:-3]), "__all__", ()
-        )
+    for path, exported in exports.items():
         unreached += [name for name in exported if name not in referenced]
         unreached += [
             f"{cls.name}.{member.name}"
@@ -293,6 +305,79 @@ def test_every_public_name_has_a_non_test_caller():
             and member.name not in member_referenced
         ]
     assert not unreached, unreached
+
+
+# Defaulted parameters only tests set, kept on purpose.
+TEST_ONLY_PARAMETERS = {
+    # ROADMAP item 2 extends the order search to lam_hi = inf
+    "optimize_lambda.lam_lo",
+    "optimize_lambda.lam_hi",
+    # the only way to reach the failure path and its memory bound in bounded time
+    "cs_random_packing.max_attempts",
+}
+
+
+def _defaulted_parameters(fn, bound):
+    """(name, index among a call's positional arguments or None) per defaulted parameter.
+
+    bound is 1 for a method, whose calls do not pass self, and 0 for a function.
+    """
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first)
+    yield from (
+        (arg.arg, None)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    )
+
+
+def _callee(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_has_a_non_test_setter():
+    # a default no program call overrides is a constant with an option's cost
+    exports, trees = _program_trees()
+    params = []
+    for path, exported in exports.items():
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                params += [(node.name, *p) for p in _defaulted_parameters(node, 0)]
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                params += [
+                    (member.name, *p)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                    for p in _defaulted_parameters(member, 1)
+                ]
+    passed, keys = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                # f(...) itself, and the f in g(..., f, *args) that forwards
+                # args to f, as perfbench's tr.call(name, fn, *args) does
+                calls = [(_callee(node.func), node.args, node.keywords)]
+                calls += [(_callee(arg), node.args[i + 1:], ()) for i, arg in enumerate(node.args)]
+                for callee, args, keywords in calls:
+                    passed.update((callee, kw.arg) for kw in keywords)
+                    for i, arg in enumerate(args):
+                        if isinstance(arg, ast.Starred):
+                            break
+                        passed.add((callee, i))
+            elif isinstance(node, ast.Dict):
+                keys.update(k.value for k in node.keys if isinstance(k, ast.Constant))
+                keys.update(v.value for v in node.values if isinstance(v, ast.Constant))
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                keys.add(node.slice.value)
+    unset = {
+        f"{fn}.{name}"
+        for fn, name, index in params
+        if (fn, name) not in passed and (fn, index) not in passed and name not in keys
+    }
+    assert unset == TEST_ONLY_PARAMETERS, sorted(unset ^ TEST_ONLY_PARAMETERS)
 
 
 # --- exit codes ---
@@ -577,6 +662,17 @@ def test_verify_without_seed_uses_suite_default(capsys):
         capsys, ["verify", "fano-recovery", "--count", "4", "--seed", str(default)]
     )
     assert code == 0 and implicit == explicit
+
+
+def test_verify_fano_recovery_counts_vacuous_fixed_order_checks(capsys):
+    # every fixed-order check of this draw is vacuous; the note says so before
+    # the summary, whose record count leaves them out
+    code, out, _ = run_cli(capsys, ["verify", "fano-recovery", "--count", "4"])
+    assert code == 0
+    assert out.splitlines() == [
+        "fixed-order: 12 of 12 checks vacuous (non-positive denominator), not recorded",
+        "fano-recovery: 16 checks, 0 failures, worst margin 1.827e-01 [ok]",
+    ]
 
 
 def test_verify_packing_half_gv_flags_exits_2(capsys):

@@ -262,19 +262,21 @@ def test_verify_l2_near_ties_inside_screen_slack(rng):
 
 
 def test_verify_pair_loop_cases_match_reference():
-    # scalars as rows of one entry; non-finite or huge l2 entries keep the
-    # plain pair loop
+    # scalars as rows of one entry; huge l2 entries keep the plain pair loop
     cases = [
         PackingSet(elements=(3.0, 1.0, 2.5), metric="l2", d_min=0.1),
         PackingSet(elements=(1, 0, 1), metric="hamming", d_min=1.0),
-        PackingSet(elements=(np.array([np.inf, 0.0]), np.zeros(2), np.array([1.0, 0.0])),
-                   metric="l2", d_min=0.5),
         PackingSet(elements=(np.full(2, 1e200), np.zeros(2), np.array([1.0, 0.0])),
                    metric="l2", d_min=0.5),
     ]
     with np.errstate(over="ignore"):
         for pset in cases:
             _same_certificate(pset)
+    # a NaN distance compares below nothing, so these would pass unmeasured
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PackingSet(elements=(np.array([bad, 0.0]), np.zeros(2), np.array([1.0, 0.0])),
+                       metric="l2", d_min=0.5)
 
 
 def test_verify_packing_memory_is_block_bounded():
@@ -309,6 +311,10 @@ def test_packing_set_validation():
                    metric="l2", d_min=1.0)
     with pytest.raises(ValueError, match="one shape"):
         PackingSet(elements=(np.zeros(3), np.ones(5)), metric="hamming", d_min=1.0)
+    # codeword entries are checked before the cast, not truncated to bits
+    for bad in ([[0.5, 1.7]], [[0, 2]], [[-1, 0]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="bits"):
+            BinaryCodebook(m=2, d_min=1, codewords=np.array(bad))
 
 
 def test_hypercube_embedding_respects_hellinger_floor():
@@ -430,6 +436,15 @@ def test_counts_must_be_positive_integers(bad):
     # ValueError, not the TypeError or OverflowError of the arithmetic on them
     with pytest.raises(ValueError, match="m_target must be a positive integer"):
         cs_random_packing(32, 3, bad)
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        cs_random_packing(bad, 2, 4)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        cs_random_packing(64, bad, 4)
+    # nor is a sparse packing's n or k kept fractional in an int field
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        SparsePacking(n=bad, k=1, vectors=np.eye(4)[:1])
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        SparsePacking(n=4, k=bad, vectors=np.eye(4)[:1])
     with pytest.raises(ValueError, match="m must be a positive integer"):
         gv_greedy(bad, 1)
     # a codebook's d_min is a whole number too, not 2.5 kept in an int field
