@@ -299,6 +299,8 @@ def cmd_verify(args: argparse.Namespace, argv: list) -> int:
     if args.count is not None:
         if count_param is None:
             raise ConfigError(f"verify {args.suite} takes no --count")
+        if args.count < 1:
+            raise ConfigError("--count must be at least 1")
         kwargs[count_param] = args.count
     gv_flags = [flag for flag, v in (("--m", args.m), ("--dmin", args.dmin)) if v is not None]
     if gv_flags and args.suite != "packing":

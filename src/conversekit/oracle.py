@@ -204,10 +204,11 @@ class HypercubeDensityFamily:
         return self.c**2 * _BUMP_SQ_INTEGRAL / self.m**4
 
     def check_tau(self, tau) -> np.ndarray:
-        arr = np.asarray(tau, dtype=np.int64).reshape(-1)
-        if arr.shape != (self.m,) or np.any(np.abs(arr) != 1):
+        # checked before the cast to int64, which would truncate 1.5 or -1.9 to a sign
+        arr = np.asarray(tau, dtype=np.float64).reshape(-1)
+        if arr.shape != (self.m,) or not np.all(np.abs(arr) == 1.0):
             raise ValueError("tau must be a vector of m entries in {-1, +1}")
-        return arr
+        return arr.astype(np.int64)
 
 
 def _cell_bump(family: HypercubeDensityFamily, cells):

@@ -9,15 +9,16 @@ construction; a `BinaryCodebook`'s d_min is a claim its caller certifies.
   its Hamming ball c ^ {words of weight < d_min} in one numpy store, and a
   candidate is kept iff it is not banned: the greedy rule, in candidate
   order, with no distance computed.
-- `verify_packing` compares the elements, which share one shape, as the
-  rows of one array, in row blocks of at most 2^20 elements
+- A `PackingSet` holds its elements as the rows of one read-only array.
+  `verify_packing` compares them in row blocks of at most 2^20 elements
   (`_PAIR_BLOCK_ELEMENTS`) or one row, so its memory stays bounded on large
   codes.  Hamming distances are exact integer counts, so the first
   lexicographic minimum is read off directly.  For l2 the Gram form
   |a|^2 + |b|^2 - 2 a.b screens every pair, and only pairs within a rounding
   slack of the screened minimum are measured again with
   `PackingSet.distance`, in (i, j) order, so the certificate is the one the
-  plain pair loop gives.  l2 rows the Gram form cannot screen take that loop.
+  plain pair loop gives.  Screen and distance both scale by a power of two
+  (Blue's norm): no overflow or underflow where the true distance is a float.
 - `cs_random_packing` tests a candidate x with support S against the
   accepted rows a by the gaps |a|^2 + |x|^2 - 2 a[S].x, O(M k) per
   candidate instead of a dense O(M n) difference row, and keeps the rows
@@ -117,7 +118,7 @@ class BinaryCodebook:
 
     def to_packing_set(self) -> "PackingSet":
         return PackingSet(
-            elements=tuple(self.codewords),
+            elements=self.codewords,
             metric="hamming",
             d_min=float(self.d_min),
         )
@@ -169,7 +170,7 @@ class SparsePacking:
 
     def to_packing_set(self) -> "PackingSet":
         return PackingSet(
-            elements=tuple(self.vectors),
+            elements=self.vectors,
             metric="l2",
             d_min=math.sqrt(SPARSE_MIN_SQ_DIST),
         )
@@ -192,31 +193,53 @@ def _isotropy_deviation(vecs: np.ndarray) -> float:
 class PackingSet:
     """Elements of one shape, claimed pairwise >= d_min apart under hamming or l2.
 
-    l2 elements must be finite: a NaN entry, or inf - inf, makes a distance
-    NaN, which compares below nothing, so a certificate would skip that pair.
+    `elements` is one read-only (M, dim) array of the flattened elements.
+    l2 rows are float64 and must be finite: a NaN distance compares below
+    nothing, so a certificate would skip its pair.  An l2 distance is the
+    norm of the difference scaled by a power of two, inf only where the
+    true distance is too.
     """
 
-    elements: tuple
+    elements: np.ndarray
     metric: str
     d_min: float
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+        try:
+            rows = np.array(self.elements)
+        except ValueError:
+            raise ValueError("packing elements must all have one shape") from None
+        if rows.ndim == 0 or len(rows) == 0:
             raise ValueError("packing set must hold at least one element")
-        if len({np.shape(e) for e in self.elements}) != 1:
-            raise ValueError("packing elements must all have one shape")
         if self.metric not in METRIC_TAGS:
             raise ValueError(f"metric must be one of {METRIC_TAGS}")
-        if self.metric == "l2" and not np.all(np.isfinite(np.asarray(self.elements, float))):
-            raise ValueError("l2 packing elements must be finite")
+        rows = rows.reshape(len(rows), math.prod(rows.shape[1:]))
+        if self.metric == "l2":
+            rows = rows.astype(np.float64, copy=False)
+            if not np.all(np.isfinite(rows)):
+                raise ValueError("l2 packing elements must be finite")
+        rows.setflags(write=False)
+        object.__setattr__(self, "elements", rows)
         _positive("d_min", self.d_min)
 
     def distance(self, i: int, j: int) -> float:
         a, b = self.elements[i], self.elements[j]
         if self.metric == "hamming":
-            return float(np.sum(np.asarray(a) != np.asarray(b)))
-        return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+            return float(np.sum(a != b))
+        # a difference or distance past the float maximum is inf, as is the true distance
+        with np.errstate(over="ignore"):
+            diff, exp = _pow2_scaled(a - b)
+            return float(np.ldexp(np.sqrt(diff.dot(diff)), exp))
+
+
+def _pow2_scaled(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rows * 2^-exp, exp) with the largest |entry| in [1/2, 1) (Blue, ACM TOMS 1978).
+
+    Exact: a square or dot product keeps its bits wherever it did not
+    overflow or underflow unscaled.
+    """
+    exp = math.frexp(float(np.abs(rows).max(initial=0.0)))[1]
+    return np.ldexp(rows, -exp), exp
 
 
 @dataclass(frozen=True)
@@ -235,48 +258,19 @@ def verify_packing(packing: PackingSet) -> PackingCertificate:
     Ties at the minimum go to the first pair (i, j), i < j, in lexicographic
     order.
     """
-    size = len(packing.elements)
-    if size == 1:
+    rows = packing.elements
+    if len(rows) == 1:
         return PackingCertificate(math.inf, None, True)
-    rows = _element_rows(packing)
-    if rows is None:
-        pairs = ((i, j) for i in range(size) for j in range(i + 1, size))
-        best, pair = _first_min_pair(packing, pairs)
-    elif packing.metric == "hamming":
+    if packing.metric == "hamming":
         best, pair = _hamming_min_pair(rows)
     else:
-        best, pair = _first_min_pair(packing, _l2_screened_pairs(rows))
+        # a tie compares the pairs, which come in (i, j) order: the first wins
+        best, pair = min((packing.distance(i, j), (i, j)) for i, j in _l2_screened_pairs(rows))
     return PackingCertificate(best, pair, best >= packing.d_min)
 
 
 # Row blocks of the pairwise-distance pass hold at most this many elements.
 _PAIR_BLOCK_ELEMENTS = 1 << 20
-
-
-def _first_min_pair(packing: PackingSet, pairs) -> tuple[float, tuple | None]:
-    """Scan pairs in order with PackingSet.distance; the first strict minimum wins."""
-    best = math.inf
-    pair = None
-    for i, j in pairs:
-        d = packing.distance(i, j)
-        if d < best:
-            best, pair = d, (i, j)
-    return best, pair
-
-
-def _element_rows(packing: PackingSet) -> np.ndarray | None:
-    """Elements as one (M, dim) array, or None when only the pair loop applies.
-
-    That is the case under l2 for squared norms within a factor 4 of
-    overflow, where the Gram screen would meet inf - inf.
-    """
-    rows = np.asarray(packing.elements)
-    rows = rows.reshape(rows.shape[0], math.prod(rows.shape[1:]))
-    if packing.metric == "l2":
-        rows = rows.astype(np.float64)
-        if not np.isfinite(4.0 * np.einsum("ij,ij->i", rows, rows).max()):
-            return None
-    return rows
 
 
 def _row_blocks(size: int, per_row: int):
@@ -302,13 +296,14 @@ def _hamming_min_pair(rows: np.ndarray) -> tuple[float, tuple | None]:
 def _l2_screened_pairs(rows: np.ndarray) -> list[tuple[int, int]]:
     """Pairs, in (i, j) order, whose squared distance may be the exact minimum.
 
-    The Gram form |a|^2 + |b|^2 - 2 a.b screens all pairs; its rounding error
-    and that of the per-pair dot product and square root PackingSet.distance
-    takes come to less than (8 dim + 30) eps times the largest squared norm
-    in all (plus a few subnormal spacings per term, for underflow), so a
-    slack of 16 (dim + 4) (eps max|a|^2 + tiny) above the screened minimum
-    keeps every pair the exact scan could pick.
+    The Gram form |a|^2 + |b|^2 - 2 a.b of the _pow2_scaled rows screens all
+    pairs; its rounding error and that of the per-pair dot product and square
+    root PackingSet.distance takes come to less than (8 dim + 30) eps times
+    the largest squared norm in all (plus a few subnormal spacings per term,
+    for underflow), so a slack of 16 (dim + 4) (eps max|a|^2 + tiny) above
+    the screened minimum keeps every pair the exact scan could pick.
     """
+    rows = _pow2_scaled(rows)[0]
     size, dim = rows.shape
     sq_norms = np.einsum("ij,ij->i", rows, rows)
     eps = np.finfo(np.float64)

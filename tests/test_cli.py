@@ -13,8 +13,6 @@ import shlex
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 import conversekit
 from conversekit import applications, converse, divergence, oracle, packing
 from conversekit.applications import ActiveConfig, CsConfig, DensityConfig, compute_bounds
@@ -60,8 +58,13 @@ CS_EXAMPLE = [
 
 @pytest.fixture(scope="module")
 def report_schema():
+    """A validator of the report schema; without jsonschema only its users skip."""
+    jsonschema = pytest.importorskip("jsonschema")
     with open(os.path.abspath(SCHEMA_PATH), encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema)
 
 
 def run_cli(capsys, argv):
@@ -84,7 +87,7 @@ def test_bound_density_stdout_json(capsys, report_schema):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert sorted(payload) == ["manifest", "report"]
-    jsonschema.validate(payload["report"], report_schema)
+    report_schema.validate(payload["report"])
     assert payload["report"]["app"] == "density"
     assert payload["report"]["strong"]["eps_lower"] == pytest.approx(
         0.9955225053120399, rel=1e-15
@@ -99,7 +102,7 @@ def test_bound_cs_example_matches_library(capsys, report_schema):
     code, out, _ = run_cli(capsys, CS_EXAMPLE)
     assert code == 0
     report = json.loads(out)["report"]
-    jsonschema.validate(report, report_schema)
+    report_schema.validate(report)
     assert report["strong"]["eps_lower"] == pytest.approx(0.19909791813834565, rel=1e-15)
     assert report["ratio"] == pytest.approx(1.4461491418620422, rel=1e-15)
     cfg = CsConfig(
@@ -116,7 +119,7 @@ def test_bound_active_non_finite_serializes_null(capsys, report_schema):
     )
     assert code == 0
     report = json.loads(out)["report"]
-    jsonschema.validate(report, report_schema)
+    report_schema.validate(report)
     assert report["strong"]["eps_raw"] is None  # -inf renders as null
     assert report["strong"]["eps_lower"] == 0.0
 
@@ -646,6 +649,15 @@ def test_verify_packing_rejects_count(capsys):
     code, out, err = run_cli(capsys, ["verify", "packing", "--count", "5"])
     assert code == 2 and out == ""
     assert "--count" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_count_below_one(capsys, count):
+    # a suite of no checks is a configuration error (exit 2), not a failed suite (exit 1)
+    for suite in ("soundness", "divergence", "fano-recovery"):
+        code, out, err = run_cli(capsys, ["verify", suite, "--count", count])
+        assert code == 2 and out == ""
+        assert err == "error: --count must be at least 1\n"
 
 
 def test_verify_divergence_rejects_gv_flags(capsys):

@@ -274,6 +274,17 @@ def test_density_family_validation():
         fam.check_tau([1, 1, 0, 1])  # not a sign
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.9, 0.5, math.nan])
+def test_check_tau_rejects_non_signs_before_the_cast(bad):
+    # an int64 cast first would read 1.5 as +1 and -1.9 as -1
+    fam = HypercubeDensityFamily(m=2, c=0.5)
+    with pytest.raises(ValueError, match="tau must be"):
+        fam.check_tau([bad, -1.0])
+    with pytest.raises(ValueError, match="tau must be"):
+        hellinger_sq_distance(fam, [bad, -1.0], [1, -1])
+    assert fam.check_tau([1.0, -1.0]).tolist() == [1, -1]
+
+
 @pytest.mark.parametrize("bad", [0, 2.5, math.inf, math.nan])
 def test_counts_must_be_positive_integers(bad):
     # a fractional count must not be truncated (2.5 cells running as 2)

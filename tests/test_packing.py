@@ -230,7 +230,7 @@ def test_verify_l2_matches_pair_loop():
         packing = cs_random_packing(64, 4, 16, seed=seed)
         pset = packing.to_packing_set()
         _same_certificate(pset)
-        _same_certificate(PackingSet(elements=pset.elements + pset.elements[3:5],
+        _same_certificate(PackingSet(elements=np.concatenate((pset.elements, pset.elements[3:5])),
                                      metric="l2", d_min=pset.d_min))
     for seed in range(3):
         _same_certificate(cs_random_packing(256, 4, 64, seed=seed).to_packing_set())
@@ -262,21 +262,54 @@ def test_verify_l2_near_ties_inside_screen_slack(rng):
 
 
 def test_verify_pair_loop_cases_match_reference():
-    # scalars as rows of one entry; huge l2 entries keep the plain pair loop
+    # scalars as rows of one entry; huge l2 entries are screened scaled
     cases = [
         PackingSet(elements=(3.0, 1.0, 2.5), metric="l2", d_min=0.1),
         PackingSet(elements=(1, 0, 1), metric="hamming", d_min=1.0),
         PackingSet(elements=(np.full(2, 1e200), np.zeros(2), np.array([1.0, 0.0])),
                    metric="l2", d_min=0.5),
     ]
-    with np.errstate(over="ignore"):
-        for pset in cases:
-            _same_certificate(pset)
+    for pset in cases:
+        _same_certificate(pset)
     # a NaN distance compares below nothing, so these would pass unmeasured
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             PackingSet(elements=(np.array([bad, 0.0]), np.zeros(2), np.array([1.0, 0.0])),
                        metric="l2", d_min=0.5)
+
+
+def test_verify_l2_scaled_past_overflow_and_underflow():
+    # squares past the float maximum: the unscaled norm overflowed to inf and
+    # the false claim passed
+    huge = PackingSet(elements=(np.array([1e200, 0.0]), np.array([0.0, 1e200])),
+                      metric="l2", d_min=1e250)
+    cert = verify_packing(huge)
+    assert not cert.passed and cert.argmin_pair == (0, 1)
+    assert cert.min_distance == pytest.approx(math.hypot(1e200, 1e200), rel=1e-15)
+    # squares below the smallest float: the unscaled distance underflowed to 0
+    tiny = PackingSet(elements=(np.zeros(2), np.array([1e-200, 0.0])), metric="l2", d_min=1e-201)
+    assert verify_packing(tiny) == PackingCertificate(1e-200, (0, 1), True)
+    # a true distance above the float maximum is inf, with its pair named
+    beyond = PackingSet(elements=((1.7e308,), (-1.7e308,)), metric="l2", d_min=1.0)
+    assert beyond.distance(0, 1) == math.inf
+    assert verify_packing(beyond) == PackingCertificate(math.inf, (0, 1), True)
+
+
+def test_packing_set_holds_one_read_only_array():
+    book = gv_greedy(8, 3)
+    sparse = cs_random_packing(64, 4, 16, seed=0)
+    for pset, source in ((book.to_packing_set(), book.codewords),
+                         (sparse.to_packing_set(), sparse.vectors)):
+        assert isinstance(pset.elements, np.ndarray) and not pset.elements.flags.writeable
+        assert np.array_equal(pset.elements, source)
+    # scalars are rows of one entry; l2 rows are float64
+    scalars = PackingSet(elements=(3, 1, 2), metric="l2", d_min=0.5)
+    assert scalars.elements.shape == (3, 1) and scalars.elements.dtype == np.float64
+    # the caller's array is copied, neither frozen nor aliased
+    rows = np.eye(3)
+    pset = PackingSet(elements=rows, metric="l2", d_min=1.0)
+    rows[0, 0] = 5.0
+    assert rows.flags.writeable and pset.elements[0, 0] == 1.0
 
 
 def test_verify_packing_memory_is_block_bounded():
