@@ -13,16 +13,24 @@ footing.
 On first use a ChannelFamily builds its conditionals once as matrices
 (see `divergence._PmfRows`) restricted to their joint support, plus, for
 the order-free references (uniform, mixture, an explicit pmf), the
-reference, log Q and the rows Q fails to dominate; it keeps them.  The
-terms lam D_i then come from the one log-space kernel
-`divergence._renyi_log_sums`, for a whole axis of orders per call, in
-chunks that bound its memory; q*, which moves with the order, takes one
-call per order.  q* itself (`reference_pmf`) and its normalizer C come
-from the same kept rows.  For q* no divergence is needed for S itself:
-with C the normalizer of q*, S = C^(1+lam) (Sibson's alpha-mutual
-information; Sibson 1969, Verdu 2015), which `optimize_lambda` and
-`variational_bound` use.
+reference, the log ratio r = log p_i - log Q the kernel reads, and the
+rows Q fails to dominate; it keeps them.  The terms lam D_i then come from
+the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
+orders per call, in chunks that bound its memory; for q*, which moves with
+the order, each order forms its own r from q* at that order.  q* itself
+(`reference_pmf`) and its normalizer C come from the same kept rows, by
+`_log_qstar` for one order and `_log_qstar_weights` for a batch.  For q*
+no divergence is needed for S itself: with C the normalizer of q*,
+S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
+2015), which `optimize_lambda` and `variational_bound` use.
 `strong_converse_bound` still reports every D_i, from the same kernel.
+
+The one-order callers (`strong_converse_bound`, `ChannelFamily.divergences`,
+`variational_bound` and the probe and golden-section steps of
+`optimize_lambda`) take the same arithmetic without the order axis: one
+kernel chunk, the 1-D form of `_log_mean_exp`, `_log_qstar`, and lam
+checked once per public call.  They give the bits of the same order
+evaluated inside a batch.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .divergence import (
     _lam,
     _log_or_neg_inf,
     _logsumexp,
-    _order_chunks,
+    _order_step,
     _PmfRows,
     _positive,
     _positive_int,
@@ -82,7 +90,7 @@ class _FamilyArrays(NamedTuple):
     rows: _PmfRows
     joint: np.ndarray  # outcomes some conditional puts mass on; rows keep only these
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
-    log_q: np.ndarray | None = None
+    log_ratio: np.ndarray | None = None  # r = log p_i - log Q, the kernel's input
     undominated: np.ndarray | None = None  # rows with mass where Q = 0
 
 
@@ -116,8 +124,9 @@ class ChannelFamily:
 
         Outcomes no conditional puts mass on add nothing to any Renyi sum,
         so the rows keep only the joint support.  For an order-free
-        reference also keep log Q there (0 stands in where Q = 0) and the
-        rows Q fails to dominate; q* is rebuilt per order from the rows.
+        reference also keep r = log p_i - log Q there (log Q = 0 stands in
+        where Q = 0), so no call repeats that subtraction, and the rows Q
+        fails to dominate; q* is rebuilt per order from the rows.
         """
         mat = np.stack([c.probs for c in self.conditionals])
         joint = np.any(mat > 0.0, axis=0)
@@ -136,7 +145,9 @@ class ChannelFamily:
             ref = mixture_pmf(self.conditionals)
         q = ref.probs[joint]
         undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
-        return _FamilyArrays(rows, joint, ref, np.log(np.where(q > 0.0, q, 1.0)), undominated)
+        log_ratio = rows.log_probs - np.log(np.where(q > 0.0, q, 1.0))
+        log_ratio.setflags(write=False)
+        return _FamilyArrays(rows, joint, ref, log_ratio, undominated)
 
     @property
     def m_codewords(self) -> int:
@@ -156,10 +167,10 @@ class ChannelFamily:
     def _qstar(self, lam: float) -> tuple[np.ndarray, float]:
         """q* at order offset lam on the full alphabet, with its normalizer C."""
         arrays = self._arrays
-        log_q, log_c = _log_qstar(arrays.rows.log_probs, np.array([lam]))
+        log_q, log_c = _log_qstar(arrays.rows.log_probs, lam)
         q = np.zeros(arrays.joint.size)
-        q[arrays.joint] = np.exp(log_q[0])
-        return q, math.exp(log_c[0])
+        q[arrays.joint] = np.exp(log_q)
+        return q, math.exp(log_c)
 
     def _dominated(self) -> bool:
         """Whether Q dominates every conditional; q* does.
@@ -179,12 +190,14 @@ class ChannelFamily:
     def _scaled_divergences(self, lams: np.ndarray) -> np.ndarray:
         """lam D_i for each order in lams and each codeword, shape (L, M)."""
         arrays = self._arrays
+        rows = arrays.rows
         if arrays.ref is None:  # q* moves with the order: one kernel call per order
             return np.concatenate([
-                _renyi_log_sums(arrays.rows, _log_qstar(arrays.rows.log_probs, lam)[0][0], lam)
-                for lam in (lams[i:i + 1] for i in range(lams.size))
+                _renyi_log_sums(rows, rows.log_probs - _log_qstar(rows.log_probs, lam)[0],
+                                lams[i:i + 1])
+                for i, lam in enumerate(lams.tolist())
             ])
-        out = _renyi_log_sums(arrays.rows, arrays.log_q, lams)
+        out = _renyi_log_sums(rows, arrays.log_ratio, lams)
         if arrays.undominated.size:
             out[:, arrays.undominated] = math.inf
         return out
@@ -192,10 +205,17 @@ class ChannelFamily:
     def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
         """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
 
-        For q* this is (1+lam) log C from the normalizer alone.
+        For q* this is (1+lam) log C from the normalizer alone.  One order
+        takes the one-order forms, `_log_qstar` and the 1-D `_log_mean_exp`.
         """
+        log_probs = self._arrays.rows.log_probs
+        if lams.size == 1:
+            lam = float(lams[0])
+            if self.q_choice == "qstar":
+                return np.array([(1.0 + lam) * _log_qstar(log_probs, lam)[1]])
+            return np.array([_log_mean_exp(self._scaled_divergences(lams)[0])])
         if self.q_choice == "qstar":
-            return _log_qstar_mean_terms(self._arrays.rows.log_probs, lams)
+            return _log_qstar_mean_terms(log_probs, lams)
         return _log_mean_exp(self._scaled_divergences(lams))
 
 
@@ -235,12 +255,21 @@ def _clamp_eps(raw: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _log_mean_exp(values):
-    """log((1/n) sum_i exp(v_i)) over the last axis, tolerating +inf entries."""
-    arr = np.asarray(values, dtype=np.float64)
-    top = arr.max(axis=-1, keepdims=True)
-    top[np.isinf(top)] = 0.0  # a row holding +inf comes out +inf
-    return top[..., 0] + np.log(np.exp(arr - top).sum(axis=-1) / arr.shape[-1])
+def _log_mean_exp(values: np.ndarray):
+    """log((1/n) sum_i exp(v_i)) over the last axis of a 1-D or 2-D array.
+
+    A row holding +inf gives +inf without an exp, which its finite entries
+    above ~709 would overflow.  A 1-D array gives a float.
+    """
+    if values.ndim == 1:
+        top = values.max()
+        if top == math.inf:
+            return math.inf
+        return float(top + np.log(np.exp(values - top).sum() / values.size))
+    top = values.max(axis=-1, keepdims=True)
+    shifted = np.zeros_like(values)  # rows whose top is +inf keep 0 here
+    np.subtract(values, top, out=shifted, where=top < math.inf)
+    return top[:, 0] + np.log(np.exp(shifted).sum(axis=-1) / values.shape[-1])
 
 
 def _exp_or_inf(x: float) -> float:
@@ -259,7 +288,11 @@ def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) 
     Kept in log space so astronomically large M or S degrade to -inf instead
     of overflowing.
     """
-    lam = _lam(lam)
+    return _eps_from_log_terms(log_m, log_mean_term, _lam(lam))
+
+
+def _eps_from_log_terms(log_m: float, log_mean_term: float, lam: float) -> float:
+    """strong_converse_eps_from_log_terms for a lam already checked."""
     if math.isinf(log_mean_term):
         return -math.inf
     log_factor = (
@@ -267,7 +300,7 @@ def strong_converse_eps_from_log_terms(log_m: float, log_mean_term: float, lam) 
         - lam / (1.0 + lam) * (math.log(lam) + log_m)
         + log_mean_term / (1.0 + lam)
     )
-    return _one_minus_scaled_exp(1.0, log_factor)
+    return 1.0 - _exp_or_inf(log_factor)
 
 
 def _optimal_gamma(log_m: float, log_mean_term: float, lam: float) -> float:
@@ -283,17 +316,17 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
     """
     lam = _lam(order)
     m = family.m_codewords
+    log_m = math.log(m)
     scaled = family._scaled_divergences(np.array([lam]))[0]
-    divs = scaled / lam
     dominated = family._dominated()
-    log_mean = float(_log_mean_exp(scaled))
-    raw = strong_converse_eps_from_log_terms(math.log(m), log_mean, lam)
-    gamma_star = _optimal_gamma(math.log(m), log_mean, lam) if dominated else None
+    log_mean = _log_mean_exp(scaled)
+    raw = _eps_from_log_terms(log_m, log_mean, lam)
+    gamma_star = _optimal_gamma(log_m, log_mean, lam) if dominated else None
     params = {
         "m_codewords": m,
         "q_choice": family.q_tag(),
         "lam": lam,
-        "divergences": [float(d) for d in divs],
+        "divergences": (scaled / lam).tolist(),
     }
     if not dominated:
         params["domination_violation"] = True
@@ -355,15 +388,14 @@ def optimize_lambda(
 
     def raw(lams: list) -> list:
         log_means = family._log_mean_terms(np.array(lams)).tolist()
-        return [strong_converse_eps_from_log_terms(log_m, s, lam)
-                for s, lam in zip(log_means, lams)]
+        return [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
 
     def raw_at(log_lam: float) -> float:
         return raw([math.exp(log_lam)])[0]
 
     lo, hi = math.log(lam_lo), math.log(lam_hi)
     grid = np.linspace(lo, hi, _PRESCAN)
-    values = raw([math.exp(x) for x in grid])
+    values = raw([math.exp(x) for x in grid.tolist()])
     best_idx = int(np.argmax(values))
     x_best, v_best = grid[best_idx], values[best_idx]
     bracket_lo = grid[max(best_idx - 1, 0)]
@@ -426,11 +458,20 @@ def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return log_w
 
 
-def _log_qstar(log_probs: np.ndarray, lams: np.ndarray):
-    """log q* and log C per order, shapes (L, K) and (L,); lams is one chunk."""
-    log_w = _log_qstar_weights(log_probs, lams)
-    log_c = _logsumexp(log_w.copy())
-    return log_w - log_c[:, None], log_c
+@np.errstate(over="ignore", invalid="ignore")
+def _log_qstar(log_probs: np.ndarray, lam: float):
+    """log q* (shape (K,)) and log C at one order: _log_qstar_weights for one lam."""
+    log_m = math.log(log_probs.shape[0])
+    power = 1.0 + lam
+    log_w = (_logsumexp(power * log_probs, axis=0) - log_m) / power
+    log_c = float(_logsumexp(log_w.copy()))
+    if math.isnan(log_c):  # a column whose every product overflowed: redo it shifted
+        overflowed = np.isnan(log_w)
+        cols = log_probs[:, overflowed].T
+        top = cols.max(axis=1)
+        log_w[overflowed] = top + (_logsumexp(power * (cols - top[:, None])) - log_m) / power
+        log_c = float(_logsumexp(log_w.copy()))
+    return log_w - log_c, log_c
 
 
 def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -440,10 +481,11 @@ def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray
     C >= 1: the product overflows only to +inf, which is lam D as a float
     (a vacuous floor).
     """
-    log_c = np.concatenate([
-        _logsumexp(_log_qstar_weights(log_probs, lams[sl]))
-        for sl in _order_chunks(lams.size, log_probs.size)
-    ])
+    step = _order_step(log_probs.size)
+    log_c = np.empty(lams.size)
+    for start in range(0, lams.size, step):
+        chunk = slice(start, start + step)
+        log_c[chunk] = _logsumexp(_log_qstar_weights(log_probs, lams[chunk]))
     with np.errstate(over="ignore"):
         return (1.0 + lams) * log_c
 

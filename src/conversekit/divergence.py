@@ -6,9 +6,10 @@ change-of-measure steps behind the converse bounds in this package, so it is
 passed around explicitly rather than the order itself.
 
 Every Renyi-type sum on a finite alphabet goes through one private kernel,
-`_renyi_log_sums`.  It takes pmfs as the rows of one matrix and returns
-lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam) for a
-whole axis of orders at once, as an (orders, rows) array:
+`_renyi_log_sums`.  It takes pmfs as the rows of one matrix, with the
+order-free log ratio r = log p - log q of each row to the reference, and
+returns lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
+for a whole axis of orders at once, as an (orders, rows) array:
 
 - It evaluates log1p(S - 1), with S - 1 = sum_y p(y) expm1(lam r(y)) plus
   the exact defect sum_y p(y) - 1 of the row, and r = log p - log q.  Its
@@ -22,11 +23,16 @@ whole axis of orders at once, as an (orders, rows) array:
   partner overflowed) where the true divergence is finite.  Where lam r
   itself passes the float maximum (orders near 1.7e308), lam D is +inf.
 - The order axis is split into chunks of max(1, 2^12 // (M K)) orders
-  (`_CHUNK_CELLS`), and all chunks share one orders x M x K buffer.  Small
+  (`_CHUNK_CELLS`), and all chunks take turns in one orders x M x K buffer
+  and write into one output array, so a call that fits in one chunk (every
+  one-order call) builds no list of chunks and concatenates nothing.  Small
   families take the 64-order pre-scan of `converse.optimize_lambda` in a few
-  calls; a 16 x 4096 family takes one order at a time, so its buffer is
+  steps; a 16 x 4096 family takes one order at a time, so its buffer is
   one 512 KiB matrix.  Larger chunks bought no speed on small families and
   raised their peak memory.
+- Since r does not depend on the order, a caller with a fixed reference
+  forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
+  that subtraction.
 """
 
 from __future__ import annotations
@@ -179,10 +185,9 @@ class _PmfRows(NamedTuple):
     defect: np.ndarray  # (M,)
 
 
-def _order_chunks(n_orders: int, cells: int) -> list:
-    """Slices of the order axis with at most max(1, _CHUNK_CELLS // cells) orders each."""
-    step = max(1, _CHUNK_CELLS // cells)
-    return [slice(s, min(s + step, n_orders)) for s in range(0, n_orders, step)]
+def _order_step(cells: int) -> int:
+    """Orders per chunk of an order-batched pass over a matrix of `cells` entries."""
+    return max(1, _CHUNK_CELLS // cells)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -190,41 +195,40 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     top = a.max(axis=axis, keepdims=True)
     a -= top
     np.exp(a, out=a)
-    return np.squeeze(top, axis) + np.log(a.sum(axis=axis))
+    return top.squeeze(axis) + np.log(a.sum(axis=axis))
 
 
-def _renyi_log_sums(rows: _PmfRows, log_q: np.ndarray, lams: np.ndarray) -> np.ndarray:
+@np.errstate(over="ignore")
+def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
 
-    log_q is the reference's log, shape (K,), one reference for every order.
-    It must be finite: where q = 0 put any stand-in and treat the
-    rows with mass there as domination failures.  Outcomes with p_i = 0
-    contribute nothing.  All chunks share one orders x M x K buffer.
+    log_ratio is r = log p_i - log q, shape (M, K), one reference for every
+    order: -inf where p_i = 0 and finite elsewhere (where q = 0 put any
+    stand-in in log q and treat the rows with mass there as domination
+    failures).  The chunks of orders take turns in one orders x M x K
+    buffer and write into one output array.
     """
     probs, log_probs = rows.probs, rows.log_probs
     m, k = probs.shape
-    chunks = _order_chunks(lams.size, m * k)
-    buffer = np.empty((chunks[0].stop, m, k))  # the first chunk is the longest
-    parts = []
-    with np.errstate(over="ignore"):
-        for sl in chunks:
-            lam = lams[sl, None, None]
-            terms = np.subtract(log_probs, log_q, out=buffer[: lam.shape[0]])
-            terms *= lam  # lam r, r = log p - log q; -inf where p = 0
-            np.expm1(terms, out=terms)
-            terms *= probs
-            excess = terms.sum(axis=-1) + rows.defect  # S - 1
-            part = np.log1p(excess)
-            if excess.max() == math.inf:
-                li, mi = np.nonzero(np.isinf(excess))
-                logs = log_probs[mi] + lam[li, 0] * (log_probs[mi] - log_q)
-                # where lam r itself overflowed, lam D is +inf as a float, and
-                # the log-sum-exp would meet inf - inf
-                finite = logs.max(axis=-1) < math.inf
-                part[li, mi] = math.inf
-                part[li[finite], mi[finite]] = _logsumexp(logs[finite])
-            parts.append(part)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    step = _order_step(m * k)
+    out = np.empty((lams.size, m))
+    buffer = np.empty((min(step, lams.size), m, k))
+    for start in range(0, lams.size, step):
+        lam = lams[start:start + step, None, None]
+        terms = np.multiply(log_ratio, lam, out=buffer[: lam.shape[0]])  # -inf where p = 0
+        np.expm1(terms, out=terms)
+        terms *= probs
+        excess = terms.sum(axis=-1)
+        excess += rows.defect  # S - 1
+        np.log1p(excess, out=out[start:start + step])
+    if out.max() == math.inf:  # only where S - 1 overflowed
+        li, mi = np.nonzero(out == math.inf)
+        logs = log_probs[mi] + lams[li, None] * log_ratio[mi]
+        # where lam r itself overflowed, lam D is +inf as a float, and
+        # the log-sum-exp would meet inf - inf
+        finite = logs.max(axis=-1) < math.inf
+        out[li[finite], mi[finite]] = _logsumexp(logs[finite])
+    return out
 
 
 def _pair_log_sum(p: DiscretePmf, q: DiscretePmf, order):
@@ -232,7 +236,7 @@ def _pair_log_sum(p: DiscretePmf, q: DiscretePmf, order):
     lam = _lam(order)
     ps, qs = _on_support(p, q)
     rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
-    log_sum = _renyi_log_sums(rows, np.log(qs), np.array([lam]))
+    log_sum = _renyi_log_sums(rows, rows.log_probs - np.log(qs), np.array([lam]))
     return lam, float(log_sum[0, 0])
 
 

@@ -461,13 +461,15 @@ def trim_packing(values, delta_m: float):
 def operator_norm(mat: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix, from np.linalg.eigvalsh.
 
-    The matrix must be square and symmetric to within 1e-10 relative (1e-14
-    of its largest entry absolute); eigvalsh reads its lower triangle.
+    The matrix must be square, finite and symmetric to within 1e-10 relative
+    (1e-14 of its largest entry absolute); eigvalsh reads its lower triangle.
     """
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(scale):  # an inf or NaN entry
+        raise ValueError("matrix entries must be finite")
     if scale == 0.0:
         return 0.0
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-14 * scale):

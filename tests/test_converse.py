@@ -387,6 +387,21 @@ def test_kernel_where_lam_r_overflows_is_plus_inf():
     assert np.all(np.isfinite(out[:2]))
 
 
+def test_log_mean_over_an_infinite_and_a_huge_finite_term_is_inf():
+    # at lam = 1.7e308, lam D = [inf, 6.9e307]: lam r itself overflows in the
+    # first row.  The log-mean-exp must not exp the finite term (a
+    # RuntimeWarning fails the test), and the floor is the vacuous -inf.
+    fam = ChannelFamily((pmf(1.0, 0.0, 0.0), pmf(0.5, 0.5, 0.0)), "uniform")
+    scaled = fam._scaled_divergences(np.array([1.7e308]))[0]
+    assert scaled[0] == math.inf and 709.0 < scaled[1] < math.inf
+    rep = strong_converse_bound(fam, 1.7e308)
+    assert rep.eps_raw == -math.inf and rep.eps_lower == 0.0
+    assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
+    assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
+    best = optimize_lambda(fam, 1.0, 1.7e308)
+    assert 0.0 <= best.eps_lower <= exact_bayes_error(fam.conditionals)
+
+
 def _plain_log_qstar_weights(log_probs, lams):
     power = 1.0 + lams[:, None]
     with np.errstate(over="ignore", invalid="ignore"):

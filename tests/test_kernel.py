@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conversekit import divergence, suites
+from conversekit import converse, divergence, suites
 from conversekit.converse import (
     ChannelFamily,
     optimize_lambda,
     strong_converse_bound,
+    variational_bound,
 )
 from conversekit.divergence import (
     DiscretePmf,
@@ -64,7 +65,7 @@ def test_batched_kernel_matches_decimal_oracle():
     q = (1e-300, 5e-324, 0.25, 0.75 - 1e-300)
     rows = [(0.5, 0.0, 0.25, 0.25), (0.0, 1e-300, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5)]
     kernel_rows, log_q = _rows_and_log_q(rows, q)
-    got = divergence._renyi_log_sums(kernel_rows, log_q, np.array(ORDERS))
+    got = divergence._renyi_log_sums(kernel_rows, kernel_rows.log_probs - log_q, np.array(ORDERS))
     for li, lam in enumerate(ORDERS):
         for mi, p in enumerate(rows):
             exact = decimal_log_renyi_sum(p, q, lam)
@@ -145,6 +146,33 @@ def test_batched_orders_equal_single_order_calls(rng):
         batched = fam._scaled_divergences(lams)
         for lam, row in zip(lams, batched):
             assert np.array_equal(row, fam._scaled_divergences(np.array([lam]))[0])
+
+
+def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
+    # strong_converse_bound, variational_bound and q* at one order skip the
+    # order axis; each must give the bits of the same order inside a batch
+    for _ in range(12):
+        base = random_discrete_family(rng)
+        for q_choice in ("uniform", "mixture", "qstar"):
+            fam = ChannelFamily(base.conditionals, q_choice)
+            m = fam.m_codewords
+            for lam in (1e-6, 0.3, 2.0, 100.0, 1e300, 1.7e308):
+                lams = np.array([0.5 * lam, lam, 3.0])
+                divs = strong_converse_bound(fam, lam).params["divergences"]
+                assert divs == (fam._scaled_divergences(lams)[1] / lam).tolist()
+                log_mean = float(fam._log_mean_terms(lams)[1])
+                for gamma in (0.5, 1.0, float(m)):
+                    term = converse._exp_or_inf(log_mean - lam * math.log(gamma))
+                    batched = 1.0 - gamma / m - term
+                    # both are NaN where log S and lam log gamma are +inf
+                    got = variational_bound(fam, lam, gamma)
+                    assert np.array_equal(got, batched, equal_nan=True)
+        log_probs = ChannelFamily(base.conditionals, "qstar")._arrays.rows.log_probs
+        lams = np.array([1e-6, 0.3, 2.0, 1e300, 1.7e308])
+        for lam, log_w in zip(lams.tolist(), converse._log_qstar_weights(log_probs, lams)):
+            log_q, log_c = converse._log_qstar(log_probs, lam)
+            assert log_c == float(divergence._logsumexp(log_w.copy()))
+            assert np.array_equal(log_q, log_w - log_c)
 
 
 def test_chunk_size_does_not_change_results(rng, monkeypatch):

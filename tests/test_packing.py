@@ -622,3 +622,10 @@ def test_operator_norm_rejects_bad_input():
     with pytest.raises(ValueError):
         operator_norm(np.zeros((2, 3)))
 
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_operator_norm_rejects_non_finite_entries(bad):
+    # before the symmetry test: its atol of 1e-14 max|a| is not finite here
+    mat = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        operator_norm(mat)
