@@ -68,7 +68,6 @@ __all__ = [
     "avg_kl_to_mixture",
     "fano_bound",
     "generalized_fano_log_m_bound",
-    "generalized_fano_fixed_order_check",
 ]
 
 # Reference-distribution choices for discrete families ("explicit" is spelled
@@ -142,7 +141,7 @@ class ChannelFamily:
         elif self.q_choice == "uniform":
             ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
         else:
-            ref = mixture_pmf(self.conditionals)
+            ref = DiscretePmf(mat.mean(axis=0))
         q = ref.probs[joint]
         undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
         log_ratio = rows.log_probs - np.log(np.where(q > 0.0, q, 1.0))
@@ -424,12 +423,16 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     """Raw eps floor at one threshold gamma: 1 - gamma/M - S gamma^(-lam).
 
     Its supremum over gamma > 0 is exactly the strong-converse bound; any
-    single gamma gives a valid (weaker) floor.
+    single gamma gives a valid (weaker) floor.  Where S and gamma^lam both
+    pass the float range, their ratio is inf / inf and the floor is -inf.
     """
     lam = _lam(order)
     g = _positive("gamma", gamma)
     log_mean = float(family._log_mean_terms(np.array([lam]))[0])
-    return 1.0 - g / family.m_codewords - _exp_or_inf(log_mean - lam * math.log(g))
+    exponent = log_mean - lam * math.log(g)
+    if math.isnan(exponent):  # inf - inf
+        return -math.inf
+    return 1.0 - g / family.m_codewords - _exp_or_inf(exponent)
 
 
 def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -537,21 +540,3 @@ def generalized_fano_log_m_bound(order, ratio_sup: float, mutual_info: float, ep
         - math.log(lam)
         + math.log1p(lam * kappa * mutual_info) / lam
     )
-
-
-def generalized_fano_fixed_order_check(order, m_codewords: int, mutual_info: float, eps: float):
-    """Fixed-order variant: log M <= 1 + I / (lam^lam (1-eps)^(1+lam) / (1+lam)^(1+lam) - M^-lam).
-
-    Needs M >= 3; returns the right-hand side, or None when the denominator
-    is non-positive and the variant is vacuous.
-    """
-    lam = _lam(order)
-    m = _positive_int("m_codewords", m_codewords)
-    if m < 3:
-        raise ValueError("fixed-order variant needs M >= 3")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    den = lam**lam * (1.0 - eps) ** (1.0 + lam) / (1.0 + lam) ** (1.0 + lam) - m ** (-lam)
-    if den <= 0.0:
-        return None
-    return 1.0 + mutual_info / den

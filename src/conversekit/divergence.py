@@ -55,7 +55,6 @@ __all__ = [
     "renyi_product_iid",
     "renyi_gaussian_shift",
     "renyi_bernoulli",
-    "hellinger_discrete",
     "kl_discrete",
     "hellinger_kl_coefficient",
     "iid_product_pmf",
@@ -231,15 +230,6 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
     return out
 
 
-def _pair_log_sum(p: DiscretePmf, q: DiscretePmf, order):
-    """(lam, lam D_(1+lam)(p || q)) after the shared pair validation."""
-    lam = _lam(order)
-    ps, qs = _on_support(p, q)
-    rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
-    log_sum = _renyi_log_sums(rows, rows.log_probs - np.log(qs), np.array([lam]))
-    return lam, float(log_sum[0, 0])
-
-
 def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """Renyi divergence of order 1+lam: log(sum_i p_i^(1+lam) q_i^(-lam)) / lam.
 
@@ -247,8 +237,11 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     a zero of q raises AbsoluteContinuityError.  The sum is taken in log
     space, so the result is finite even where the sum itself would overflow.
     """
-    lam, log_sum = _pair_log_sum(p, q, order)
-    return log_sum / lam
+    lam = _lam(order)
+    ps, qs = _on_support(p, q)
+    rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
+    log_sum = _renyi_log_sums(rows, rows.log_probs - np.log(qs), np.array([lam]))
+    return float(log_sum[0, 0]) / lam
 
 
 def renyi_product_iid(p: DiscretePmf, q: DiscretePmf, order, n_factors: int) -> float:
@@ -287,19 +280,6 @@ def renyi_bernoulli(pair: BernoulliPair, order) -> float:
         logs = [math.log(w) + x for w, x in terms]
         top = max(logs)
         return (top + math.log(math.fsum(math.exp(v - top) for v in logs))) / lam
-
-
-def hellinger_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
-    """Hellinger divergence of order 1+lam: (sum_i p_i^(1+lam) q_i^(-lam) - 1) / lam.
-
-    lam = 1 recovers the chi-square divergence.  A sum past the float range
-    gives math.inf.
-    """
-    lam, log_sum = _pair_log_sum(p, q, order)
-    try:
-        return math.expm1(log_sum) / lam
-    except OverflowError:
-        return math.inf
 
 
 def kl_discrete(p: DiscretePmf, q: DiscretePmf) -> float:

@@ -472,7 +472,17 @@ def operator_norm(mat: np.ndarray) -> float:
         raise ValueError("matrix entries must be finite")
     if scale == 0.0:
         return 0.0
-    if not np.allclose(a, a.T, rtol=1e-10, atol=1e-14 * scale):
+    # np.allclose(a, a.T) applied both ways round, on the pairs i > j only:
+    # |a_ij - a_ji| <= atol + rtol min(|a_ij|, |a_ji|).  In place: at 256 x 256
+    # each further temporary costs more than the arithmetic.
+    below = np.tri(a.shape[0], k=-1, dtype=bool)
+    low, up = a[below], a.T[below]
+    gap = low - up
+    np.abs(gap, out=gap)
+    np.minimum(np.abs(low, out=low), np.abs(up, out=up), out=low)
+    low *= 1e-10
+    low += 1e-14 * scale
+    if not np.all(gap <= low):
         raise ValueError("matrix must be symmetric")
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 

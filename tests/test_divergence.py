@@ -13,7 +13,6 @@ from conversekit.divergence import (
     BernoulliPair,
     DiscretePmf,
     GaussianShiftPair,
-    hellinger_discrete,
     hellinger_kl_coefficient,
     iid_product_pmf,
     kl_discrete,
@@ -210,25 +209,7 @@ def test_bernoulli_underflowing_reference_stays_finite(q, lam):
         assert closed == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-# --- Hellinger divergence and the kappa coefficient ---
-
-
-def test_hellinger_chi_square_case():
-    # lam = 1 is chi^2: (0.16 + 0.16)/0.5 = 0.64
-    val = hellinger_discrete(pmf(0.9, 0.1), pmf(0.5, 0.5), 1.0)
-    assert val == pytest.approx(0.64, abs=1e-15)
-
-
-def test_hellinger_renyi_identity(rng):
-    # exp(lam * D) = 1 + lam * Hel, at every order
-    for _ in range(100):
-        size = int(rng.integers(2, 8))
-        p = random_pmf(rng, size, with_zeros=True)
-        q = random_pmf(rng, size)
-        lam = float(rng.uniform(0.05, 3.0))
-        d = renyi_discrete(p, q, lam)
-        h = hellinger_discrete(p, q, lam)
-        assert math.exp(lam * d) == pytest.approx(1.0 + lam * h, rel=1e-12)
+# --- KL and the kappa coefficient ---
 
 
 def test_kl_point_mass():
@@ -282,7 +263,7 @@ def test_kappa_bounds_hellinger_by_kl(rng):
         q = random_pmf(rng, size)
         lam = float(rng.uniform(0.01, 1.0))
         t = max(float(np.max(p.probs / q.probs)), 1.0)
-        hel = hellinger_discrete(p, q, lam)
+        hel = math.expm1(lam * renyi_discrete(p, q, lam)) / lam
         bound = hellinger_kl_coefficient(lam, t) * kl_discrete(p, q)
         assert hel <= bound + 1e-12
 
@@ -317,9 +298,9 @@ def pmf_pair(draw):
 @settings(max_examples=200, deadline=None)
 @given(pmf_pair(), st.floats(0.05, 4.0))
 def test_renyi_and_hellinger_non_negative(pair, lam):
+    # the Hellinger divergence expm1(lam D) / lam has the sign of D
     p, q = pair
     assert renyi_discrete(p, q, lam) >= -1e-12
-    assert hellinger_discrete(p, q, lam) >= -1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -606,7 +606,7 @@ def test_packing_suite_opnorm_checks_use_known_spectra(monkeypatch):
     from conversekit import suites
 
     result = suites.packing_suite()
-    assert result.passed and result.checks == 39
+    assert result.passed and result.checks == 37
     # the largest signed eigenvalue is not the norm when a negative one wins
     monkeypatch.setattr(
         suites, "operator_norm", lambda a: float(np.max(np.linalg.eigvalsh(a)))
@@ -621,6 +621,28 @@ def test_operator_norm_rejects_bad_input():
         operator_norm(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         operator_norm(np.zeros((2, 3)))
+
+
+# (matrix of the off-diagonal entry x, largest x that passes, smallest x that fails):
+# the rule is |a_ij - a_ji| <= 1e-14 max|a| + 1e-10 min(|a_ij|, |a_ji|), the
+# answers of np.allclose(a, a.T) on every pair
+SYMMETRY_EDGES = [
+    (lambda x: [[0.0, x], [1.0, 0.0]],
+     1.0 + 450404 * math.ulp(1.0), 1.0 + 450405 * math.ulp(1.0)),
+    (lambda x: [[0.0, 1.0], [x, 0.0]],
+     1.0 + 450404 * math.ulp(1.0), 1.0 + 450405 * math.ulp(1.0)),
+    # a pair far below the largest entry, where the absolute term rules
+    (lambda x: [[1.0, x], [1e-12, 0.0]],
+     1.0100000001e-12, math.nextafter(1.0100000001e-12, 1.0)),
+]
+
+
+@pytest.mark.parametrize("make, inside, outside", SYMMETRY_EDGES)
+def test_operator_norm_symmetry_tolerance_edge(make, inside, outside):
+    mat = np.array(make(inside))
+    assert operator_norm(mat) == float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    with pytest.raises(ValueError, match="symmetric"):
+        operator_norm(np.array(make(outside)))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
