@@ -19,7 +19,11 @@ the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
 orders per call, in chunks that bound its memory; for q*, which moves with
 the order, each order forms its own r from q* at that order.  q* itself
 (`reference_pmf`) and its normalizer C come from the same kept rows, by
-`_log_qstar` for one order and `_log_qstar_weights` for a batch.  For q*
+`_log_qstar` for one order and `_log_qstar_weights` for a batch.  For them
+a q* family also keeps three order-free arrays: each column's top log p,
+log p with that top in each p = 0 cell, and the 0/1 support, so the
+weights pass exp no -inf (numpy's exp slows down on -inf and on
+underflowing inputs) and keep the bits of a logsumexp over log p.  For q*
 no divergence is needed for S itself: with C the normalizer of q*,
 S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
 2015), which `optimize_lambda` and `variational_bound` use.
@@ -91,6 +95,11 @@ class _FamilyArrays(NamedTuple):
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q, the kernel's input
     undominated: np.ndarray | None = None  # rows with mass where Q = 0
+    # q* only: the order-free pieces of its weights.  numpy's exp slows down
+    # on -inf and underflowing inputs, so no p = 0 cell reaches exp as -inf.
+    colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
+    filled: np.ndarray | None = None  # log p, with colmax in each p = 0 cell
+    support: np.ndarray | None = None  # 1.0 where p > 0, else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +134,8 @@ class ChannelFamily:
         so the rows keep only the joint support.  For an order-free
         reference also keep r = log p_i - log Q there (log Q = 0 stands in
         where Q = 0), so no call repeats that subtraction, and the rows Q
-        fails to dominate; q* is rebuilt per order from the rows.
+        fails to dominate.  q* is rebuilt per order; for it keep instead the
+        order-free arrays of its weights (see `_log_power_means`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
         joint = np.any(mat > 0.0, axis=0)
@@ -135,7 +145,13 @@ class ChannelFamily:
         for arr in rows:
             arr.setflags(write=False)
         if self.q_choice == "qstar":
-            return _FamilyArrays(rows, joint)
+            colmax = rows.log_probs.max(axis=0)
+            live = rows.probs > 0.0
+            filled = np.where(live, rows.log_probs, colmax)
+            support = live.astype(float)
+            for arr in (colmax, filled, support):
+                arr.setflags(write=False)
+            return _FamilyArrays(rows, joint, colmax=colmax, filled=filled, support=support)
         if isinstance(self.q_choice, DiscretePmf):
             ref = self.q_choice
         elif self.q_choice == "uniform":
@@ -166,7 +182,7 @@ class ChannelFamily:
     def _qstar(self, lam: float) -> tuple[np.ndarray, float]:
         """q* at order offset lam on the full alphabet, with its normalizer C."""
         arrays = self._arrays
-        log_q, log_c = _log_qstar(arrays.rows.log_probs, lam)
+        log_q, log_c = _log_qstar(arrays, lam)
         q = np.zeros(arrays.joint.size)
         q[arrays.joint] = np.exp(log_q)
         return q, math.exp(log_c)
@@ -192,7 +208,7 @@ class ChannelFamily:
         rows = arrays.rows
         if arrays.ref is None:  # q* moves with the order: one kernel call per order
             return np.concatenate([
-                _renyi_log_sums(rows, rows.log_probs - _log_qstar(rows.log_probs, lam)[0],
+                _renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0],
                                 lams[i:i + 1])
                 for i, lam in enumerate(lams.tolist())
             ])
@@ -207,14 +223,13 @@ class ChannelFamily:
         For q* this is (1+lam) log C from the normalizer alone.  One order
         takes the one-order forms, `_log_qstar` and the 1-D `_log_mean_exp`.
         """
-        log_probs = self._arrays.rows.log_probs
         if lams.size == 1:
             lam = float(lams[0])
             if self.q_choice == "qstar":
-                return np.array([(1.0 + lam) * _log_qstar(log_probs, lam)[1]])
+                return np.array([(1.0 + lam) * _log_qstar(self._arrays, lam)[1]])
             return np.array([_log_mean_exp(self._scaled_divergences(lams)[0])])
         if self.q_choice == "qstar":
-            return _log_qstar_mean_terms(log_probs, lams)
+            return _log_qstar_mean_terms(self._arrays, lams)
         return _log_mean_exp(self._scaled_divergences(lams))
 
 
@@ -435,7 +450,30 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     return 1.0 - g / family.m_codewords - _exp_or_inf(exponent)
 
 
-def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _log_power_means(arrays: _FamilyArrays, power) -> np.ndarray:
+    """log w(y) = log(mean_i p_i(y)^power) / power, shape (..., 1, K).
+
+    power is 1 + lam: a float, or an (L, 1, 1) array of L orders.  With
+    top = power colmax, which is the column max of power log p since
+    rounding is monotone,
+
+        log w = (top + log sum_i support exp(power filled - top) - log M) / power.
+
+    A p = 0 cell enters exp as exactly 0 and is masked to the 0 that
+    exp(-inf) gave, so w keeps the bits of a logsumexp over log p, and exp
+    never takes numpy's slow path on -inf.  A column whose top overflows
+    to -inf comes out NaN.
+    """
+    log_m = math.log(arrays.filled.shape[0])
+    top = power * arrays.colmax
+    terms = power * arrays.filled
+    terms -= top
+    np.exp(terms, out=terms)
+    terms *= arrays.support
+    return (top + np.log(terms.sum(axis=-2, keepdims=True)) - log_m) / power
+
+
+def _log_qstar_weights(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
     """log w(y) = log(mean_i p_i(y)^(1+lam)) / (1+lam) per order, shape (L, K).
 
     q* is w / C with C = sum_y w(y).  Every column needs a positive entry.
@@ -445,50 +483,50 @@ def _log_qstar_weights(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
     An overflowed product lies below every finite one by far more than exp
     can resolve, so it drops out, unless its whole column overflowed: those
     columns come out NaN and are redone shifted by their top,
-    log w = top + (logsumexp((1+lam)(log p - top)) - log M) / (1+lam).
+    log w = colmax + (logsumexp((1+lam)(log p - colmax)) - log M) / (1+lam).
     """
-    log_m = math.log(log_probs.shape[0])
-    power = 1.0 + lams[:, None]
+    log_m = math.log(arrays.filled.shape[0])
+    power = 1.0 + lams[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        log_w = (_logsumexp(power[..., None] * log_probs, axis=1) - log_m) / power
+        log_w = _log_power_means(arrays, power)[:, 0]
         overflowed = np.isnan(log_w)  # the columns whose every product overflowed
         if overflowed.any():
             at, y = np.nonzero(overflowed)
-            cols = log_probs[:, y].T
-            top = cols.max(axis=1)
-            shifted = power[at] * (cols - top[:, None])
-            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0]
+            cols = arrays.rows.log_probs[:, y].T
+            top = arrays.colmax[y]
+            shifted = power[at, 0] * (cols - top[:, None])
+            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0, 0]
     return log_w
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _log_qstar(log_probs: np.ndarray, lam: float):
+def _log_qstar(arrays: _FamilyArrays, lam: float):
     """log q* (shape (K,)) and log C at one order: _log_qstar_weights for one lam."""
-    log_m = math.log(log_probs.shape[0])
+    log_m = math.log(arrays.filled.shape[0])
     power = 1.0 + lam
-    log_w = (_logsumexp(power * log_probs, axis=0) - log_m) / power
+    log_w = _log_power_means(arrays, power)[0]
     log_c = float(_logsumexp(log_w.copy()))
     if math.isnan(log_c):  # a column whose every product overflowed: redo it shifted
         overflowed = np.isnan(log_w)
-        cols = log_probs[:, overflowed].T
-        top = cols.max(axis=1)
+        cols = arrays.rows.log_probs[:, overflowed].T
+        top = arrays.colmax[overflowed]
         log_w[overflowed] = top + (_logsumexp(power * (cols - top[:, None])) - log_m) / power
         log_c = float(_logsumexp(log_w.copy()))
     return log_w - log_c, log_c
 
 
-def _log_qstar_mean_terms(log_probs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _log_qstar_mean_terms(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
     """log S = (1+lam) log C per order, shape (L,), one chunk of weights at a time.
 
     Each w(y) is a power mean of the p_i(y), so at least their mean, and
     C >= 1: the product overflows only to +inf, which is lam D as a float
     (a vacuous floor).
     """
-    step = _order_step(log_probs.size)
+    step = _order_step(arrays.filled.size)
     log_c = np.empty(lams.size)
     for start in range(0, lams.size, step):
         chunk = slice(start, start + step)
-        log_c[chunk] = _logsumexp(_log_qstar_weights(log_probs, lams[chunk]))
+        log_c[chunk] = _logsumexp(_log_qstar_weights(arrays, lams[chunk]))
     with np.errstate(over="ignore"):
         return (1.0 + lams) * log_c
 

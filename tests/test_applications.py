@@ -9,7 +9,6 @@ import pytest
 
 from conversekit.applications import (
     ActiveConfig,
-    ComparisonReport,
     ConfigError,
     CsConfig,
     DensityConfig,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conversekit import converse
+from conversekit import converse, divergence
 from conversekit.cli import canonical_json
 from conversekit.converse import (
     BoundReport,
@@ -18,10 +18,10 @@ from conversekit.converse import (
     strong_converse_eps_from_log_terms,
     variational_bound,
 )
-from conversekit.divergence import GaussianShiftPair
+from conversekit.divergence import DiscretePmf, GaussianShiftPair, iid_product_pmf
 from conversekit.oracle import exact_bayes_error
 from conversekit.suites import random_discrete_family
-from conftest import pmf, random_pmf
+from conftest import pmf
 
 
 # --- family plumbing ---
@@ -419,14 +419,63 @@ def _plain_log_qstar_weights(log_probs, lams):
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
 def test_qstar_weights_redo_only_overflowed_columns(conds):
-    log_probs = ChannelFamily(conds, "qstar")._arrays.rows.log_probs
+    arrays = ChannelFamily(conds, "qstar")._arrays
     lams = np.array([0.5, 1e300, 1.7e308])
-    got = converse._log_qstar_weights(log_probs, lams)
-    plain = _plain_log_qstar_weights(log_probs, lams)
+    got = converse._log_qstar_weights(arrays, lams)
+    plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
     overflowed = np.isnan(plain)
     assert np.array_equal(got[~overflowed], plain[~overflowed])
     assert np.isfinite(got).all()
     assert overflowed.any() == (conds[0].probs[0] == 0.2)
+
+
+def _sparse_qstar_families():
+    """random_discrete_family draws with zeros, and one M = 16, K = 4^6 product family."""
+    rng = np.random.default_rng(18)
+    fams = []
+    while len(fams) < 12:
+        fam = random_discrete_family(rng, q_choice="qstar")
+        if (fam._arrays.support == 0.0).any():
+            fams.append(fam)
+    letters = rng.dirichlet(np.ones(4), size=16)
+    letters[rng.random(letters.shape) < 0.25] = 0.0
+    letters[letters.sum(axis=1) == 0.0, 0] = 1.0
+    conds = tuple(iid_product_pmf(DiscretePmf(p / p.sum()), 6) for p in letters)
+    return fams + [ChannelFamily(conds, "qstar")]
+
+
+def test_qstar_weights_on_sparse_families_match_the_dense_reference():
+    # p = 0 cells reach exp as 0, not -inf; every weight keeps the bits of a
+    # logsumexp over log p (a RuntimeWarning fails the test)
+    lams = np.array([1e-6, 0.3, 2.0, 10.0, 1e300, 1.7e308])
+    for fam in _sparse_qstar_families():
+        arrays = fam._arrays
+        plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
+        overflowed = np.isnan(plain)
+        got = converse._log_qstar_weights(arrays, lams)
+        assert np.array_equal(got[~overflowed], plain[~overflowed])
+        for lam, log_w, ov in zip(lams.tolist(), plain, overflowed):
+            log_q, log_c = converse._log_qstar(arrays, lam)
+            if ov.any():
+                assert np.isfinite(log_q).all()
+                continue
+            assert log_c == float(divergence._logsumexp(log_w.copy()))
+            assert np.array_equal(log_q, log_w - log_c)
+
+
+def test_qstar_arrays_are_read_only_and_unchanged_by_use():
+    fam = _sparse_qstar_families()[-1]
+    arrays = fam._arrays
+    kept = {name: getattr(arrays, name).copy() for name in ("colmax", "filled", "support")}
+    assert not any(getattr(arrays, name).flags.writeable for name in kept)
+    optimize_lambda(fam)
+    optimize_lambda(fam, 1.0, 1.7e308)
+    for lam in (0.3, 1.7e308):
+        strong_converse_bound(fam, lam)
+        fam.reference_pmf(lam)
+    assert fam._arrays is arrays
+    for name, before in kept.items():
+        assert np.array_equal(getattr(arrays, name), before)
 
 
 # --- reference optimization ---

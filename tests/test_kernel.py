@@ -155,10 +155,10 @@ def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
                     batched = (-math.inf if math.isnan(exponent)
                                else 1.0 - gamma / m - converse._exp_or_inf(exponent))
                     assert variational_bound(fam, lam, gamma) == batched
-        log_probs = ChannelFamily(base.conditionals, "qstar")._arrays.rows.log_probs
+        arrays = ChannelFamily(base.conditionals, "qstar")._arrays
         lams = np.array([1e-6, 0.3, 2.0, 1e300, 1.7e308])
-        for lam, log_w in zip(lams.tolist(), converse._log_qstar_weights(log_probs, lams)):
-            log_q, log_c = converse._log_qstar(log_probs, lam)
+        for lam, log_w in zip(lams.tolist(), converse._log_qstar_weights(arrays, lams)):
+            log_q, log_c = converse._log_qstar(arrays, lam)
             assert log_c == float(divergence._logsumexp(log_w.copy()))
             assert np.array_equal(log_q, log_w - log_c)
 
