@@ -77,6 +77,7 @@ class DensityConfig:
 
     def __post_init__(self):
         _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
+        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
         _require(self.c >= 0.0, "c >= 0 violated: c = {}", self.c)
         _require(self.a > 0.0, "a > 0 violated: a = {}", self.a)
         _require(self.c0 > 0.0, "c0 > 0 violated: c0 = {}", self.c0)
@@ -142,6 +143,7 @@ class ActiveConfig:
 
     def __post_init__(self):
         _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
+        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
         _require(
             isinstance(self.d, int) and self.d >= 2,
             "integer d >= 2 violated: d = {}", self.d,
@@ -180,6 +182,7 @@ class CsConfig:
     def __post_init__(self):
         _require(self.k >= 1.0, "k >= 1 violated: k = {}", self.k)
         _require(self.n > self.k, "n > k violated: n = {}, k = {}", self.n, self.k)
+        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
         _require(self.sigma_sq > 0.0, "sigma_sq > 0 violated: {}", self.sigma_sq)
         _require(self.frob_norm_sq > 0.0, "frob_norm_sq > 0 violated: {}", self.frob_norm_sq)
         _require(self.lam > 0.0, "lam > 0 violated: lam = {}", self.lam)

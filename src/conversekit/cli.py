@@ -233,6 +233,8 @@ def cmd_bound(args: argparse.Namespace, argv: list) -> int:
 
 def _sweep_values(args: argparse.Namespace) -> list:
     if args.values is not None:
+        if (args.start, args.stop, args.points) != (None, None, None):
+            raise ConfigError("--values cannot be combined with --from/--to/--points")
         if not args.values.strip():
             return []
         return [float(tok) for tok in args.values.split(",")]

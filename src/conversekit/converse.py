@@ -17,7 +17,12 @@ reference, the log ratio r = log p_i - log Q the kernel reads, and the
 rows Q fails to dominate; it keeps them.  The terms lam D_i then come from
 the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
 orders per call, in chunks that bound its memory; for q*, which moves with
-the order, each order forms its own r from q* at that order.  q* itself
+the order, each order forms its own r from q* at that order.  A batch of
+orders over a large family, such as the 64-order pre-scan of
+`optimize_lambda` on a 16 x 4096 family, is split into ranges of chunks
+that run on threads, by `divergence._split_orders` for the kernel and
+for q*'s normalizers alike; each order's row comes from the same
+operations as on one thread, so the split keeps every bit.  q* itself
 (`reference_pmf`) and its normalizer C come from the same kept rows, by
 `_log_qstar` for one order and `_log_qstar_weights` for a batch.  For them
 a q* family also keeps three order-free arrays: each column's top log p,
@@ -56,6 +61,7 @@ from .divergence import (
     _positive,
     _positive_int,
     _renyi_log_sums,
+    _split_orders,
     hellinger_kl_coefficient,
     kl_discrete,
     mixture_pmf,
@@ -515,18 +521,26 @@ def _log_qstar(arrays: _FamilyArrays, lam: float):
     return log_w - log_c, log_c
 
 
+def _log_qstar_range(arrays: _FamilyArrays, lams, log_c, step: int, lo: int, hi: int) -> None:
+    """log C for the orders lo to hi of lams into log_c, one chunk of weights at a time."""
+    for start in range(lo, hi, step):  # only the last chunk of lams is short
+        chunk = slice(start, start + step)
+        log_c[chunk] = _logsumexp(_log_qstar_weights(arrays, lams[chunk]))
+
+
 def _log_qstar_mean_terms(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
     """log S = (1+lam) log C per order, shape (L,), one chunk of weights at a time.
 
-    Each w(y) is a power mean of the p_i(y), so at least their mean, and
-    C >= 1: the product overflows only to +inf, which is lam D as a float
-    (a vacuous floor).
+    A pass over more than 2 x `divergence._SPLIT_CELLS` entries is split
+    into ranges of chunks run on threads (`divergence._split_orders`), with
+    the same bits.  Each w(y) is a power mean of the p_i(y), so at least
+    their mean, and C >= 1: the product overflows only to +inf, which is
+    lam D as a float (a vacuous floor).
     """
-    step = _order_step(arrays.filled.size)
+    cells = arrays.filled.size
+    step = _order_step(cells)
     log_c = np.empty(lams.size)
-    for start in range(0, lams.size, step):
-        chunk = slice(start, start + step)
-        log_c[chunk] = _logsumexp(_log_qstar_weights(arrays, lams[chunk]))
+    _split_orders(_log_qstar_range, (arrays, lams, log_c, step), lams.size, step, cells)
     with np.errstate(over="ignore"):
         return (1.0 + lams) * log_c
 

@@ -30,6 +30,17 @@ for a whole axis of orders at once, as an (orders, rows) array:
   steps; a 16 x 4096 family takes one order at a time, so its buffer is
   one 512 KiB matrix.  Larger chunks bought no speed on small families and
   raised their peak memory.
+- A pass of more than 2 x 2^21 entries (orders x M x K, `_SPLIT_CELLS`) is
+  cut into min(CPUs, entries // 2^21, chunks) contiguous ranges of chunks
+  (`_split_orders`): the calling thread runs the first and one thread each
+  of the others, each range in a buffer of its own.  Each worker enters
+  its own np.errstate, since numpy's error state is per thread and a new
+  thread starts from the default.  2^21 entries are about 5 ms of kernel
+  work against about 0.1 ms to start and join a thread.  So the 64-order
+  pre-scan of a 16 x 4096 family takes two ranges on any host with two or
+  more CPUs, which keeps its memory bounded, and no pass of a family with
+  M <= 6 and K <= 12^3 splits.  No thread outlives a call and a pass of one
+  part starts none.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -39,6 +50,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -68,6 +81,12 @@ PMF_SUM_TOL = 1e-12
 # an M x K matrix per step, so that orders x M x K stays below it whenever
 # one order fits.
 _CHUNK_CELLS = 1 << 12
+
+# Order-batched passes take at most one thread per _SPLIT_CELLS entries and
+# per CPU of the affinity mask, so a process pinned to one CPU starts none
+# (see `_split_orders`).
+_SPLIT_CELLS = 1 << 21
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Width of the neighbourhood of t = 1 where the kappa coefficient switches to
 # its Taylor form (the closed form is 0/0 at t = 1).
@@ -197,22 +216,53 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return top.squeeze(axis) + np.log(a.sum(axis=axis))
 
 
-@np.errstate(over="ignore")
-def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
+def _split_orders(routine, args: tuple, n_orders: int, step: int, cells: int) -> None:
+    """Run routine(*args, lo, hi) over ranges of orders that cover [0, n_orders).
 
-    log_ratio is r = log p_i - log q, shape (M, K), one reference for every
-    order: -inf where p_i = 0 and finite elsewhere (where q = 0 put any
-    stand-in in log q and treat the rows with mass there as domination
-    failures).  The chunks of orders take turns in one orders x M x K
-    buffer and write into one output array.
+    An order-batched pass of n_orders x `cells` entries is cut into
+    min(_CPUS, n_orders cells // _SPLIT_CELLS, chunks) contiguous ranges
+    aligned to `step`, the orders per chunk.  The calling thread runs the
+    first range and one thread each of the others, under its own errstate
+    (numpy's is per thread and a new thread starts from the default).  Every
+    thread is joined before this returns, then the first exception a worker
+    raised is raised again.  With fewer than two parts the calling thread
+    runs the whole pass and no thread starts.
     """
-    probs, log_probs = rows.probs, rows.log_probs
-    m, k = probs.shape
-    step = _order_step(m * k)
-    out = np.empty((lams.size, m))
-    buffer = np.empty((min(step, lams.size), m, k))
-    for start in range(0, lams.size, step):
+    if n_orders * cells < 2 * _SPLIT_CELLS or _CPUS < 2:  # the common case: one part
+        routine(*args, 0, n_orders)
+        return
+    chunks = -(-n_orders // step)
+    parts = min(_CPUS, n_orders * cells // _SPLIT_CELLS, chunks)
+    bounds = [chunks * i // parts * step for i in range(parts)] + [n_orders]
+    errors = []
+    started = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=_run_range, args=(routine, args, lo, hi, errors))
+            thread.start()
+            started.append(thread)
+        routine(*args, bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _run_range(routine, args: tuple, lo: int, hi: int, errors: list) -> None:
+    """A worker of _split_orders: routine(*args, lo, hi), its exception kept in errors."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            routine(*args, lo, hi)
+    except BaseException as exc:  # raised again on the calling thread
+        errors.append(exc)
+
+
+def _renyi_range(rows: _PmfRows, log_ratio, lams, out, step: int, lo: int, hi: int) -> None:
+    """The kernel's chunk loop over orders lo to hi, in a buffer of its own."""
+    probs = rows.probs
+    buffer = np.empty((min(step, hi - lo),) + probs.shape)
+    for start in range(lo, hi, step):  # only the last chunk of lams is short
         lam = lams[start:start + step, None, None]
         terms = np.multiply(log_ratio, lam, out=buffer[: lam.shape[0]])  # -inf where p = 0
         np.expm1(terms, out=terms)
@@ -220,9 +270,30 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
         excess = terms.sum(axis=-1)
         excess += rows.defect  # S - 1
         np.log1p(excess, out=out[start:start + step])
+
+
+@np.errstate(over="ignore")
+def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
+
+    log_ratio is r = log p_i - log q, shape (M, K), one reference for every
+    order: -inf where p_i = 0 and finite elsewhere (where q = 0 put any
+    stand-in in log q and treat the rows with mass there as domination
+    failures).  The chunks of orders write into one output array; a pass
+    of more than 2 x _SPLIT_CELLS entries is split into ranges of chunks
+    run on threads (`_split_orders`), each range in a buffer of its own,
+    and smaller passes take their chunks in turn in one buffer.  Each order
+    gets the same operations either way, so the split keeps every bit.
+    Rows whose S - 1 overflowed are redone after the pass, on the calling
+    thread.
+    """
+    m, k = rows.probs.shape
+    step = _order_step(m * k)
+    out = np.empty((lams.size, m))
+    _split_orders(_renyi_range, (rows, log_ratio, lams, out, step), lams.size, step, m * k)
     if out.max() == math.inf:  # only where S - 1 overflowed
         li, mi = np.nonzero(out == math.inf)
-        logs = log_probs[mi] + lams[li, None] * log_ratio[mi]
+        logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]
         # where lam r itself overflowed, lam D is +inf as a float, and
         # the log-sum-exp would meet inf - inf
         finite = logs.max(axis=-1) < math.inf

@@ -150,6 +150,12 @@ CONFIG_MESSAGES = [
     (CS_BASE, {"delta_m": 1e-300}, "delta_m = 1e-300 outside [1/M, 1 - 1/M]"),
     (CS_BASE, {"n": 4000.0, "k": 4.0, "delta_m": 1.0 - 1e-10},
      "delta_m = 0.9999999999 outside [1/M, 1 - 1/M]"),
+    # n = inf passes n > 0 (and n > k) but leaves no finite bound
+    (DENSITY_GUIDE, {"n": math.inf}, "n < inf violated: n = inf"),
+    (ACTIVE_GUIDE, {"n": math.inf}, "n < inf violated: n = inf"),
+    (ACTIVE_GUIDE, {"n": math.nan}, "n > 0 violated: n = nan"),
+    (CS_BASE, {"n": math.inf}, "n < inf violated: n = inf"),
+    (CS_BASE, {"n": math.nan}, "n > k violated: n = nan, k = 128.0"),
 ]
 
 
@@ -397,12 +403,12 @@ def test_sweep_matches_per_point_replace(template, vary, values):
 
 
 def test_sweep_validates_every_point_before_computing_any():
-    # n = inf passes DensityConfig but its report evaluates to NaN; the
-    # later point's ConfigError is raised first
+    # alpha = 5e-324 passes ActiveConfig but its report evaluates to NaN;
+    # the later point's ConfigError is raised first
     with pytest.raises(ValueError, match="NaN"):
-        sweep(DENSITY_GUIDE, "n", [math.inf])
-    with pytest.raises(ConfigError, match=r"^n > 0 violated: n = -1.0$"):
-        sweep(DENSITY_GUIDE, "n", [math.inf, 1e6, -1.0])
+        sweep(ACTIVE_GUIDE, "alpha", [5e-324])
+    with pytest.raises(ConfigError, match=r"^alpha > 0 violated: alpha = -1.0$"):
+        sweep(ACTIVE_GUIDE, "alpha", [5e-324, 1.0, -1.0])
 
 
 def test_sweep_density_eps_monotone():

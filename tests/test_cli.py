@@ -429,6 +429,17 @@ def test_log_spacing_rejects_nonpositive_endpoints(capsys):
     assert "log spacing" in err
 
 
+def test_sweep_values_with_a_range_exits_2(capsys):
+    # --values would silently win over the range the manifest also records
+    base = ["sweep", "density", "--vary", "n", "--values", "1e6,1e7", "--nu", "1",
+            "--c", "0.1", "--a", "0.5"]
+    for extra in (["--from", "5", "--to", "9", "--points", "3"], ["--from", "5"],
+                  ["--to", "9"], ["--points", "3"]):
+        code, out, err = run_cli(capsys, [*base, *extra])
+        assert code == 2 and out == ""
+        assert "--values cannot be combined with --from/--to/--points" in err
+
+
 # --- sweep subcommand ---
 
 
@@ -562,13 +573,13 @@ def test_sweep_bad_middle_point_exits_2_with_nothing_on_stdout(capsys):
 
 
 def test_sweep_config_error_wins_over_earlier_compute_error(capsys):
-    # n = inf is a valid DensityConfig whose report evaluates to NaN
-    base = ["sweep", "density", "--vary", "n", *DENSITY_ARGS[2:]]
-    code, out, err = run_cli(capsys, [*base, "--values", "inf,1e6"])
+    # alpha = 5e-324 is a valid ActiveConfig whose report evaluates to NaN
+    base = ["sweep", "active", "--vary", "alpha", "--d", "2", *ACTIVE_ARGS]
+    code, out, err = run_cli(capsys, [*base, "--values", "5e-324,1"])
     assert code == 2 and out == "" and "NaN" in err
-    code, out, err = run_cli(capsys, [*base, "--values", "inf,1e6,-1"])
+    code, out, err = run_cli(capsys, [*base, "--values", "5e-324,1,-1"])
     assert code == 2 and out == ""
-    assert err == "error: n > 0 violated: n = -1.0\n"
+    assert err == "error: alpha > 0 violated: alpha = -1.0\n"
 
 
 def test_sweep_casts_integral_int_field_like_make_config(capsys):

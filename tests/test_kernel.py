@@ -1,7 +1,10 @@
 """The log-space Renyi kernel: exactness at extreme inputs, the q* shortcut, memory."""
 
 import math
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,19 +178,119 @@ def test_chunk_size_does_not_change_results(rng, monkeypatch):
             assert np.array_equal(fam._log_mean_terms(lams), log_mean)
 
 
-def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap():
-    # one M = 16, K = 4^6 family: a 64-order prescan in one array would be 32 MB
+def _wide_conditionals():
+    """An M = 16 family of 6-fold iid products of 4-letter pmfs: 16 x 4^6 cells."""
     rng = np.random.default_rng(7)
-    conds = tuple(iid_product_pmf(DiscretePmf(rng.dirichlet(np.ones(4))), 6) for _ in range(16))
+    return tuple(iid_product_pmf(DiscretePmf(rng.dirichlet(np.ones(4))), 6) for _ in range(16))
+
+
+def _count_threads(monkeypatch) -> list:
+    """Patch threading.Thread to record each thread it starts; returns the record."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+# 64 geometric orders plus two where S - 1 overflows and rows take the redo
+SPLIT_LAMS = np.concatenate([np.geomspace(1e-6, 10.0, 64), [1e300, 1.7e308]])
+
+
+def test_split_orders_equal_serial_bit_for_bit(rng, monkeypatch):
+    base = random_discrete_family(rng)
+    k = base.conditionals[0].support_size
+    q_choices = ("uniform", "mixture", DiscretePmf(rng.dirichlet(np.ones(k))), "qstar")
+    fams = [ChannelFamily(base.conditionals, q) for q in q_choices]
+    serial = [(f._scaled_divergences(SPLIT_LAMS), f._log_mean_terms(SPLIT_LAMS)) for f in fams]
+    started = _count_threads(monkeypatch)
+    monkeypatch.setattr(divergence, "_SPLIT_CELLS", 1)
+    # one order per chunk, and chunks that split the order axis unevenly
+    for chunk_cells in (1, 3 * base.m_codewords * k):
+        monkeypatch.setattr(divergence, "_CHUNK_CELLS", chunk_cells)
+        for cpus in (2, 3):
+            monkeypatch.setattr(divergence, "_CPUS", cpus)
+            before = len(started)
+            # a worker that entered no errstate of its own warns on overflow
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for fam, (scaled, log_mean) in zip(fams, serial):
+                    assert np.array_equal(fam._scaled_divergences(SPLIT_LAMS), scaled)
+                    assert np.array_equal(fam._log_mean_terms(SPLIT_LAMS), log_mean)
+            assert len(started) > before
+
+
+def test_soundness_sized_passes_start_no_thread(rng, monkeypatch):
+    # the largest soundness pass is 64 x 6 x 12^3 cells, below two split ranges
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a serial pass started a thread")
+
+    monkeypatch.setattr(divergence, "_CPUS", 8)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    for _ in range(10):
+        base = random_discrete_family(rng)
+        for q_choice in ("uniform", "mixture", "qstar"):
+            optimize_lambda(ChannelFamily(base.conditionals, q_choice))
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_wide_prescan_starts_exactly_one_thread(monkeypatch, cpus):
+    conds = _wide_conditionals()
+    lams = np.geomspace(1e-6, 10.0, 64)
+    monkeypatch.setattr(divergence, "_CPUS", cpus)
+    started = _count_threads(monkeypatch)
     for q_choice in ("uniform", "mixture", "qstar"):
         fam = ChannelFamily(conds, q_choice)
-        tracemalloc.start()
-        try:
-            optimize_lambda(fam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, f"{q_choice}: peak {peak / 2**20:.2f} MiB"
+        before = len(started)
+        fam._log_mean_terms(lams)
+        assert len(started) - before == 1
+        # the probes and golden-section steps of optimize_lambda take one order
+        fam._log_mean_terms(lams[:1])
+        assert len(started) - before == 1
+
+
+def test_worker_exception_reaches_the_caller_and_no_thread_survives(monkeypatch):
+    monkeypatch.setattr(divergence, "_CPUS", 3)
+    monkeypatch.setattr(divergence, "_SPLIT_CELLS", 1)
+    done = []
+
+    def routine(fail_from, lo, hi):
+        if lo:  # a worker's range: still running when the caller's is done
+            time.sleep(0.05)
+        if lo >= fail_from:
+            raise ValueError(f"range {lo}:{hi}")
+        done.append((lo, hi))
+
+    threads = threading.active_count()
+    divergence._split_orders(routine, (math.inf,), 10, 2, 1)
+    assert sorted(done) == [(0, 2), (2, 6), (6, 10)]
+    assert threading.active_count() == threads
+    # a worker's range, and the calling thread's own range
+    for fail_from in (6, 0):
+        with pytest.raises(ValueError, match="range"):
+            divergence._split_orders(routine, (fail_from,), 10, 2, 1)
+        assert threading.active_count() == threads
+
+
+def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
+    # one M = 16, K = 4^6 family: a 64-order prescan in one array would be 32 MB;
+    # on 2 or more CPUs it runs as two ranges, each with a buffer of its own
+    conds = _wide_conditionals()
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(divergence, "_CPUS", cpus)
+        for q_choice in ("uniform", "mixture", "qstar"):
+            fam = ChannelFamily(conds, q_choice)
+            tracemalloc.start()
+            try:
+                optimize_lambda(fam)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
 
 
 # --- the q* shortcut ---
