@@ -186,6 +186,7 @@ class CsConfig:
         _require(self.sigma_sq > 0.0, "sigma_sq > 0 violated: {}", self.sigma_sq)
         _require(self.frob_norm_sq > 0.0, "frob_norm_sq > 0 violated: {}", self.frob_norm_sq)
         _require(self.lam > 0.0, "lam > 0 violated: lam = {}", self.lam)
+        _require(self.lam < math.inf, "lam < inf violated: lam = {}", self.lam)
         _require(0.0 < self.delta < 1.0, "0 < delta < 1 violated: delta = {}", self.delta)
         _require(self.beta >= 0.0, "beta >= 0 violated: beta = {}", self.beta)
         log_m = self.log_m_codewords
@@ -470,14 +471,24 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
 
 
 def compute_bounds(cfg) -> ComparisonReport:
-    """Dispatch a config to its application's bound assembly."""
+    """Dispatch a config to its application's bound assembly.
+
+    A config can pass its checks and still carry the assembly past the float
+    range (density at n = 1e6 and nu = 1e-300 overflows an exponent); the
+    ArithmeticError that raises becomes a ConfigError naming the app.
+    """
     if isinstance(cfg, DensityConfig):
-        return density_bound(cfg)
-    if isinstance(cfg, ActiveConfig):
-        return active_bound(cfg)
-    if isinstance(cfg, CsConfig):
-        return cs_bound(cfg)
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+        app, assemble = "density", density_bound
+    elif isinstance(cfg, ActiveConfig):
+        app, assemble = "active", active_bound
+    elif isinstance(cfg, CsConfig):
+        app, assemble = "cs", cs_bound
+    else:
+        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    try:
+        return assemble(cfg)
+    except ArithmeticError as exc:
+        raise ConfigError(f"{app} bound leaves the float range: {exc}") from exc
 
 
 def sweep(template, vary: str, values) -> list:

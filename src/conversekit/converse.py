@@ -17,14 +17,13 @@ reference, the log ratio r = log p_i - log Q the kernel reads, and the
 rows Q fails to dominate; it keeps them.  The terms lam D_i then come from
 the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
 orders per call, in chunks that bound its memory; for q*, which moves with
-the order, each order forms its own r from q* at that order.  A batch of
-orders over a large family, such as the 64-order pre-scan of
-`optimize_lambda` on a 16 x 4096 family, is split into ranges of chunks
-that run on threads, by `divergence._split_orders` for the kernel and
-for q*'s normalizers alike; each order's row comes from the same
-operations as on one thread, so the split keeps every bit.  q* itself
-(`reference_pmf`) and its normalizer C come from the same kept rows, by
-`_log_qstar` for one order and `_log_qstar_weights` for a batch.  For them
+the order, each order forms its own r from q* at that order.  How a batch
+of orders is chunked, and split across threads, is decided in `divergence`
+alone (`divergence._over_order_chunks`), for the kernel and q*'s
+normalizers alike.  q* itself (`reference_pmf`) and its normalizer C come
+from the same kept rows, by `_log_qstar` for one order and
+`_log_qstar_weights` for a batch; only the latter redoes a column whose
+every product overflowed, and `_log_qstar` calls it for that.  For them
 a q* family also keeps three order-free arrays: each column's top log p,
 log p with that top in each p = 0 cell, and the 0/1 support, so the
 weights pass exp no -inf (numpy's exp slows down on -inf and on
@@ -56,12 +55,11 @@ from .divergence import (
     _lam,
     _log_or_neg_inf,
     _logsumexp,
-    _order_step,
+    _over_order_chunks,
     _PmfRows,
     _positive,
     _positive_int,
     _renyi_log_sums,
-    _split_orders,
     hellinger_kl_coefficient,
     kl_discrete,
     mixture_pmf,
@@ -226,8 +224,9 @@ class ChannelFamily:
     def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
         """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
 
-        For q* this is (1+lam) log C from the normalizer alone.  One order
-        takes the one-order forms, `_log_qstar` and the 1-D `_log_mean_exp`.
+        For q* this is (1+lam) log C from the normalizer alone, one chunk of
+        weights at a time (`divergence._over_order_chunks`).  One order takes
+        the one-order forms, `_log_qstar` and the 1-D `_log_mean_exp`.
         """
         if lams.size == 1:
             lam = float(lams[0])
@@ -235,7 +234,16 @@ class ChannelFamily:
                 return np.array([(1.0 + lam) * _log_qstar(self._arrays, lam)[1]])
             return np.array([_log_mean_exp(self._scaled_divergences(lams)[0])])
         if self.q_choice == "qstar":
-            return _log_qstar_mean_terms(self._arrays, lams)
+            arrays = self._arrays
+            log_c = _over_order_chunks(
+                lambda lam: _logsumexp(_log_qstar_weights(arrays, lam)), lams,
+                arrays.filled.size, (),
+            )
+            # each w(y) is a power mean of the p_i(y), so at least their mean,
+            # and C >= 1: the product overflows only to +inf, which is lam D
+            # as a float (a vacuous floor)
+            with np.errstate(over="ignore"):
+                return (1.0 + lams) * log_c
         return _log_mean_exp(self._scaled_divergences(lams))
 
 
@@ -507,42 +515,17 @@ def _log_qstar_weights(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _log_qstar(arrays: _FamilyArrays, lam: float):
-    """log q* (shape (K,)) and log C at one order: _log_qstar_weights for one lam."""
-    log_m = math.log(arrays.filled.shape[0])
-    power = 1.0 + lam
-    log_w = _log_power_means(arrays, power)[0]
+    """log q* (shape (K,)) and log C at one order: _log_qstar_weights for one lam.
+
+    A column whose every product overflowed (orders near 1e300) makes log C
+    NaN; then the weights come from `_log_qstar_weights`, which redoes it.
+    """
+    log_w = _log_power_means(arrays, 1.0 + lam)[0]
     log_c = float(_logsumexp(log_w.copy()))
-    if math.isnan(log_c):  # a column whose every product overflowed: redo it shifted
-        overflowed = np.isnan(log_w)
-        cols = arrays.rows.log_probs[:, overflowed].T
-        top = arrays.colmax[overflowed]
-        log_w[overflowed] = top + (_logsumexp(power * (cols - top[:, None])) - log_m) / power
+    if math.isnan(log_c):
+        log_w = _log_qstar_weights(arrays, np.array([lam]))[0]
         log_c = float(_logsumexp(log_w.copy()))
     return log_w - log_c, log_c
-
-
-def _log_qstar_range(arrays: _FamilyArrays, lams, log_c, step: int, lo: int, hi: int) -> None:
-    """log C for the orders lo to hi of lams into log_c, one chunk of weights at a time."""
-    for start in range(lo, hi, step):  # only the last chunk of lams is short
-        chunk = slice(start, start + step)
-        log_c[chunk] = _logsumexp(_log_qstar_weights(arrays, lams[chunk]))
-
-
-def _log_qstar_mean_terms(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
-    """log S = (1+lam) log C per order, shape (L,), one chunk of weights at a time.
-
-    A pass over more than 2 x `divergence._SPLIT_CELLS` entries is split
-    into ranges of chunks run on threads (`divergence._split_orders`), with
-    the same bits.  Each w(y) is a power mean of the p_i(y), so at least
-    their mean, and C >= 1: the product overflows only to +inf, which is
-    lam D as a float (a vacuous floor).
-    """
-    cells = arrays.filled.size
-    step = _order_step(cells)
-    log_c = np.empty(lams.size)
-    _split_orders(_log_qstar_range, (arrays, lams, log_c, step), lams.size, step, cells)
-    with np.errstate(over="ignore"):
-        return (1.0 + lams) * log_c
 
 
 def avg_kl_to_mixture(conditionals) -> float:
@@ -587,8 +570,7 @@ def generalized_fano_log_m_bound(order, ratio_sup: float, mutual_info: float, ep
     if mutual_info < 0.0:
         raise ValueError("mutual_info must be non-negative")
     kappa = hellinger_kl_coefficient(lam, ratio_sup)
-    return (
-        (1.0 + 1.0 / lam) * math.log((1.0 + lam) / (1.0 - eps))
-        - math.log(lam)
-        + math.log1p(lam * kappa * mutual_info) / lam
-    )
+    # kappa = inf (t^(1+lam) past the float range) caps log M at inf for I > 0,
+    # and I = 0 adds nothing, where inf * 0 would make the cap NaN
+    info = 0.0 if mutual_info == 0.0 else math.log1p(lam * kappa * mutual_info) / lam
+    return (1.0 + 1.0 / lam) * math.log((1.0 + lam) / (1.0 - eps)) - math.log(lam) + info

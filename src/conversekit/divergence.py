@@ -22,25 +22,26 @@ for a whole axis of orders at once, as an (orders, rows) array:
   no longer returns inf (or NaN, where one term underflowed to 0 and its
   partner overflowed) where the true divergence is finite.  Where lam r
   itself passes the float maximum (orders near 1.7e308), lam D is +inf.
-- The order axis is split into chunks of max(1, 2^12 // (M K)) orders
-  (`_CHUNK_CELLS`), and all chunks take turns in one orders x M x K buffer
-  and write into one output array, so a call that fits in one chunk (every
-  one-order call) builds no list of chunks and concatenates nothing.  Small
-  families take the 64-order pre-scan of `converse.optimize_lambda` in a few
-  steps; a 16 x 4096 family takes one order at a time, so its buffer is
-  one 512 KiB matrix.  Larger chunks bought no speed on small families and
-  raised their peak memory.
+- One function, `_over_order_chunks`, runs every order-batched pass, this
+  kernel's and q*'s normalizers in `converse` alike.  It cuts the order
+  axis into chunks of max(1, 2^12 // (M K)) orders (`_CHUNK_CELLS`), each
+  a function of its slice of orders with temporaries of its own, so a call
+  that fits in one chunk (every one-order call) returns that chunk's array
+  and builds no output of its own.  Small families take the 64-order
+  pre-scan of `converse.optimize_lambda` in a few chunks; a 16 x 4096
+  family takes one order at a time, in 512 KiB temporaries.  Larger chunks
+  bought no speed on small families and raised their peak memory.
 - A pass of more than 2 x 2^21 entries (orders x M x K, `_SPLIT_CELLS`) is
-  cut into min(CPUs, entries // 2^21, chunks) contiguous ranges of chunks
-  (`_split_orders`): the calling thread runs the first and one thread each
-  of the others, each range in a buffer of its own.  Each worker enters
-  its own np.errstate, since numpy's error state is per thread and a new
-  thread starts from the default.  2^21 entries are about 5 ms of kernel
-  work against about 0.1 ms to start and join a thread.  So the 64-order
-  pre-scan of a 16 x 4096 family takes two ranges on any host with two or
-  more CPUs, which keeps its memory bounded, and no pass of a family with
-  M <= 6 and K <= 12^3 splits.  No thread outlives a call and a pass of one
-  part starts none.
+  cut by the same function into min(CPUs, entries // 2^21, chunks)
+  contiguous ranges of chunks: the calling thread runs the first and one
+  thread each of the others.  Each worker enters its own np.errstate,
+  since numpy's error state is per thread and a new thread starts from
+  the default.  2^21 entries are about 5 ms of kernel work against about
+  0.1 ms to start and join a thread.  So the 64-order pre-scan of a
+  16 x 4096 family takes two ranges on any host with two or more CPUs,
+  and no pass of a family with M <= 6 and K <= 12^3 splits.  Each order
+  gets the same chunk either way, so the split keeps every bit.  No
+  thread outlives a call and a pass of one part starts none.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -77,14 +78,14 @@ __all__ = [
 # Absolute slack allowed on sum(probs) == 1 at construction time.
 PMF_SUM_TOL = 1e-12
 
-# Order-batched kernels take at most max(1, _CHUNK_CELLS // (M K)) orders of
-# an M x K matrix per step, so that orders x M x K stays below it whenever
-# one order fits.
+# Order-batched passes take at most max(1, _CHUNK_CELLS // (M K)) orders of
+# an M x K matrix per chunk, so that orders x M x K stays below it whenever
+# one order fits (see `_over_order_chunks`).
 _CHUNK_CELLS = 1 << 12
 
 # Order-batched passes take at most one thread per _SPLIT_CELLS entries and
 # per CPU of the affinity mask, so a process pinned to one CPU starts none
-# (see `_split_orders`).
+# (see `_over_order_chunks`).
 _SPLIT_CELLS = 1 << 21
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -203,11 +204,6 @@ class _PmfRows(NamedTuple):
     defect: np.ndarray  # (M,)
 
 
-def _order_step(cells: int) -> int:
-    """Orders per chunk of an order-batched pass over a matrix of `cells` entries."""
-    return max(1, _CHUNK_CELLS // cells)
-
-
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log sum exp over one axis, overwriting a; every slice needs a finite entry."""
     top = a.max(axis=axis, keepdims=True)
@@ -216,60 +212,58 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return top.squeeze(axis) + np.log(a.sum(axis=axis))
 
 
-def _split_orders(routine, args: tuple, n_orders: int, step: int, cells: int) -> None:
-    """Run routine(*args, lo, hi) over ranges of orders that cover [0, n_orders).
+def _over_order_chunks(chunk, lams: np.ndarray, cells: int, shape: tuple) -> np.ndarray:
+    """out[l] = chunk(lams[l]) for every order, shape (L,) + shape.
 
-    An order-batched pass of n_orders x `cells` entries is cut into
-    min(_CPUS, n_orders cells // _SPLIT_CELLS, chunks) contiguous ranges
-    aligned to `step`, the orders per chunk.  The calling thread runs the
-    first range and one thread each of the others, under its own errstate
-    (numpy's is per thread and a new thread starts from the default).  Every
-    thread is joined before this returns, then the first exception a worker
-    raised is raised again.  With fewer than two parts the calling thread
-    runs the whole pass and no thread starts.
+    chunk takes a slice of lams, at most max(1, _CHUNK_CELLS // cells)
+    orders of a matrix of `cells` entries, and returns their rows.  A pass
+    that fits in one chunk (every one-order call among them) returns chunk's
+    own array.  A pass of more than 2 x _SPLIT_CELLS entries is cut into
+    min(_CPUS, L cells // _SPLIT_CELLS, chunks) contiguous ranges of chunks:
+    the calling thread runs the first range and one thread each of the
+    others, under its own errstate (numpy's is per thread and a new thread
+    starts from the default).  Every thread is joined before this returns,
+    then the first exception a worker raised is raised again.  Each order
+    gets the same chunk either way, so the split keeps every bit.
     """
+    n_orders = lams.size
+    step = max(1, _CHUNK_CELLS // cells)
+    if n_orders <= step:
+        return chunk(lams)
+    out = np.empty((n_orders,) + shape)
+
+    def run(lo: int, hi: int) -> None:
+        for start in range(lo, hi, step):  # only the last chunk of lams is short
+            out[start:start + step] = chunk(lams[start:start + step])
+
     if n_orders * cells < 2 * _SPLIT_CELLS or _CPUS < 2:  # the common case: one part
-        routine(*args, 0, n_orders)
-        return
+        run(0, n_orders)
+        return out
     chunks = -(-n_orders // step)
     parts = min(_CPUS, n_orders * cells // _SPLIT_CELLS, chunks)
     bounds = [chunks * i // parts * step for i in range(parts)] + [n_orders]
     errors = []
+
+    def worker(lo: int, hi: int) -> None:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run(lo, hi)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
     started = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=_run_range, args=(routine, args, lo, hi, errors))
+            thread = threading.Thread(target=worker, args=(lo, hi))
             thread.start()
             started.append(thread)
-        routine(*args, bounds[0], bounds[1])
+        run(bounds[0], bounds[1])
     finally:
         for thread in started:
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _run_range(routine, args: tuple, lo: int, hi: int, errors: list) -> None:
-    """A worker of _split_orders: routine(*args, lo, hi), its exception kept in errors."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            routine(*args, lo, hi)
-    except BaseException as exc:  # raised again on the calling thread
-        errors.append(exc)
-
-
-def _renyi_range(rows: _PmfRows, log_ratio, lams, out, step: int, lo: int, hi: int) -> None:
-    """The kernel's chunk loop over orders lo to hi, in a buffer of its own."""
-    probs = rows.probs
-    buffer = np.empty((min(step, hi - lo),) + probs.shape)
-    for start in range(lo, hi, step):  # only the last chunk of lams is short
-        lam = lams[start:start + step, None, None]
-        terms = np.multiply(log_ratio, lam, out=buffer[: lam.shape[0]])  # -inf where p = 0
-        np.expm1(terms, out=terms)
-        terms *= probs
-        excess = terms.sum(axis=-1)
-        excess += rows.defect  # S - 1
-        np.log1p(excess, out=out[start:start + step])
+    return out
 
 
 @np.errstate(over="ignore")
@@ -279,18 +273,22 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
     log_ratio is r = log p_i - log q, shape (M, K), one reference for every
     order: -inf where p_i = 0 and finite elsewhere (where q = 0 put any
     stand-in in log q and treat the rows with mass there as domination
-    failures).  The chunks of orders write into one output array; a pass
-    of more than 2 x _SPLIT_CELLS entries is split into ranges of chunks
-    run on threads (`_split_orders`), each range in a buffer of its own,
-    and smaller passes take their chunks in turn in one buffer.  Each order
-    gets the same operations either way, so the split keeps every bit.
-    Rows whose S - 1 overflowed are redone after the pass, on the calling
-    thread.
+    failures).  The orders run in chunks (`_over_order_chunks`), each in
+    a temporary of its own; a large pass runs its chunks on threads, with
+    the same bits.  Rows whose S - 1 overflowed are redone after the pass,
+    on the calling thread.
     """
-    m, k = rows.probs.shape
-    step = _order_step(m * k)
-    out = np.empty((lams.size, m))
-    _split_orders(_renyi_range, (rows, log_ratio, lams, out, step), lams.size, step, m * k)
+    probs = rows.probs
+
+    def chunk(lam: np.ndarray) -> np.ndarray:
+        terms = np.multiply(log_ratio, lam[:, None, None])  # -inf where p = 0
+        np.expm1(terms, out=terms)
+        terms *= probs
+        excess = terms.sum(axis=-1)
+        excess += rows.defect  # S - 1
+        return np.log1p(excess, out=excess)
+
+    out = _over_order_chunks(chunk, lams, probs.size, probs.shape[:1])
     if out.max() == math.inf:  # only where S - 1 overflowed
         li, mi = np.nonzero(out == math.inf)
         logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]
@@ -376,11 +374,11 @@ def hellinger_kl_coefficient(order, ratio_sup: float) -> float:
     if abs(s) < _KAPPA_TAYLOR_WINDOW:
         c2 = (lam - 1.0) * (lam - 2.0) / 12.0 + (lam - 1.0) / 9.0 - 1.0 / 18.0
         return (1.0 + lam) * (1.0 + lam * s / 3.0 + c2 * s * s)
-    num = lam + t ** (1.0 + lam) - (1.0 + lam) * t
-    den = lam * (t * math.log(t) + 1.0 - t)
-    if math.isinf(num):
+    try:
+        num = lam + t ** (1.0 + lam) - (1.0 + lam) * t
+    except OverflowError:  # t^(1+lam) past the float range
         return math.inf
-    return num / den
+    return num / (lam * (t * math.log(t) + 1.0 - t))
 
 
 def iid_product_pmf(p: DiscretePmf, n_factors: int) -> DiscretePmf:

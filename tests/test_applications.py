@@ -156,13 +156,22 @@ CONFIG_MESSAGES = [
     (ACTIVE_GUIDE, {"n": math.nan}, "n > 0 violated: n = nan"),
     (CS_BASE, {"n": math.inf}, "n < inf violated: n = inf"),
     (CS_BASE, {"n": math.nan}, "n > k violated: n = nan, k = 128.0"),
+    # configs that pass their checks but carry the assembly past the float range
+    (DENSITY_GUIDE, {"n": 1e6, "nu": 1e-300},
+     "density bound leaves the float range: (34, 'Numerical result out of range')"),
+    (ACTIVE_GUIDE, {"kappa": 1e300},
+     "active bound leaves the float range: (34, 'Numerical result out of range')"),
+    (ACTIVE_GUIDE, {"c": 1e-300}, "active bound leaves the float range: float division by zero"),
+    (DENSITY_GUIDE, {"nu_schedule_kappa": 1e300},
+     "density bound leaves the float range: float division by zero"),
+    (CS_BASE, {"lam": math.inf}, "lam < inf violated: lam = inf"),
 ]
 
 
 @pytest.mark.parametrize("base, change, message", CONFIG_MESSAGES)
 def test_config_error_message_is_exact(base, change, message):
     with pytest.raises(ConfigError) as info:
-        dataclasses.replace(base, **change)
+        compute_bounds(dataclasses.replace(base, **change))
     assert str(info.value) == message
 
 

@@ -397,6 +397,17 @@ def test_config_error_exits_2_and_names_constraint(capsys):
     assert "1/2" in err
 
 
+def test_report_past_the_float_range_exits_2(capsys):
+    # a valid config whose assembly overflows: an error line, not a traceback
+    argv = ["--n", "1e6", "--nu", "1e-300", "--c", "0.1", "--a", "0.5"]
+    code, out, err = run_cli(capsys, ["bound", "density", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: density bound leaves the float range")
+    code, out, err = run_cli(capsys, ["sweep", "density", *argv, "--vary", "n",
+                                      "--values", "1e6,1e11"])
+    assert code == 2 and out == "" and "density bound" in err
+
+
 def test_missing_required_flag_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bound", "density", "--n", "1e11"])
     assert code == 2

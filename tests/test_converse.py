@@ -551,6 +551,14 @@ def test_generalized_fano_zero_information():
     assert cap == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
 
+def test_generalized_fano_cap_where_kappa_overflows():
+    # kappa(100, 1e10) is inf: a true but vacuous cap for I > 0, and for
+    # I = 0 the information term is 0, not inf * 0
+    assert generalized_fano_log_m_bound(100.0, 1e10, 0.5, 0.1) == math.inf
+    cap = generalized_fano_log_m_bound(100.0, 1e10, 0.0, 0.1)
+    assert cap == 1.01 * math.log(101.0 / 0.9) - math.log(100.0)
+
+
 def test_generalized_fano_validation():
     with pytest.raises(ValueError):
         generalized_fano_log_m_bound(1.0, 2.0, -0.1, 0.0)

@@ -223,6 +223,14 @@ def test_kappa_frozen_value():
     assert val == pytest.approx(2.9524924420125584, abs=1e-14)
 
 
+def test_kappa_is_inf_where_the_power_overflows():
+    # t^(1+lam) past the float range: kappa is inf, not an OverflowError
+    assert hellinger_kl_coefficient(100.0, 1e10) == math.inf
+    assert hellinger_kl_coefficient(1.0, 1e308) == math.inf
+    # a power just inside the range stays finite
+    assert math.isfinite(hellinger_kl_coefficient(1.0, 1e150))
+
+
 def test_kappa_taylor_branch_matches_high_precision():
     # 50-digit evaluation of the closed form as the oracle inside the window
     from decimal import Decimal, getcontext

@@ -1,6 +1,9 @@
 """The log-space Renyi kernel: exactness at extreme inputs, the q* shortcut, memory."""
 
+import ast
+import glob
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -254,26 +257,59 @@ def test_wide_prescan_starts_exactly_one_thread(monkeypatch, cpus):
 
 
 def test_worker_exception_reaches_the_caller_and_no_thread_survives(monkeypatch):
+    # 3 CPUs, 2 orders per chunk and 10 orders of one cell: ranges start at 0, 2 and 6
     monkeypatch.setattr(divergence, "_CPUS", 3)
     monkeypatch.setattr(divergence, "_SPLIT_CELLS", 1)
-    done = []
+    monkeypatch.setattr(divergence, "_CHUNK_CELLS", 2)
+    lams = np.arange(10.0)
+    ran = {}
 
-    def routine(fail_from, lo, hi):
-        if lo:  # a worker's range: still running when the caller's is done
+    def chunk(fail_from, lam):
+        lo = int(lam[0])
+        if lo >= 2:  # a worker's range: still running when the caller's is done
             time.sleep(0.05)
         if lo >= fail_from:
-            raise ValueError(f"range {lo}:{hi}")
-        done.append((lo, hi))
+            raise ValueError(f"chunk at {lo}")
+        ran.setdefault(threading.get_ident(), []).extend(lam.tolist())
+        return 2.0 * lam
+
+    def drive(fail_from):
+        return divergence._over_order_chunks(lambda lam: chunk(fail_from, lam), lams, 1, ())
 
     threads = threading.active_count()
-    divergence._split_orders(routine, (math.inf,), 10, 2, 1)
-    assert sorted(done) == [(0, 2), (2, 6), (6, 10)]
+    assert np.array_equal(drive(math.inf), 2.0 * lams)
+    assert sorted(ran.values()) == [[0.0, 1.0], [2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0]]
     assert threading.active_count() == threads
     # a worker's range, and the calling thread's own range
     for fail_from in (6, 0):
-        with pytest.raises(ValueError, match="range"):
-            divergence._split_orders(routine, (fail_from,), 10, 2, 1)
+        with pytest.raises(ValueError, match="chunk at"):
+            drive(fail_from)
         assert threading.active_count() == threads
+
+
+def test_order_chunk_policy_lives_only_in_divergence():
+    # the chunk size, the split and its threads are one decision, in one module
+    policy = {"_CHUNK_CELLS", "_SPLIT_CELLS", "_CPUS", "threading"}
+    root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
+    leaks = []
+    for path in sorted(glob.glob(os.path.join(root, "*.py"))):
+        if os.path.basename(path) == "divergence.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            else:
+                continue
+            leaks += [(os.path.basename(path), name) for name in names if name in policy]
+    assert not leaks, leaks
 
 
 def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
