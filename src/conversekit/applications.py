@@ -63,8 +63,11 @@ class DensityConfig:
 
     The alternatives are 1 + sum_j tau_j g_j with m = n^(1/5) / nu cells,
     bump amplitude c / m^2, a = integral g^2 and c_g = c sup|g|.  c0 is the
-    packing-rate constant: the sign patterns used support at least
-    exp(c0 m) codewords at Hamming distance m/3.
+    packing-rate constant, an assumed premise that no code here checks: the
+    floor takes log M = c0 m nats of sign patterns at Hamming distance m/3.
+    The default 0.082 is 1 - H2(1/3), the Gilbert-Varshamov rate at that
+    distance in bits (0.0566 in nats); the exact GV count certifies only
+    0.0726 m at m = 158.
     """
 
     n: float

@@ -6,15 +6,16 @@ distribution into a floor on the average error probability of any decoder:
     eps >= 1 - (1+lam) / (lam M)^(lam/(1+lam)) * S^(1/(1+lam)),
     S = (1/M) sum_i exp(lam D_i),  D_i = Renyi_(1+lam)(P_i || Q),
 
-valid for every lam > 0 and every reference Q dominating all conditionals.
+valid for every lam > 0 and every reference Q dominating all conditionals;
+a family takes one of three, each of which does: uniform, the mixture and q*.
 Fano-type baselines live here too, so the two can be compared on equal
 footing.
 
 On first use a ChannelFamily builds its conditionals once as matrices
 (see `divergence._PmfRows`) restricted to their joint support, plus, for
-the order-free references (uniform, mixture, an explicit pmf), the
-reference, the log ratio r = log p_i - log Q the kernel reads, and the
-rows Q fails to dominate; it keeps them.  The terms lam D_i then come from
+the order-free references (uniform and the mixture), the reference and
+the log ratio r = log p_i - log Q that the kernel reads, which is finite
+wherever p_i > 0; it keeps them.  The terms lam D_i then come from
 the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
 orders per call, in chunks that bound its memory; for q*, which moves with
 the order, each order forms its own r from q* at that order.  How a batch
@@ -78,8 +79,7 @@ __all__ = [
     "generalized_fano_log_m_bound",
 ]
 
-# Reference-distribution choices for discrete families ("explicit" is spelled
-# by passing a DiscretePmf instead of a tag).
+# Reference-distribution choices for discrete families.
 Q_CHOICES = ("uniform", "mixture", "qstar")
 
 # exp() overflows past this; used to route extreme bounds to +-inf instead.
@@ -98,7 +98,6 @@ class _FamilyArrays(NamedTuple):
     joint: np.ndarray  # outcomes some conditional puts mass on; rows keep only these
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q, the kernel's input
-    undominated: np.ndarray | None = None  # rows with mass where Q = 0
     # q* only: the order-free pieces of its weights.  numpy's exp slows down
     # on -inf and underflowing inputs, so no p = 0 cell reaches exp as -inf.
     colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
@@ -123,12 +122,8 @@ class ChannelFamily:
         size = conds[0].support_size
         if any(c.support_size != size for c in conds):
             raise ValueError("conditionals must share one alphabet")
-        q = self.q_choice
-        if isinstance(q, DiscretePmf):
-            if q.support_size != size:
-                raise ValueError("explicit q must live on the family alphabet")
-        elif q not in Q_CHOICES:
-            raise ValueError(f"q_choice must be a DiscretePmf or one of {Q_CHOICES}")
+        if self.q_choice not in Q_CHOICES:
+            raise ValueError(f"q_choice must be one of {Q_CHOICES}")
 
     @cached_property
     def _arrays(self) -> _FamilyArrays:
@@ -136,9 +131,10 @@ class ChannelFamily:
 
         Outcomes no conditional puts mass on add nothing to any Renyi sum,
         so the rows keep only the joint support.  For an order-free
-        reference also keep r = log p_i - log Q there (log Q = 0 stands in
-        where Q = 0), so no call repeats that subtraction, and the rows Q
-        fails to dominate.  q* is rebuilt per order; for it keep instead the
+        reference also keep r = log p_i - log Q there, so no call repeats
+        that subtraction.  The mixture is positive there unless it rounds to
+        0 where every conditional has only subnormal mass; that raises
+        ValueError.  q* is rebuilt per order; for it keep instead the
         order-free arrays of its weights (see `_log_power_means`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
@@ -156,24 +152,20 @@ class ChannelFamily:
             for arr in (colmax, filled, support):
                 arr.setflags(write=False)
             return _FamilyArrays(rows, joint, colmax=colmax, filled=filled, support=support)
-        if isinstance(self.q_choice, DiscretePmf):
-            ref = self.q_choice
-        elif self.q_choice == "uniform":
+        if self.q_choice == "uniform":
             ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
         else:
             ref = DiscretePmf(mat.mean(axis=0))
         q = ref.probs[joint]
-        undominated = np.flatnonzero(np.any((rows.probs > 0.0) & (q == 0.0), axis=1))
-        log_ratio = rows.log_probs - np.log(np.where(q > 0.0, q, 1.0))
+        if not q.all():
+            raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
+        log_ratio = rows.log_probs - np.log(q)
         log_ratio.setflags(write=False)
-        return _FamilyArrays(rows, joint, ref, log_ratio, undominated)
+        return _FamilyArrays(rows, joint, ref, log_ratio)
 
     @property
     def m_codewords(self) -> int:
         return len(self.conditionals)
-
-    def q_tag(self) -> str:
-        return "explicit" if isinstance(self.q_choice, DiscretePmf) else str(self.q_choice)
 
     def reference_pmf(self, order=None) -> DiscretePmf:
         """The reference distribution Q actually used, resolved per q_choice."""
@@ -191,18 +183,8 @@ class ChannelFamily:
         q[arrays.joint] = np.exp(log_q)
         return q, math.exp(log_c)
 
-    def _dominated(self) -> bool:
-        """Whether Q dominates every conditional; q* does.
-
-        Not read off the divergences: lam D overflows to inf at orders near
-        the float maximum even where Q dominates.
-        """
-        if self.q_choice == "qstar":
-            return True
-        return not self._arrays.undominated.size
-
     def divergences(self, order) -> np.ndarray:
-        """Per-codeword divergences to the reference; inf marks a domination failure."""
+        """Per-codeword divergences D_i to the reference at one order."""
         lam = _lam(order)
         return self._scaled_divergences(np.array([lam]))[0] / lam
 
@@ -216,10 +198,7 @@ class ChannelFamily:
                                 lams[i:i + 1])
                 for i, lam in enumerate(lams.tolist())
             ])
-        out = _renyi_log_sums(rows, arrays.log_ratio, lams)
-        if arrays.undominated.size:
-            out[:, arrays.undominated] = math.inf
-        return out
+        return _renyi_log_sums(rows, arrays.log_ratio, lams)
 
     def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
         """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
@@ -337,27 +316,19 @@ def _optimal_gamma(log_m: float, log_mean_term: float, lam: float) -> float:
 
 
 def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
-    """Error floor for the family at one order offset lam.
-
-    Domination failures (some conditional not dominated by Q) degrade to the
-    vacuous report eps_lower = 0 with a diagnostic flag rather than raising.
-    """
+    """Error floor for the family at one order offset lam, with every D_i."""
     lam = _lam(order)
     m = family.m_codewords
     log_m = math.log(m)
     scaled = family._scaled_divergences(np.array([lam]))[0]
-    dominated = family._dominated()
     log_mean = _log_mean_exp(scaled)
     raw = _eps_from_log_terms(log_m, log_mean, lam)
-    gamma_star = _optimal_gamma(log_m, log_mean, lam) if dominated else None
     params = {
         "m_codewords": m,
-        "q_choice": family.q_tag(),
+        "q_choice": family.q_choice,
         "lam": lam,
         "divergences": (scaled / lam).tolist(),
     }
-    if not dominated:
-        params["domination_violation"] = True
     if m == 1:
         params["degenerate_single_codeword"] = True
     return BoundReport(
@@ -365,7 +336,7 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
         eps_lower=_clamp_eps(raw),
         eps_raw=raw,
         lambda_star=lam,
-        gamma_star=gamma_star,
+        gamma_star=_optimal_gamma(log_m, log_mean, lam),
         params=params,
     )
 

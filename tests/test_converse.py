@@ -34,8 +34,9 @@ def test_family_validation():
         ChannelFamily((pmf(0.5, 0.5), pmf(0.2, 0.3, 0.5)))
     with pytest.raises(ValueError):
         ChannelFamily((pmf(0.5, 0.5),), q_choice="qq")
-    with pytest.raises(ValueError):
-        ChannelFamily((pmf(0.5, 0.5),), q_choice=pmf(0.2, 0.3, 0.5))
+    # only the three tags name a reference, even a pmf on the family alphabet
+    with pytest.raises(ValueError, match="q_choice must be one of"):
+        ChannelFamily((pmf(0.5, 0.5),), q_choice=pmf(0.3, 0.7))
     with pytest.raises(ValueError):
         ChannelFamily((GaussianShiftPair(1.0, 1.0),))
     with pytest.raises(ValueError):
@@ -48,9 +49,37 @@ def test_family_reference_choices():
     assert np.allclose(uniform.probs, [0.5, 0.5])
     mixture = ChannelFamily(conds, q_choice="mixture").reference_pmf()
     assert np.allclose(mixture.probs, [0.55, 0.45])
-    explicit = ChannelFamily(conds, q_choice=pmf(0.3, 0.7)).reference_pmf()
-    assert np.allclose(explicit.probs, [0.3, 0.7])
-    assert ChannelFamily(conds, q_choice="qstar").q_tag() == "qstar"
+    qstar = ChannelFamily(conds, q_choice="qstar")
+    assert strong_converse_bound(qstar, 1.0).params["q_choice"] == "qstar"
+
+
+# conditionals that differ only by a subnormal mass: their mixture rounds to
+# 0 on outcome 0, where the first one has mass
+SUBNORMAL_MIXTURE_FAMILY = (pmf(5e-324, 1.0), pmf(0.0, 1.0))
+
+
+def test_mixture_that_rounds_to_zero_on_the_support_raises():
+    # neither NaN nor a finite divergence against Q = 0 (a warning fails the test)
+    fam = ChannelFamily(SUBNORMAL_MIXTURE_FAMILY, "mixture")
+    calls = (
+        lambda: fam.divergences(1.0),
+        lambda: fam.reference_pmf(),
+        lambda: strong_converse_bound(fam, 1.0),
+        lambda: optimize_lambda(fam),
+        lambda: variational_bound(fam, 1.0, 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="mixture rounds to 0"):
+            call()
+
+
+@pytest.mark.parametrize("q_choice", ["uniform", "qstar"])
+def test_other_references_on_a_subnormal_mixture_family_are_sound(q_choice):
+    fam = ChannelFamily(SUBNORMAL_MIXTURE_FAMILY, q_choice)
+    exact = exact_bayes_error(SUBNORMAL_MIXTURE_FAMILY)
+    for lam in (0.1, 1.0, 100.0, 1e300):
+        assert strong_converse_bound(fam, lam).eps_raw <= exact
+    assert optimize_lambda(fam).eps_raw <= exact
 
 
 # --- raw strong-converse floor ---
@@ -59,7 +88,7 @@ def test_family_reference_choices():
 def test_eps_all_equal_reference_is_zero():
     # four identical conditionals equal to Q: S = 1, floor = 1 - 2/sqrt(4) = 0
     p = pmf(0.25, 0.75)
-    fam = ChannelFamily((p, p, p, p), q_choice=p)
+    fam = ChannelFamily((p, p, p, p), q_choice="mixture")
     rep = strong_converse_bound(fam, 1.0)
     assert rep.eps_raw == pytest.approx(0.0, abs=1e-15)
     assert rep.eps_lower == 0.0
@@ -95,15 +124,6 @@ def test_strong_converse_sound_on_random_families(rng):
             assert rep.eps_lower <= exact + 1e-9
 
 
-def test_domination_violation_flag():
-    conds = (pmf(0.5, 0.5), pmf(1.0, 0.0))
-    fam = ChannelFamily(conds, q_choice=pmf(0.0, 1.0))
-    rep = strong_converse_bound(fam, 1.0)
-    assert rep.eps_lower == 0.0
-    assert rep.params["domination_violation"] is True
-    assert rep.gamma_star is None
-
-
 def test_single_codeword_flag():
     fam = ChannelFamily((pmf(0.5, 0.5),), q_choice="uniform")
     rep = strong_converse_bound(fam, 1.0)
@@ -130,7 +150,7 @@ def test_optimize_lambda_boundary_flag():
     # all divergences zero: the floor 1 - (1+lam) / (lam M)^(lam/(1+lam))
     # rises with lam, so the optimum is the edge lam_hi
     p = pmf(0.5, 0.5)
-    fam = ChannelFamily((p, p, p), q_choice=p)
+    fam = ChannelFamily((p, p, p), q_choice="mixture")
     rep = optimize_lambda(fam)
     assert rep.params["lambda_at_boundary"]
 
@@ -184,7 +204,7 @@ def test_optimize_lambda_edge_optimum_costs_prescan_and_one_probe(monkeypatch):
     # divergence 0 the floor 1 - (1+lam) / (lam M)^(lam/(1+lam)) rises with
     # lam, so it peaks at lam_hi
     p = pmf(0.5, 0.5)
-    fam = ChannelFamily((p, p, p), q_choice=p)
+    fam = ChannelFamily((p, p, p), q_choice="mixture")
     evals = _count_calls(monkeypatch, ChannelFamily, "_log_mean_terms")
     golden = _count_calls(monkeypatch, converse, "_golden_max")
     rep = optimize_lambda(fam)
@@ -302,23 +322,12 @@ def test_variational_rejects_bad_gamma():
 # --- exp overflow ---
 
 
-def _subnormal_reference_family():
-    # log S is about 100 * 744 at lam = 100: exp of every derived exponent overflows
-    return ChannelFamily((pmf(0.5, 0.5), pmf(0.3, 0.7)), q_choice=pmf(1.0, 5e-324))
-
-
-def test_overflowing_bound_is_minus_inf_with_infinite_gamma_star():
-    rep = strong_converse_bound(_subnormal_reference_family(), 100.0)
-    assert rep.gamma_star == math.inf
-    assert rep.eps_raw == -math.inf
-    assert rep.eps_lower == 0.0
-    assert '"gamma_star": null' in canonical_json(rep.to_json_dict())
-
-
 def test_overflowing_variational_bound_is_minus_inf():
-    fam = _subnormal_reference_family()
-    assert variational_bound(fam, 100.0, 1.0) == -math.inf
-    assert variational_bound(fam, 1.0, 1e-300) == -math.inf
+    fam = ChannelFamily(OVERFLOWING_ORDER_FAMILY, "uniform")
+    # log S is about 1000 * 1.078 at lam = 1000, and 2 * 690.8 is -lam log gamma
+    # at lam = 2 and gamma = 1e-300: both exponents pass exp's range
+    assert variational_bound(fam, 1000.0, 1.0) == -math.inf
+    assert variational_bound(fam, 2.0, 1e-300) == -math.inf
 
 
 def test_variational_bound_where_s_and_gamma_power_both_overflow_is_minus_inf():
@@ -328,17 +337,11 @@ def test_variational_bound_where_s_and_gamma_power_both_overflow_is_minus_inf():
     assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
 
 
-def test_undominated_variational_bound_is_minus_inf():
-    fam = ChannelFamily((pmf(0.5, 0.5), pmf(0.3, 0.7)), q_choice=pmf(1.0, 0.0))
-    assert variational_bound(fam, 1.0, 1.0) == -math.inf
-    assert strong_converse_bound(fam, 1.0).gamma_star is None
-
-
 def test_variational_bound_term_that_underflows_drops_out():
     # every divergence is 0, so log S = 0 and S gamma^-lam = exp(-lam log gamma)
     # underflows to 0 even where lam log gamma overflows to inf
     p = pmf(0.5, 0.5)
-    fam = ChannelFamily((p, p), q_choice=p)
+    fam = ChannelFamily((p, p), q_choice="mixture")
     assert variational_bound(fam, 1e300, 1e10) == 1.0 - 1e10 / 2
     assert variational_bound(fam, 1.7e308, 1e10) == 1.0 - 1e10 / 2
 
@@ -354,7 +357,7 @@ QSTAR_HUGE_ORDER_FAMILIES = [
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
 def test_qstar_floor_at_huge_order_is_finite_and_sound(conds):
-    # a RuntimeWarning fails the test (conftest)
+    # a RuntimeWarning fails the test
     fam = ChannelFamily(conds, "qstar")
     rep = strong_converse_bound(fam, 1.7e308)
     assert math.isfinite(rep.eps_raw)
@@ -371,13 +374,14 @@ OVERFLOWING_ORDER_FAMILY = (pmf(0.98, 0.01, 0.01), pmf(0.01, 0.98, 0.01), pmf(0.
 @pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
 def test_floor_where_lam_d_overflows_is_minus_inf(q_choice):
     # lam D_i = 1.7e308 * 1.078 passes the float maximum: the floor is the
-    # vacuous -inf, with no NaN and no warning (a RuntimeWarning fails the
-    # test), and a Q that dominates is not flagged
+    # vacuous -inf, with no NaN and no warning (a warning fails the test),
+    # and gamma* = exp(log S / (1+lam)) is inf, which the JSON writes as null
     fam = ChannelFamily(OVERFLOWING_ORDER_FAMILY, q_choice)
     rep = strong_converse_bound(fam, 1.7e308)
     assert rep.eps_raw == -math.inf
     assert rep.eps_lower == 0.0
-    assert "domination_violation" not in rep.params
+    assert rep.gamma_star == math.inf
+    assert '"gamma_star": null' in canonical_json(rep.to_json_dict())
     assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
     assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
 

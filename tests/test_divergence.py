@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conversekit.converse import generalized_fano_log_m_bound
 from conversekit.divergence import (
     PMF_SUM_TOL,
     AbsoluteContinuityError,
@@ -229,6 +230,14 @@ def test_kappa_is_inf_where_the_power_overflows():
     assert hellinger_kl_coefficient(1.0, 1e308) == math.inf
     # a power just inside the range stays finite
     assert math.isfinite(hellinger_kl_coefficient(1.0, 1e150))
+
+
+def test_kappa_at_t_one_is_one_plus_lam_at_any_order():
+    # past lam ~ 1e154 the Taylor branch's quadratic coefficient overflows,
+    # and inf * (t - 1)^2 at t = 1 would be NaN
+    assert hellinger_kl_coefficient(1e200, 1.0) == 1e200
+    assert hellinger_kl_coefficient(0.5, 1.0) == 1.5
+    assert generalized_fano_log_m_bound(1e200, 1.0, 0.1, 0.1) == math.inf
 
 
 def test_kappa_taylor_branch_matches_high_precision():
