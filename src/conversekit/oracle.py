@@ -9,11 +9,13 @@ The quadrature is QUADPACK's 15-point Kronrod rule with its embedded 7-point
 Gauss rule (Kronrod 1965; Piessens et al. 1983), refined breadth-first: each
 step evaluates every panel not yet accepted with a single vectorised call to
 the integrand and bisects those whose Kronrod and Gauss estimates still
-differ by more than their share of the tolerance.  Refinement stops at a
-minimum panel width or at a cap on the open panels of one interval; panels
-such a stop leaves unconverged are taken as they are, and the call then
-warns with QuadratureWarning.  Each integral has one fixed tolerance, stated
-in its docstring.
+differ by more than their share of the tolerance.  A step where every panel
+converged ends the refinement.  Refinement stops at a minimum panel width or
+at a cap on the open panels of one interval; panels such a stop leaves
+unconverged are taken as they are, and the call then warns with
+QuadratureWarning.  The stops are checked only on a step where one can bind:
+at the last depth, or where more than half the cap is open in all.  Each
+integral has one fixed tolerance, stated in its docstring.
 """
 
 from __future__ import annotations
@@ -111,8 +113,12 @@ def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
     and accepts a panel when |K15 - G7| <= max(atol, rtol * |estimate|) times
     its share of its interval's width, the estimate being the interval's
     accepted total plus the K15 values of its open panels.  The rest are
-    bisected.  Returns one total per interval, and warns with
-    QuadratureWarning if either stop took panels unconverged.
+    bisected.  A step where every panel converged ends the loop with its
+    estimate as the totals.  The two stops are checked only on a step where
+    one can bind: at the depth limit, or where more than _MAX_OPEN / 2 panels
+    are open in all, since one interval holds at most all of them.  Returns
+    one total per interval, and warns with QuadratureWarning if either stop
+    took panels unconverged.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -129,15 +135,20 @@ def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
         estimate = totals + np.bincount(k, weights=kron, minlength=n)
         tol = np.maximum(atol, rtol * np.abs(estimate[k])) * (2.0 * half * share[k])
         met = np.abs(kron - gauss) <= tol
-        crowded = 2 * np.bincount(k[~met], minlength=n)[k] > _MAX_OPEN
-        done = met | crowded | (depth == _MAX_DEPTH)
-        stalled += np.count_nonzero(done) - np.count_nonzero(met)
-        totals += np.bincount(k[done], weights=kron[done], minlength=n)
-        split = ~done
-        if not split.any():
+        if met.all():
+            totals = estimate
             break
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi, k = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.tile(k[split], 2)
+        split = np.flatnonzero(~met)
+        if 2 * split.size > _MAX_OPEN or depth == _MAX_DEPTH:
+            crowded = 2 * np.bincount(k[split], minlength=n)[k] > _MAX_OPEN
+            done = met | crowded | (depth == _MAX_DEPTH)
+            stalled += np.count_nonzero(done) - np.count_nonzero(met)
+            met, split = done, np.flatnonzero(~done)
+        totals += np.bincount(k[met], weights=kron[met], minlength=n)
+        if not split.size:
+            break
+        lo, mid, hi, k = lo[split], mid[split], hi[split], k[split]
+        lo, hi, k = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((k, k))
     if stalled:
         warnings.warn(
             f"adaptive Gauss-Kronrod: {stalled} panel(s) taken as they were, short of "

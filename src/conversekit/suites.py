@@ -66,7 +66,8 @@ class SuiteResult:
 
     def record(self, margin: float, label: str):
         self.checks += 1
-        if margin < self.worst_margin:
+        # a NaN margin fails, so it is the worst margin and stays so
+        if margin < self.worst_margin or math.isnan(margin):
             self.worst_margin = margin
         if not margin >= 0.0:
             self.failures += 1

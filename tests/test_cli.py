@@ -25,7 +25,7 @@ from conversekit.cli import (
     main,
     make_config,
 )
-from conversekit.suites import fano_recovery_suite
+from conversekit.suites import SuiteResult, fano_recovery_suite
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "conversekit", "schema",
@@ -701,6 +701,19 @@ def test_verify_fano_recovery_prints_only_its_summary(capsys):
     assert out.splitlines() == [
         "fano-recovery: 16 checks, 0 failures, worst margin 1.827e-01 [ok]",
     ]
+
+
+def test_nan_margin_is_the_worst_margin_and_stays_so():
+    # a NaN margin fails, so the summary must not print a finite worst margin
+    result = SuiteResult("demo")
+    result.record(0.5, "first")
+    result.record(math.nan, "second")
+    result.record(-1.0, "third")
+    result.record(0.25, "fourth")
+    assert result.checks == 4 and result.failures == 2
+    assert math.isnan(result.worst_margin)
+    assert result.summary_line() == "demo: 4 checks, 2 failures, worst margin nan [FAIL]"
+    assert result.details == ["second: margin nan", "third: margin -1.000e+00"]
 
 
 def test_verify_packing_half_gv_flags_exits_2(capsys):
