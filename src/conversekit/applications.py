@@ -84,6 +84,7 @@ class DensityConfig:
         _require(self.c >= 0.0, "c >= 0 violated: c = {}", self.c)
         _require(self.a > 0.0, "a > 0 violated: a = {}", self.a)
         _require(self.c0 > 0.0, "c0 > 0 violated: c0 = {}", self.c0)
+        _require(self.c0 < math.inf, "c0 < inf violated: c0 = {}", self.c0)
         _require(
             0.0 <= self.c_g_effective < 1.0,
             "0 <= c_g < 1 violated: c_g = {}", self.c_g_effective,
@@ -152,9 +153,13 @@ class ActiveConfig:
             "integer d >= 2 violated: d = {}", self.d,
         )
         _require(self.alpha > 0.0, "alpha > 0 violated: alpha = {}", self.alpha)
+        _require(self.alpha < math.inf, "alpha < inf violated: alpha = {}", self.alpha)
         _require(self.kappa >= 1.0, "kappa >= 1 violated: kappa = {}", self.kappa)
+        _require(self.kappa < math.inf, "kappa < inf violated: kappa = {}", self.kappa)
         _require(self.L > 0.0, "L > 0 violated: L = {}", self.L)
+        _require(self.L < math.inf, "L < inf violated: L = {}", self.L)
         _require(self.H > 0.0, "H > 0 violated: H = {}", self.H)
+        _require(self.H < math.inf, "H < inf violated: H = {}", self.H)
         _require(0.0 < self.c <= 0.5, "0 < c <= 1/2 violated: c = {}", self.c)
         _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
         _require(0.0 < self.lam <= 1.0, "0 < lam <= 1 violated: lam = {}", self.lam)
@@ -187,11 +192,14 @@ class CsConfig:
         _require(self.n > self.k, "n > k violated: n = {}, k = {}", self.n, self.k)
         _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
         _require(self.sigma_sq > 0.0, "sigma_sq > 0 violated: {}", self.sigma_sq)
+        _require(self.sigma_sq < math.inf, "sigma_sq < inf violated: {}", self.sigma_sq)
         _require(self.frob_norm_sq > 0.0, "frob_norm_sq > 0 violated: {}", self.frob_norm_sq)
+        _require(self.frob_norm_sq < math.inf, "frob_norm_sq < inf violated: {}", self.frob_norm_sq)
         _require(self.lam > 0.0, "lam > 0 violated: lam = {}", self.lam)
         _require(self.lam < math.inf, "lam < inf violated: lam = {}", self.lam)
         _require(0.0 < self.delta < 1.0, "0 < delta < 1 violated: delta = {}", self.delta)
         _require(self.beta >= 0.0, "beta >= 0 violated: beta = {}", self.beta)
+        _require(self.beta < math.inf, "beta < inf violated: beta = {}", self.beta)
         log_m = self.log_m_codewords
         _require(log_m > 1.0, "(k/4) log(n/k) > 1 violated: value = {}", log_m)
         dm = self.delta_m_effective
@@ -473,6 +481,14 @@ def cs_bound(cfg: CsConfig) -> ComparisonReport:
     return ComparisonReport("cs", strong, fano, asymptote, ratio)
 
 
+# The one list of applications: name -> (config type, bound assembly).
+_APPS = {
+    "density": (DensityConfig, density_bound),
+    "active": (ActiveConfig, active_bound),
+    "cs": (CsConfig, cs_bound),
+}
+
+
 def compute_bounds(cfg) -> ComparisonReport:
     """Dispatch a config to its application's bound assembly.
 
@@ -480,12 +496,9 @@ def compute_bounds(cfg) -> ComparisonReport:
     range (density at n = 1e6 and nu = 1e-300 overflows an exponent); the
     ArithmeticError that raises becomes a ConfigError naming the app.
     """
-    if isinstance(cfg, DensityConfig):
-        app, assemble = "density", density_bound
-    elif isinstance(cfg, ActiveConfig):
-        app, assemble = "active", active_bound
-    elif isinstance(cfg, CsConfig):
-        app, assemble = "cs", cs_bound
+    for app, (config_type, assemble) in _APPS.items():
+        if isinstance(cfg, config_type):
+            break
     else:
         raise TypeError(f"unsupported config type {type(cfg).__name__}")
     try:

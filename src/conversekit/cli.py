@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -22,10 +23,8 @@ from typing import NamedTuple
 
 from . import __version__
 from .applications import (
-    ActiveConfig,
     ConfigError,
-    CsConfig,
-    DensityConfig,
+    _APPS,
     _config_echo,
     compute_bounds,
     sweep,
@@ -34,8 +33,6 @@ from .oracle import CapabilityError
 from .suites import SUITE_NAMES, run_suite
 
 CSV_COLUMNS = ("value", "strong_eps", "fano_eps", "strong_risk", "fano_risk", "ratio")
-
-_CONFIG_TYPES = {"density": DensityConfig, "active": ActiveConfig, "cs": CsConfig}
 
 # Flags that are not the field name with "-" for "_"; every other flag is.
 _FLAG_ALIASES = {
@@ -73,7 +70,7 @@ def _config_fields(config_type) -> _ConfigFields:
 
 
 # read once, at import
-_FIELDS = {app: _config_fields(cls) for app, cls in _CONFIG_TYPES.items()}
+_FIELDS = {app: _config_fields(config_type) for app, (config_type, _) in _APPS.items()}
 
 # keyword through which each suite takes --count (packing takes none)
 _COUNT_PARAMS = {"soundness": "n_families", "divergence": "n_points", "fano-recovery": "n_families"}
@@ -134,12 +131,28 @@ def compact_json(obj) -> str:
     return _render_json(obj, None)
 
 
+def _open_mode(path: str) -> int:
+    """The mode open(path, "w") leaves: an existing file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_atomic(path: str, text: str):
+    """Write text to path through a temporary file in its directory and a rename.
+
+    mkstemp makes the file 0600, and the rename would carry that over; the
+    file gets the mode a plain open(path, "w") would give it instead.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".conversekit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), _open_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -196,7 +209,7 @@ def make_config(app: str, values: dict):
     unknown = values.keys() - table.flags.keys()
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    return _CONFIG_TYPES[app](**{f: _flag_value(table, f, v) for f, v in values.items()})
+    return _APPS[app][0](**{f: _flag_value(table, f, v) for f, v in values.items()})
 
 
 def _flag_value(table, field: str, value):
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="compute one application bound report (JSON)")
     bound_sub = p_bound.add_subparsers(dest="app", required=True)
-    for app in _CONFIG_TYPES:
+    for app in _APPS:
         p_app = bound_sub.add_parser(app)
         _add_config_flags(p_app, app)
         p_app.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -339,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate bounds along one parameter (CSV)")
     sweep_sub = p_sweep.add_subparsers(dest="app", required=True)
-    for app in _CONFIG_TYPES:
+    for app in _APPS:
         p_app = sweep_sub.add_parser(app)
         _add_config_flags(p_app, app)
         p_app.add_argument("--vary", required=True, help="config field to sweep")

@@ -22,13 +22,13 @@ the order, each order forms its own r from q* at that order.  How a batch
 of orders is chunked, and split across threads, is decided in `divergence`
 alone (`divergence._over_order_chunks`), for the kernel and q*'s
 normalizers alike.  q* itself (`reference_pmf`) and its normalizer C come
-from the same kept rows, by `_log_qstar` for one order and
-`_log_qstar_weights` for a batch; only the latter redoes a column whose
-every product overflowed, and `_log_qstar` calls it for that.  For them
-a q* family also keeps three order-free arrays: each column's top log p,
-log p with that top in each p = 0 cell, and the 0/1 support, so the
-weights pass exp no -inf (numpy's exp slows down on -inf and on
-underflowing inputs) and keep the bits of a logsumexp over log p.  For q*
+from the same kept rows, through one formula for its weights,
+`_log_qstar_weights`, which `_log_qstar` calls for one order and the
+normalizers for a batch.  For it a q* family also keeps three order-free
+arrays: each column's top log p, log p shifted by that top (0 in each
+p = 0 cell) and the 0/1 support.  Each column's top cell enters exp as 0,
+so no weight overflows to NaN at any finite order, and exp meets no -inf
+(numpy's exp slows down on -inf and on underflowing inputs).  For q*
 no divergence is needed for S itself: with C the normalizer of q*,
 S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
 2015), which `optimize_lambda` and `variational_bound` use.
@@ -98,10 +98,12 @@ class _FamilyArrays(NamedTuple):
     joint: np.ndarray  # outcomes some conditional puts mass on; rows keep only these
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q, the kernel's input
-    # q* only: the order-free pieces of its weights.  numpy's exp slows down
-    # on -inf and underflowing inputs, so no p = 0 cell reaches exp as -inf.
+    # q* only: the order-free pieces of its weights, with log p shifted by
+    # its column's top once, so no order makes a weight NaN.  numpy's exp
+    # slows down on -inf and underflowing inputs, so no p = 0 cell reaches
+    # exp as -inf.
     colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
-    filled: np.ndarray | None = None  # log p, with colmax in each p = 0 cell
+    shifted: np.ndarray | None = None  # log p - colmax <= 0, and 0 in each p = 0 cell
     support: np.ndarray | None = None  # 1.0 where p > 0, else 0.0
 
 
@@ -135,7 +137,7 @@ class ChannelFamily:
         that subtraction.  The mixture is positive there unless it rounds to
         0 where every conditional has only subnormal mass; that raises
         ValueError.  q* is rebuilt per order; for it keep instead the
-        order-free arrays of its weights (see `_log_power_means`).
+        order-free arrays of its weights (see `_log_qstar_weights`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
         joint = np.any(mat > 0.0, axis=0)
@@ -147,15 +149,15 @@ class ChannelFamily:
         if self.q_choice == "qstar":
             colmax = rows.log_probs.max(axis=0)
             live = rows.probs > 0.0
-            filled = np.where(live, rows.log_probs, colmax)
+            shifted = np.where(live, rows.log_probs - colmax, 0.0)
             support = live.astype(float)
-            for arr in (colmax, filled, support):
+            for arr in (colmax, shifted, support):
                 arr.setflags(write=False)
-            return _FamilyArrays(rows, joint, colmax=colmax, filled=filled, support=support)
+            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support)
         if self.q_choice == "uniform":
             ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
         else:
-            ref = DiscretePmf(mat.mean(axis=0))
+            ref = mixture_pmf(self.conditionals)
         q = ref.probs[joint]
         if not q.all():
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
@@ -215,8 +217,8 @@ class ChannelFamily:
         if self.q_choice == "qstar":
             arrays = self._arrays
             log_c = _over_order_chunks(
-                lambda lam: _logsumexp(_log_qstar_weights(arrays, lam)), lams,
-                arrays.filled.size, (),
+                lambda part: _logsumexp(_log_qstar_weights(arrays, 1.0 + part[:, None, None])),
+                lams, arrays.shifted.size, (),
             )
             # each w(y) is a power mean of the p_i(y), so at least their mean,
             # and C >= 1: the product overflows only to +inf, which is lam D
@@ -435,67 +437,33 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     return 1.0 - g / family.m_codewords - _exp_or_inf(exponent)
 
 
-def _log_power_means(arrays: _FamilyArrays, power) -> np.ndarray:
-    """log w(y) = log(mean_i p_i(y)^power) / power, shape (..., 1, K).
+def _log_qstar_weights(arrays: _FamilyArrays, power) -> np.ndarray:
+    """log w(y) = log(mean_i p_i(y)^power) / power, shape (..., K).
 
-    power is 1 + lam: a float, or an (L, 1, 1) array of L orders.  With
-    top = power colmax, which is the column max of power log p since
-    rounding is monotone,
+    power is 1 + lam: a float, or an (L, 1, 1) array of L orders.  q* is
+    w / C with C = sum_y w(y).  From log p shifted by its column max,
 
-        log w = (top + log sum_i support exp(power filled - top) - log M) / power.
+        log w = colmax + (log sum_i support exp(power shifted) - log M) / power.
 
-    A p = 0 cell enters exp as exactly 0 and is masked to the 0 that
-    exp(-inf) gave, so w keeps the bits of a logsumexp over log p, and exp
-    never takes numpy's slow path on -inf.  A column whose top overflows
-    to -inf comes out NaN.
+    Each column's top cell enters exp as exactly 0, so the sum lies in
+    [1, M] and no weight is NaN at any finite order; a product that
+    overflows to -inf (orders near 1e300) drops out as the 0 it rounds to.
+    A p = 0 cell enters exp as 0 too and is masked, so exp never takes
+    numpy's slow path on -inf there.  Unchunked: callers pass at most one
+    chunk of orders.
     """
-    log_m = math.log(arrays.filled.shape[0])
-    top = power * arrays.colmax
-    terms = power * arrays.filled
-    terms -= top
+    with np.errstate(over="ignore"):
+        terms = power * arrays.shifted
     np.exp(terms, out=terms)
     terms *= arrays.support
-    return (top + np.log(terms.sum(axis=-2, keepdims=True)) - log_m) / power
+    log_sum = np.log(terms.sum(axis=-2, keepdims=True))
+    return arrays.colmax + ((log_sum - math.log(terms.shape[-2])) / power)[..., 0, :]
 
 
-def _log_qstar_weights(arrays: _FamilyArrays, lams: np.ndarray) -> np.ndarray:
-    """log w(y) = log(mean_i p_i(y)^(1+lam)) / (1+lam) per order, shape (L, K).
-
-    q* is w / C with C = sum_y w(y).  Every column needs a positive entry.
-    Unchunked: callers pass at most one chunk of orders.
-
-    At orders near the float maximum (1+lam) log p can overflow to -inf.
-    An overflowed product lies below every finite one by far more than exp
-    can resolve, so it drops out, unless its whole column overflowed: those
-    columns come out NaN and are redone shifted by their top,
-    log w = colmax + (logsumexp((1+lam)(log p - colmax)) - log M) / (1+lam).
-    """
-    log_m = math.log(arrays.filled.shape[0])
-    power = 1.0 + lams[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_w = _log_power_means(arrays, power)[:, 0]
-        overflowed = np.isnan(log_w)  # the columns whose every product overflowed
-        if overflowed.any():
-            at, y = np.nonzero(overflowed)
-            cols = arrays.rows.log_probs[:, y].T
-            top = arrays.colmax[y]
-            shifted = power[at, 0] * (cols - top[:, None])
-            log_w[at, y] = top + (_logsumexp(shifted) - log_m) / power[at, 0, 0]
-    return log_w
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def _log_qstar(arrays: _FamilyArrays, lam: float):
-    """log q* (shape (K,)) and log C at one order: _log_qstar_weights for one lam.
-
-    A column whose every product overflowed (orders near 1e300) makes log C
-    NaN; then the weights come from `_log_qstar_weights`, which redoes it.
-    """
-    log_w = _log_power_means(arrays, 1.0 + lam)[0]
+    """log q* (shape (K,)) and log C at one order, from `_log_qstar_weights`."""
+    log_w = _log_qstar_weights(arrays, 1.0 + lam)
     log_c = float(_logsumexp(log_w.copy()))
-    if math.isnan(log_c):
-        log_w = _log_qstar_weights(arrays, np.array([lam]))[0]
-        log_c = float(_logsumexp(log_w.copy()))
     return log_w - log_c, log_c
 
 

@@ -151,6 +151,29 @@ def test_bound_out_file_equals_stdout(capsys, tmp_path):
     assert from_file["manifest"]["config"] == from_stdout["manifest"]["config"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_out_file_gets_the_mode_of_a_plain_open(capsys, tmp_path, umask):
+    # a new file gets 0o666 less the umask, an existing one keeps its mode,
+    # both for a bound report and a sweep table
+    old = os.umask(umask)
+    try:
+        for command in (["bound", "density", *DENSITY_ARGS],
+                        ["sweep", "density", *DENSITY_ARGS, "--vary", "n", "--values", "1e11"]):
+            path = tmp_path / "new.out"
+            assert main([*command, "--out", str(path)]) == 0
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+            path.unlink()
+            kept = tmp_path / "kept.out"
+            kept.write_text("old\n", encoding="utf-8")
+            kept.chmod(0o640)
+            assert main([*command, "--out", str(kept)]) == 0
+            assert kept.stat().st_mode & 0o777 == 0o640
+            assert kept.read_text(encoding="utf-8") != "old\n"
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("app", sorted(CONFIGS))
 def test_bound_reproduces_golden_report(capsys, tmp_path, app):
     with open(os.path.join(GOLDEN_DIR, f"{app}.json"), encoding="utf-8") as fh:
@@ -406,6 +429,24 @@ def test_report_past_the_float_range_exits_2(capsys):
     code, out, err = run_cli(capsys, ["sweep", "density", *argv, "--vary", "n",
                                       "--values", "1e6,1e11"])
     assert code == 2 and out == "" and "density bound" in err
+
+
+@pytest.mark.parametrize("app, field, flag", [
+    ("density", "c0", "--c0"),
+    ("active", "alpha", "--alpha"),
+    ("active", "kappa", "--kappa"),
+    ("active", "L", "--L"),
+    ("active", "H", "--H"),
+    ("cs", "sigma_sq", "--sigma2"),
+    ("cs", "frob_norm_sq", "--frob2"),
+    ("cs", "beta", "--beta"),
+])
+def test_infinite_field_exits_2(capsys, app, field, flag):
+    # a sign check alone lets inf through, to a NaN, inf or saturated floor
+    argv = [*SWEEP_BASE_ARGS[app], flag, "inf"]
+    code, out, err = run_cli(capsys, ["bound", app, *argv])
+    assert code == 2 and out == ""
+    assert f"{field} < inf violated" in err
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -1,5 +1,6 @@
 """The strong-converse machinery, its variational form, and the Fano baselines."""
 
+import decimal
 import math
 
 import numpy as np
@@ -412,25 +413,30 @@ def test_log_mean_over_an_infinite_and_a_huge_finite_term_is_inf():
     assert 0.0 <= best.eps_lower <= exact_bayes_error(fam.conditionals)
 
 
-def _plain_log_qstar_weights(log_probs, lams):
+def _dense_log_qstar_weights(log_probs, lams):
+    """The shifted weights from log p as it is, -inf at zeros: no fill, no mask."""
     power = 1.0 + lams[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = power[..., None] * log_probs
-        top = scaled.max(axis=1, keepdims=True)
-        lse = top[:, 0] + np.log(np.exp(scaled - top).sum(axis=1))
-    return (lse - math.log(log_probs.shape[0])) / power
+    top = log_probs.max(axis=0)
+    with np.errstate(over="ignore"):
+        terms = power[..., None] * (log_probs - top)
+        log_sum = np.log(np.exp(terms).sum(axis=1))
+    return top + (log_sum - math.log(log_probs.shape[0])) / power
+
+
+def _weights(arrays, lams):
+    return converse._log_qstar_weights(arrays, 1.0 + lams[:, None, None])
 
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
-def test_qstar_weights_redo_only_overflowed_columns(conds):
+def test_qstar_weights_are_finite_at_huge_orders(conds):
+    # at 1.7e308, (1+lam) log p passes the float range in every cell of the
+    # first family's first column; shifted by the column max, no weight is
+    # NaN (a RuntimeWarning fails the test)
     arrays = ChannelFamily(conds, "qstar")._arrays
     lams = np.array([0.5, 1e300, 1.7e308])
-    got = converse._log_qstar_weights(arrays, lams)
-    plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
-    overflowed = np.isnan(plain)
-    assert np.array_equal(got[~overflowed], plain[~overflowed])
+    got = _weights(arrays, lams)
+    assert np.array_equal(got, _dense_log_qstar_weights(arrays.rows.log_probs, lams))
     assert np.isfinite(got).all()
-    assert overflowed.any() == (conds[0].probs[0] == 0.2)
 
 
 def _sparse_qstar_families():
@@ -449,28 +455,53 @@ def _sparse_qstar_families():
 
 
 def test_qstar_weights_on_sparse_families_match_the_dense_reference():
-    # p = 0 cells reach exp as 0, not -inf; every weight keeps the bits of a
-    # logsumexp over log p (a RuntimeWarning fails the test)
+    # p = 0 cells reach exp as 0, not -inf; every weight keeps the bits of
+    # the dense shifted formula (a RuntimeWarning fails the test)
     lams = np.array([1e-6, 0.3, 2.0, 10.0, 1e300, 1.7e308])
     for fam in _sparse_qstar_families():
         arrays = fam._arrays
-        plain = _plain_log_qstar_weights(arrays.rows.log_probs, lams)
-        overflowed = np.isnan(plain)
-        got = converse._log_qstar_weights(arrays, lams)
-        assert np.array_equal(got[~overflowed], plain[~overflowed])
-        for lam, log_w, ov in zip(lams.tolist(), plain, overflowed):
+        dense = _dense_log_qstar_weights(arrays.rows.log_probs, lams)
+        assert np.array_equal(_weights(arrays, lams), dense)
+        for lam, log_w in zip(lams.tolist(), dense):
             log_q, log_c = converse._log_qstar(arrays, lam)
-            if ov.any():
-                assert np.isfinite(log_q).all()
-                continue
             assert log_c == float(divergence._logsumexp(log_w.copy()))
             assert np.array_equal(log_q, log_w - log_c)
+
+
+def _decimal_log_qstar_weights(probs, power):
+    """log w(y) at 60 significant digits from the exact float probabilities."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emin, ctx.Emax = -10**9, 10**9  # exp((1+lam)(log p - top)) for lam up to 1.7e308
+        exact_power = decimal.Decimal(power)
+        log_m = decimal.Decimal(probs.shape[0]).ln()
+        out = []
+        for col in probs.T:
+            logs = [decimal.Decimal(p).ln() for p in col.tolist() if p > 0.0]
+            top = max(logs)
+            total = sum((exact_power * (x - top)).exp() for x in logs)
+            out.append(top + (total.ln() - log_m) / exact_power)
+        return out
+
+
+def test_qstar_weights_match_a_60_digit_reference():
+    # Over 150 draws of default_rng(11) at these orders the worst error
+    # measured 1.32 eps max(1, |log w|) (1.8e-15 absolute); the bound is 2 eps.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        arrays = random_discrete_family(rng, q_choice="qstar")._arrays
+        for lam in (1e-6, 0.3, 2.0, 10.0, 1e4, 1e300, 1.7e308):
+            got = converse._log_qstar_weights(arrays, 1.0 + lam)
+            want = _decimal_log_qstar_weights(arrays.rows.probs, 1.0 + lam)
+            for g, w in zip(got.tolist(), want):
+                assert float(abs(decimal.Decimal(g) - w)) <= 2.0 * eps * max(1.0, abs(float(w)))
 
 
 def test_qstar_arrays_are_read_only_and_unchanged_by_use():
     fam = _sparse_qstar_families()[-1]
     arrays = fam._arrays
-    kept = {name: getattr(arrays, name).copy() for name in ("colmax", "filled", "support")}
+    kept = {name: getattr(arrays, name).copy() for name in ("colmax", "shifted", "support")}
     assert not any(getattr(arrays, name).flags.writeable for name in kept)
     optimize_lambda(fam)
     optimize_lambda(fam, 1.0, 1.7e308)

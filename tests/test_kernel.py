@@ -155,7 +155,8 @@ def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
                     assert variational_bound(fam, lam, gamma) == batched
         arrays = ChannelFamily(base.conditionals, "qstar")._arrays
         lams = np.array([1e-6, 0.3, 2.0, 1e300, 1.7e308])
-        for lam, log_w in zip(lams.tolist(), converse._log_qstar_weights(arrays, lams)):
+        log_ws = converse._log_qstar_weights(arrays, 1.0 + lams[:, None, None])
+        for lam, log_w in zip(lams.tolist(), log_ws):
             log_q, log_c = converse._log_qstar(arrays, lam)
             assert log_c == float(divergence._logsumexp(log_w.copy()))
             assert np.array_equal(log_q, log_w - log_c)
