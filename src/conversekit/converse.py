@@ -218,7 +218,7 @@ class ChannelFamily:
             arrays = self._arrays
             log_c = _over_order_chunks(
                 lambda part: _logsumexp(_log_qstar_weights(arrays, 1.0 + part[:, None, None])),
-                lams, arrays.shifted.size, (),
+                lams, arrays.shifted.size,
             )
             # each w(y) is a power mean of the p_i(y), so at least their mean,
             # and C >= 1: the product overflows only to +inf, which is lam D

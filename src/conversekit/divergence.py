@@ -33,10 +33,11 @@ for a whole axis of orders at once, as an (orders, rows) array:
   bought no speed on small families and raised their peak memory.
 - A pass of more than 2 x 2^21 entries (orders x M x K, `_SPLIT_CELLS`) is
   cut by the same function into min(CPUs, entries // 2^21, chunks)
-  contiguous ranges of chunks: the calling thread runs the first and one
-  thread each of the others.  Each worker enters its own np.errstate,
-  since numpy's error state is per thread and a new thread starts from
-  the default.  2^21 entries are about 5 ms of kernel work against about
+  contiguous ranges of chunks: the calling thread runs the first and a
+  thread of a stdlib pool each of the others.  Each range runs in a copy
+  of the caller's context, so under the caller's np.errstate (a context
+  variable since numpy 2.0) and with the warnings a serial pass would
+  give.  2^21 entries are about 5 ms of kernel work against about
   0.1 ms to start and join a thread.  So the 64-order pre-scan of a
   16 x 4096 family takes two ranges on any host with two or more CPUs,
   and no pass of a family with M <= 6 and K <= 12^3 splits.  Each order
@@ -49,10 +50,10 @@ for a whole axis of orders at once, as an (orders, rows) array:
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -212,58 +213,43 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return top.squeeze(axis) + np.log(a.sum(axis=axis))
 
 
-def _over_order_chunks(chunk, lams: np.ndarray, cells: int, shape: tuple) -> np.ndarray:
-    """out[l] = chunk(lams[l]) for every order, shape (L,) + shape.
+def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
+    """chunk over every order of lams, one chunk at a time, joined on the order axis.
 
     chunk takes a slice of lams, at most max(1, _CHUNK_CELLS // cells)
     orders of a matrix of `cells` entries, and returns their rows.  A pass
     that fits in one chunk (every one-order call among them) returns chunk's
     own array.  A pass of more than 2 x _SPLIT_CELLS entries is cut into
     min(_CPUS, L cells // _SPLIT_CELLS, chunks) contiguous ranges of chunks:
-    the calling thread runs the first range and one thread each of the
-    others, under its own errstate (numpy's is per thread and a new thread
-    starts from the default).  Every thread is joined before this returns,
-    then the first exception a worker raised is raised again.  Each order
-    gets the same chunk either way, so the split keeps every bit.
+    the calling thread runs the first range and a pool thread each of the
+    others.  Each range runs in a copy of the caller's context, so under
+    the caller's numpy errstate (a context variable since numpy 2.0).  The
+    pool joins every thread before this returns, and reading each range's
+    result raises a worker's exception on the caller.  Each order gets the
+    same chunk either way, so the split keeps every bit.
     """
     n_orders = lams.size
     step = max(1, _CHUNK_CELLS // cells)
     if n_orders <= step:
         return chunk(lams)
-    out = np.empty((n_orders,) + shape)
 
-    def run(lo: int, hi: int) -> None:
-        for start in range(lo, hi, step):  # only the last chunk of lams is short
-            out[start:start + step] = chunk(lams[start:start + step])
+    def run(lo: int, hi: int) -> np.ndarray:
+        # only the last chunk of lams is short
+        return np.concatenate([chunk(lams[start:start + step]) for start in range(lo, hi, step)])
 
-    if n_orders * cells < 2 * _SPLIT_CELLS or _CPUS < 2:  # the common case: one part
-        run(0, n_orders)
-        return out
     chunks = -(-n_orders // step)
     parts = min(_CPUS, n_orders * cells // _SPLIT_CELLS, chunks)
+    if parts < 2:  # the common case: one part
+        return run(0, n_orders)
+    # imported here: concurrent.futures imports logging, which no serial pass needs
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [chunks * i // parts * step for i in range(parts)] + [n_orders]
-    errors = []
-
-    def worker(lo: int, hi: int) -> None:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                run(lo, hi)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    started = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=worker, args=(lo, hi))
-            thread.start()
-            started.append(thread)
-        run(bounds[0], bounds[1])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return out
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, run, lo, hi)
+                for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        first = run(bounds[0], bounds[1])
+    return np.concatenate([first] + [future.result() for future in rest])
 
 
 @np.errstate(over="ignore")
@@ -273,8 +259,10 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
     log_ratio is r = log p_i - log q, shape (M, K), one reference for every
     order: -inf where p_i = 0 and finite elsewhere.  The orders run in
     chunks (`_over_order_chunks`), each in a temporary of its own; a large
-    pass runs its chunks on threads, with the same bits.  Rows whose S - 1
-    overflowed are redone after the pass, on the calling thread.
+    pass runs its chunks on threads, each range in a copy of the caller's
+    context and so under this function's errstate, with the same bits.
+    Rows whose S - 1 overflowed are redone after the pass, on the calling
+    thread.
     """
     probs = rows.probs
 
@@ -286,7 +274,7 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
         excess += rows.defect  # S - 1
         return np.log1p(excess, out=excess)
 
-    out = _over_order_chunks(chunk, lams, probs.size, probs.shape[:1])
+    out = _over_order_chunks(chunk, lams, probs.size)
     if out.max() == math.inf:  # only where S - 1 overflowed
         li, mi = np.nonzero(out == math.inf)
         logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]

@@ -74,6 +74,17 @@ def test_density_floor_bandwidth_recorded():
     assert params["floor_m_risk"] >= 0.0
 
 
+def test_density_below_one_bandwidth_reports_no_floor_m():
+    # n^(1/5) / nu = 0.766: no whole bandwidth m >= 1 to report at
+    rep = density_bound(DensityConfig(n=2, nu=1.5, c=0.1, a=0.5))
+    params = rep.strong.params
+    assert params["m_real"] == pytest.approx(0.7657989033313567, rel=1e-12)
+    assert params["m_floor"] is None
+    assert not any(key.startswith("floor_m_") for key in params)
+    assert rep.strong.eps_lower == 0.0
+    assert json.loads(canonical_json(rep.to_json_dict()))["strong"]["params"]["m_floor"] is None
+
+
 def test_density_asymptote_formula():
     rep = density_bound(DENSITY_GUIDE)
     cfg = DENSITY_GUIDE
@@ -206,6 +217,17 @@ def test_active_chain_form_recorded():
     # term; the gap is small but genuinely nonzero and must be surfaced
     assert 0.0 < params["chain_vs_displayed_gap"] < 1e-3
     assert params["chain_eps_raw"] == pytest.approx(rep.strong.eps_raw, abs=1e-3)
+
+
+def test_active_chain_denominator_out_of_regime():
+    # 1 - 2 c beta_m <= 0 while the displayed form's denominator stays positive
+    rep = active_bound(ActiveConfig(n=10, d=2, alpha=1, kappa=2, L=4, c=0.5, H=1, nu=3))
+    params = rep.strong.params
+    assert 1.0 - 2.0 * 0.5 * params["beta_m"] <= 0.0
+    assert math.isfinite(params["bracket"])
+    assert params["chain_eps_raw"] == -math.inf
+    assert params["chain_vs_displayed_gap"] is None
+    assert params["out_of_regime"] is True
 
 
 def test_active_threshold_recomputed():

@@ -14,7 +14,7 @@ import shlex
 import pytest
 
 import conversekit
-from conversekit import applications, converse, divergence, oracle, packing
+from conversekit import applications, converse, divergence, oracle, packing, suites
 from conversekit.applications import ActiveConfig, CsConfig, DensityConfig, compute_bounds
 from conversekit.cli import (
     CSV_COLUMNS,
@@ -331,7 +331,7 @@ def test_every_public_name_has_a_non_test_caller():
 
 # Defaulted parameters only tests set, kept on purpose.
 TEST_ONLY_PARAMETERS = {
-    # ROADMAP item 2 extends the order search to lam_hi = inf
+    # ROADMAP item 3 extends the order search to lam_hi = inf
     "optimize_lambda.lam_lo",
     "optimize_lambda.lam_hi",
     # the only way to reach the failure path and its memory bound in bounded time
@@ -462,6 +462,17 @@ def test_io_error_exits_3(capsys, tmp_path):
     assert "i/o error:" in err
 
 
+def test_out_to_a_directory_exits_3_and_leaves_no_temporary(capsys, tmp_path):
+    # the rename onto a directory fails after the temporary file is written
+    dest = tmp_path / "taken"
+    dest.mkdir()
+    code, out, err = run_cli(capsys, ["bound", "density", *DENSITY_ARGS, "--out", str(dest)])
+    assert code == 3 and out == ""
+    assert "i/o error:" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(dest.iterdir()) == []
+
+
 def test_unknown_sweep_parameter_exits_2(capsys):
     code, _, err = run_cli(
         capsys,
@@ -490,6 +501,19 @@ def test_sweep_values_with_a_range_exits_2(capsys):
         code, out, err = run_cli(capsys, [*base, *extra])
         assert code == 2 and out == ""
         assert "--values cannot be combined with --from/--to/--points" in err
+
+
+def test_sweep_needs_a_whole_range_of_at_least_one_point(capsys):
+    base = ["sweep", "density", "--vary", "n", "--nu", "1", "--c", "0.1", "--a", "0.5"]
+    cases = (
+        (["--from", "1e6", "--to", "1e9"],
+         "sweep needs either --values or all of --from/--to/--points"),
+        (["--from", "1e6", "--to", "1e9", "--points", "0"], "--points must be at least 1"),
+    )
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, [*base, *extra])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 # --- sweep subcommand ---
@@ -755,6 +779,24 @@ def test_nan_margin_is_the_worst_margin_and_stays_so():
     assert math.isnan(result.worst_margin)
     assert result.summary_line() == "demo: 4 checks, 2 failures, worst margin nan [FAIL]"
     assert result.details == ["second: margin nan", "third: margin -1.000e+00"]
+
+
+def test_failing_verify_suite_prints_violations_and_exits_1(capsys, monkeypatch):
+    def failing(seed=0):
+        result = SuiteResult("divergence")
+        result.notes.append("note: demo")
+        result.record(0.5, "close")
+        result.record(-1.0, "broken")
+        return result
+
+    monkeypatch.setitem(suites._SUITES, "divergence", failing)
+    code, out, _ = run_cli(capsys, ["verify", "divergence"])
+    assert code == 1
+    assert out.splitlines() == [
+        "note: demo",
+        "violation: broken: margin -1.000e+00",
+        "divergence: 2 checks, 1 failures, worst margin -1.000e+00 [FAIL]",
+    ]
 
 
 def test_verify_packing_half_gv_flags_exits_2(capsys):

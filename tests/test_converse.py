@@ -52,6 +52,9 @@ def test_family_reference_choices():
     assert np.allclose(mixture.probs, [0.55, 0.45])
     qstar = ChannelFamily(conds, q_choice="qstar")
     assert strong_converse_bound(qstar, 1.0).params["q_choice"] == "qstar"
+    # q* moves with the order, so it has no order-free reference
+    with pytest.raises(ValueError, match="needs the divergence order"):
+        qstar.reference_pmf()
 
 
 # conditionals that differ only by a subnormal mass: their mixture rounds to

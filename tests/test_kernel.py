@@ -4,6 +4,8 @@ import ast
 import glob
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -266,7 +268,7 @@ def test_worker_exception_reaches_the_caller_and_no_thread_survives(monkeypatch)
         return 2.0 * lam
 
     def drive(fail_from):
-        return divergence._over_order_chunks(lambda lam: chunk(fail_from, lam), lams, 1, ())
+        return divergence._over_order_chunks(lambda lam: chunk(fail_from, lam), lams, 1)
 
     threads = threading.active_count()
     assert np.array_equal(drive(math.inf), 2.0 * lams)
@@ -280,8 +282,8 @@ def test_worker_exception_reaches_the_caller_and_no_thread_survives(monkeypatch)
 
 
 def test_order_chunk_policy_lives_only_in_divergence():
-    # the chunk size, the split and its threads are one decision, in one module
-    policy = {"_CHUNK_CELLS", "_SPLIT_CELLS", "_CPUS", "threading"}
+    # the chunk size, the split and its thread pool are one decision, in one module
+    policy = {"_CHUNK_CELLS", "_SPLIT_CELLS", "_CPUS", "threading", "concurrent"}
     root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
     leaks = []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
@@ -302,6 +304,20 @@ def test_order_chunk_policy_lives_only_in_divergence():
                 continue
             leaks += [(os.path.basename(path), name) for name in names if name in policy]
     assert not leaks, leaks
+
+
+def test_import_loads_no_thread_pool():
+    # the pool is imported on the split branch alone: concurrent.futures
+    # imports logging, which no other pass needs
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = (
+        "import sys, conversekit, conversekit.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
