@@ -104,6 +104,13 @@ class DensityConfig:
                 self.c > 0.0,
                 "nu schedule needs c > 0 so its limit is finite",
             )
+            # n <= 1, or a kappa so large that n^(-1/kappa) rounds to 1,
+            # leaves no positive bandwidth
+            nu_used = self.effective_nu()
+            _require(
+                nu_used > 0.0,
+                "nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = {}", nu_used,
+            )
 
     @property
     def c_g_effective(self) -> float:

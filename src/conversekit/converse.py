@@ -39,19 +39,25 @@ The one-order callers (`strong_converse_bound`, `ChannelFamily.divergences`,
 `optimize_lambda`) take the same arithmetic without the order axis: one
 kernel chunk, the 1-D form of `_log_mean_exp`, `_log_qstar`, and lam
 checked once per public call.  They give the bits of the same order
-evaluated inside a batch.
+evaluated inside a batch.  Overflow guards run only where they can fire:
+each family keeps one order-free scalar (`_FamilyArrays.r_bound`) that
+bounds |r| and, for q*, the spread of its weights' exponents, and the
+kernel and the q* weights run plain wherever the order times it clears
+the overflow, with the same bits.
+`optimize_lambda` builds its pre-scan grid once per range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .divergence import (
+    _EXP_OVERFLOW,
     DiscretePmf,
     _lam,
     _log_or_neg_inf,
@@ -82,9 +88,6 @@ __all__ = [
 # Reference-distribution choices for discrete families.
 Q_CHOICES = ("uniform", "mixture", "qstar")
 
-# exp() overflows past this; used to route extreme bounds to +-inf instead.
-_EXP_OVERFLOW = 709.0
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # optimize_lambda: pre-scan orders, then golden-section steps in one bracket.
 _PRESCAN = 64
@@ -105,6 +108,12 @@ class _FamilyArrays(NamedTuple):
     colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
     shifted: np.ndarray | None = None  # log p - colmax <= 0, and 0 in each p = 0 cell
     support: np.ndarray | None = None  # 1.0 where p > 0, else 0.0
+    # The order-free scalar that bounds every overflow: max |r| where p > 0
+    # for an order-free reference.  For q*, the largest column spread
+    # -min(shifted) of log p, or 2 log M + 1 if larger: where p > 0, r lies
+    # in [-spread, log M / (1+lam) + log C] at every order, with 1 <= C <= M,
+    # and the + 1 absorbs the rounding of r (about 1e-12 at most).
+    r_bound: float = math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +162,9 @@ class ChannelFamily:
             support = live.astype(float)
             for arr in (colmax, shifted, support):
                 arr.setflags(write=False)
-            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support)
+            r_bound = max(-float(shifted.min()), 2.0 * math.log(len(probs)) + 1.0)
+            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support,
+                                 r_bound=r_bound)
         if self.q_choice == "uniform":
             ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
         else:
@@ -163,7 +174,8 @@ class ChannelFamily:
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
         log_ratio = rows.log_probs - np.log(q)
         log_ratio.setflags(write=False)
-        return _FamilyArrays(rows, joint, ref, log_ratio)
+        r_bound = float(np.abs(log_ratio[rows.probs > 0.0]).max())
+        return _FamilyArrays(rows, joint, ref, log_ratio, r_bound=r_bound)
 
     @property
     def m_codewords(self) -> int:
@@ -194,13 +206,13 @@ class ChannelFamily:
         """lam D_i for each order in lams and each codeword, shape (L, M)."""
         arrays = self._arrays
         rows = arrays.rows
-        if arrays.ref is None:  # q* moves with the order: one kernel call per order
-            return np.concatenate([
-                _renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0],
-                                lams[i:i + 1])
-                for i, lam in enumerate(lams.tolist())
-            ])
-        return _renyi_log_sums(rows, arrays.log_ratio, lams)
+        if arrays.ref is not None:
+            return _renyi_log_sums(rows, arrays.log_ratio, lams, arrays.r_bound)
+        # q* moves with the order: one kernel call per order
+        parts = [_renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0],
+                                 lams[i:i + 1], arrays.r_bound)
+                 for i, lam in enumerate(lams.tolist())]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
         """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
@@ -361,6 +373,21 @@ def _golden_max(g, lo: float, hi: float):
     return (c, gc) if gc >= gd else (d, gd)
 
 
+@lru_cache
+def _prescan_grid(lam_lo: float, lam_hi: float) -> tuple[tuple, tuple, np.ndarray]:
+    """optimize_lambda's pre-scan on [lam_lo, lam_hi], built once per range.
+
+    _PRESCAN evenly spaced log lam from log lam_lo to log lam_hi, their
+    orders as floats, and those orders as one read-only array.  Every
+    caller shares them, so none of the three can be changed in place.
+    """
+    grid = tuple(np.linspace(math.log(lam_lo), math.log(lam_hi), _PRESCAN).tolist())
+    lams = tuple(math.exp(x) for x in grid)
+    lam_array = np.array(lams)
+    lam_array.setflags(write=False)
+    return grid, lams, lam_array
+
+
 def optimize_lambda(
     family: ChannelFamily, lam_lo: float = 1e-6, lam_hi: float = 10.0
 ) -> BoundReport:
@@ -387,17 +414,14 @@ def optimize_lambda(
         raise ValueError(f"need finite 0 < lam_lo < lam_hi, got [{lam_lo!r}, {lam_hi!r}]")
     log_m = math.log(family.m_codewords)
 
-    def raw(lams: list) -> list:
-        log_means = family._log_mean_terms(np.array(lams)).tolist()
-        return [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
-
     def raw_at(log_lam: float) -> float:
-        return raw([math.exp(log_lam)])[0]
+        lam = math.exp(log_lam)
+        return _eps_from_log_terms(log_m, float(family._log_mean_terms(np.array([lam]))[0]), lam)
 
-    lo, hi = math.log(lam_lo), math.log(lam_hi)
-    grid = np.linspace(lo, hi, _PRESCAN)
-    values = raw([math.exp(x) for x in grid.tolist()])
-    best_idx = int(np.argmax(values))
+    grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
+    log_means = family._log_mean_terms(lam_array).tolist()
+    values = [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
+    best_idx = values.index(max(values))
     x_best, v_best = grid[best_idx], values[best_idx]
     bracket_lo = grid[max(best_idx - 1, 0)]
     bracket_hi = grid[min(best_idx + 1, _PRESCAN - 1)]
@@ -411,6 +435,7 @@ def optimize_lambda(
         x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi)
         if v_gold > v_best:
             x_best = x_gold
+    lo, hi = grid[0], grid[-1]
     lam_best = {lo: lam_lo, hi: lam_hi}.get(x_best, math.exp(x_best))
 
     report = strong_converse_bound(family, lam_best)
@@ -451,9 +476,27 @@ def _log_qstar_weights(arrays: _FamilyArrays, power) -> np.ndarray:
     A p = 0 cell enters exp as 0 too and is masked, so exp never takes
     numpy's slow path on -inf there.  Unchunked: callers pass at most one
     chunk of orders.
+
+    Every exponent power shifted is at least -power r_bound, r_bound at
+    least the largest column spread.  Where that is at least -700 for every
+    power, the multiply runs plain.  Elsewhere it runs under
+    np.errstate(over="ignore"), and exponents below -700 are raised to -700,
+    where exp is normal (numpy's exp slows down on subnormal and underflowing
+    results).  The sum keeps its bits: a raised term, exp(-700) ~ 9.9e-305,
+    and the value it replaces both lie below half an ulp of any partial sum
+    of at least 2^-956, so adding either returns that sum, ties included.
+    Each column's top cell adds exactly 1, so that covers every term from
+    it on; a raised term met earlier by a smaller partial sum moves it by
+    less than 1e-304, which reaches the rounded sum only if a later exact
+    partial sum lies that close to a rounding midpoint.
     """
-    with np.errstate(over="ignore"):
+    top = power if isinstance(power, float) else float(power.max())
+    if top * arrays.r_bound <= 700.0:
         terms = power * arrays.shifted
+    else:
+        with np.errstate(over="ignore"):
+            terms = power * arrays.shifted
+        np.maximum(terms, -700.0, out=terms)
     np.exp(terms, out=terms)
     terms *= arrays.support
     log_sum = np.log(terms.sum(axis=-2, keepdims=True))

@@ -22,6 +22,12 @@ for a whole axis of orders at once, as an (orders, rows) array:
   no longer returns inf (or NaN, where one term underflowed to 0 and its
   partner overflowed) where the true divergence is finite.  Where lam r
   itself passes the float maximum (orders near 1.7e308), lam D is +inf.
+- That guard, np.errstate(over="ignore") and a scan of the output for
+  +inf, runs only where it can fire.  The caller passes an order-free
+  bound on |r| (`converse.ChannelFamily` keeps one per family,
+  `renyi_discrete` takes max |r| of its row); where lam times it is at
+  most 709 for every order, no term overflows and the pass runs plain,
+  with the same bits.
 - One function, `_over_order_chunks`, runs every order-batched pass, this
   kernel's and q*'s normalizers in `converse` alike.  It cuts the order
   axis into chunks of max(1, 2^12 // (M K)) orders (`_CHUNK_CELLS`), each
@@ -35,9 +41,9 @@ for a whole axis of orders at once, as an (orders, rows) array:
   cut by the same function into min(CPUs, entries // 2^21, chunks)
   contiguous ranges of chunks: the calling thread runs the first and a
   thread of a stdlib pool each of the others.  Each range runs in a copy
-  of the caller's context, so under the caller's np.errstate (a context
-  variable since numpy 2.0) and with the warnings a serial pass would
-  give.  2^21 entries are about 5 ms of kernel work against about
+  of the caller's context, so under the caller's np.errstate, if any (a
+  context variable since numpy 2.0), and with the warnings a serial pass
+  would give.  2^21 entries are about 5 ms of kernel work against about
   0.1 ms to start and join a thread.  So the 64-order pre-scan of a
   16 x 4096 family takes two ranges on any host with two or more CPUs,
   and no pass of a family with M <= 6 and K <= 12^3 splits.  Each order
@@ -89,6 +95,10 @@ _CHUNK_CELLS = 1 << 12
 # (see `_over_order_chunks`).
 _SPLIT_CELLS = 1 << 21
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# exp() overflows past this; the kernel runs a pass without its overflow
+# guard only where no lam r can pass it (see `_renyi_log_sums`).
+_EXP_OVERFLOW = 709.0
 
 # Width of the neighbourhood of t = 1 where the kappa coefficient switches to
 # its Taylor form (the closed form is 0/0 at t = 1).
@@ -223,10 +233,12 @@ def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
     min(_CPUS, L cells // _SPLIT_CELLS, chunks) contiguous ranges of chunks:
     the calling thread runs the first range and a pool thread each of the
     others.  Each range runs in a copy of the caller's context, so under
-    the caller's numpy errstate (a context variable since numpy 2.0).  The
-    pool joins every thread before this returns, and reading each range's
-    result raises a worker's exception on the caller.  Each order gets the
-    same chunk either way, so the split keeps every bit.
+    the caller's numpy errstate (a context variable since numpy 2.0): the
+    kernel's guard where its bound does not clear the orders, and none
+    where it does, since no term can overflow there.  The pool joins every
+    thread before this returns, and reading each range's result raises a
+    worker's exception on the caller.  Each order gets the same chunk
+    either way, so the split keeps every bit.
     """
     n_orders = lams.size
     step = max(1, _CHUNK_CELLS // cells)
@@ -252,17 +264,20 @@ def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
     return np.concatenate([first] + [future.result() for future in rest])
 
 
-@np.errstate(over="ignore")
-def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
+                    r_bound: float = math.inf) -> np.ndarray:
     """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
 
     log_ratio is r = log p_i - log q, shape (M, K), one reference for every
-    order: -inf where p_i = 0 and finite elsewhere.  The orders run in
-    chunks (`_over_order_chunks`), each in a temporary of its own; a large
-    pass runs its chunks on threads, each range in a copy of the caller's
-    context and so under this function's errstate, with the same bits.
-    Rows whose S - 1 overflowed are redone after the pass, on the calling
-    thread.
+    order: -inf where p_i = 0 and finite elsewhere.  r_bound is an
+    order-free bound on |r| where p_i > 0 (inf where none is known).  The
+    orders run in chunks (`_over_order_chunks`), each in a temporary of its
+    own.  Where lam r_bound <= _EXP_OVERFLOW for every order, no lam r
+    passes the float range on either side and no term of S - 1 exceeds
+    p exp(709), so the pass runs plain: no np.errstate and no scan for
+    +inf.  Any other pass runs under np.errstate(over="ignore") (a split
+    pass's ranges too, each in a copy of the caller's context), and rows
+    whose S - 1 overflowed are redone after it, on the calling thread.
     """
     probs = rows.probs
 
@@ -274,14 +289,17 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray) -> 
         excess += rows.defect  # S - 1
         return np.log1p(excess, out=excess)
 
-    out = _over_order_chunks(chunk, lams, probs.size)
-    if out.max() == math.inf:  # only where S - 1 overflowed
-        li, mi = np.nonzero(out == math.inf)
-        logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]
-        # where lam r itself overflowed, lam D is +inf as a float, and
-        # the log-sum-exp would meet inf - inf
-        finite = logs.max(axis=-1) < math.inf
-        out[li[finite], mi[finite]] = _logsumexp(logs[finite])
+    if max(lams.tolist()) * r_bound <= _EXP_OVERFLOW:
+        return _over_order_chunks(chunk, lams, probs.size)
+    with np.errstate(over="ignore"):
+        out = _over_order_chunks(chunk, lams, probs.size)
+        if out.max() == math.inf:  # only where S - 1 overflowed
+            li, mi = np.nonzero(out == math.inf)
+            logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]
+            # where lam r itself overflowed, lam D is +inf as a float, and
+            # the log-sum-exp would meet inf - inf
+            finite = logs.max(axis=-1) < math.inf
+            out[li[finite], mi[finite]] = _logsumexp(logs[finite])
     return out
 
 
@@ -295,7 +313,8 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     lam = _lam(order)
     ps, qs = _on_support(p, q)
     rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
-    log_sum = _renyi_log_sums(rows, rows.log_probs - np.log(qs), np.array([lam]))
+    log_ratio = rows.log_probs - np.log(qs)
+    log_sum = _renyi_log_sums(rows, log_ratio, np.array([lam]), float(np.abs(log_ratio).max()))
     return float(log_sum[0, 0]) / lam
 
 

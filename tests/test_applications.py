@@ -174,8 +174,13 @@ CONFIG_MESSAGES = [
      "active bound leaves the float range: (34, 'Numerical result out of range')"),
     (ACTIVE_GUIDE, {"c": 1e-300}, "active bound leaves the float range: float division by zero"),
     (DENSITY_GUIDE, {"nu_schedule_kappa": 1e300},
-     "density bound leaves the float range: float division by zero"),
+     "nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = 0.0"),
     (CS_BASE, {"lam": math.inf}, "lam < inf violated: lam = inf"),
+    # the scheduled bandwidth is negative below n = 1 and 0 at n = 1
+    (DENSITY_GUIDE, {"n": 0.5, "nu_schedule_kappa": 26.0},
+     "nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = -0.0472740469370355"),
+    (DENSITY_GUIDE, {"n": 1.0, "nu_schedule_kappa": 26.0},
+     "nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = 0.0"),
 ]
 
 

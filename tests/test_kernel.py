@@ -337,6 +337,56 @@ def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
             assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
 
 
+# --- overflow gates ---
+
+# Orders on both sides of every gate of a one-order or batched pass: the
+# kernel's lam r_bound <= 709 and q*'s weights' (1 + lam) r_bound <= 700.
+GATE_ORDERS = np.concatenate([np.geomspace(1e-6, 10.0, 8), [1e2, 1e4, 1e300, 1.7e308]])
+
+
+def _gate_outputs(fam):
+    """Every floor, D_i, gamma*, log S and optimize_lambda result at GATE_ORDERS."""
+    m = fam.m_codewords
+    out = [fam._scaled_divergences(GATE_ORDERS),
+           fam._log_mean_terms(GATE_ORDERS), fam._log_mean_terms(GATE_ORDERS[:-1])]
+    for lam in GATE_ORDERS.tolist():
+        rep = strong_converse_bound(fam, lam)
+        out.append([rep.eps_raw, rep.gamma_star, *rep.params["divergences"]])
+        out.append([variational_bound(fam, lam, gamma) for gamma in (0.5, 1.0, float(m))])
+        out.append(fam._log_mean_terms(np.array([lam])))
+    best = optimize_lambda(fam)
+    out.append([best.eps_raw, best.lambda_star])
+    return [np.asarray(x, dtype=float) for x in out]
+
+
+def test_gated_passes_equal_the_guarded_passes_bit_for_bit(monkeypatch):
+    # a pass whose order-free bound clears its orders runs with no
+    # np.errstate, no +inf scan and no clamp; it must give the bits of the
+    # guarded pass (a RuntimeWarning on either side fails the test)
+    rng = np.random.default_rng(2026)
+    fams = [ChannelFamily(base.conditionals, q)
+            for base in (random_discrete_family(rng) for _ in range(150))
+            for q in converse.Q_CHOICES]
+    cleared = [lam * fam._arrays.r_bound <= divergence._EXP_OVERFLOW
+               for fam in fams for lam in GATE_ORDERS.tolist()]
+    assert any(cleared) and not all(cleared)
+    gated = [_gate_outputs(fam) for fam in fams]
+    pairs = [(pmf(*p), pmf(*q)) for p, q in EXTREME_PAIRS]
+    gated_pairs = [renyi_discrete(p, q, lam) for p, q in pairs for lam in GATE_ORDERS.tolist()]
+
+    # no bound clears any order: every pass takes the guarded branch
+    kernel = divergence._renyi_log_sums
+    monkeypatch.setattr(divergence, "_renyi_log_sums",
+                        lambda rows, log_ratio, lams, r_bound: kernel(rows, log_ratio, lams))
+    for fam in fams:
+        fam.__dict__["_arrays"] = fam._arrays._replace(r_bound=math.inf)
+    for fam, want in zip(fams, gated):
+        got = _gate_outputs(fam)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), fam.q_choice
+    guarded_pairs = [renyi_discrete(p, q, lam) for p, q in pairs for lam in GATE_ORDERS.tolist()]
+    assert guarded_pairs == gated_pairs
+
+
 # --- the q* shortcut ---
 
 
