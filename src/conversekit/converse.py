@@ -11,24 +11,25 @@ a family takes one of three, each of which does: uniform, the mixture and q*.
 Fano-type baselines live here too, so the two can be compared on equal
 footing.
 
-On first use a ChannelFamily builds its conditionals once as matrices
-(see `divergence._PmfRows`) restricted to their joint support, plus, for
-the order-free references (uniform and the mixture), the reference and
-the log ratio r = log p_i - log Q that the kernel reads, which is finite
-wherever p_i > 0; it keeps them.  The terms lam D_i then come from
-the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
-orders per call, in chunks that bound its memory; for q*, which moves with
-the order, each order forms its own r from q* at that order.  How a batch
-of orders is chunked, and split across threads, is decided in `divergence`
-alone (`divergence._over_order_chunks`), for the kernel and q*'s
-normalizers alike.  q* itself (`reference_pmf`) and its normalizer C come
-from the same kept rows, through one formula for its weights,
-`_log_qstar_weights`, which `_log_qstar` calls for one order and the
-normalizers for a batch.  For it a q* family also keeps three order-free
-arrays: each column's top log p, log p shifted by that top (0 in each
-p = 0 cell) and the 0/1 support.  Each column's top cell enters exp as 0,
-so no weight overflows to NaN at any finite order, and exp meets no -inf
-(numpy's exp slows down on -inf and on underflowing inputs).  For q*
+On first use a ChannelFamily builds its conditionals once in the compact
+layout the kernel reads (`divergence._PmfRows`): only their p > 0 cells,
+row by row, each with its column in the joint support.  For the
+order-free references (uniform and the mixture) it also keeps the
+reference and the log ratio r = log p_i - log Q on those cells, which is
+finite there.  The terms lam D_i then come from the one log-space kernel
+`divergence._renyi_log_sums`, for a whole axis of orders per call, in
+chunks that bound its memory; for q*, which moves with the order, each
+order forms its own r = log p - log q*[cols] from q* at that order.  How
+a batch of orders is chunked, and split across threads, is decided in
+`divergence` alone (`divergence._over_order_chunks`), for the kernel and
+q*'s normalizers alike.  q* itself (`reference_pmf`) and its normalizer
+C come from one formula for its weights, `_log_qstar_weights`, which
+`_log_qstar` calls for one order and the normalizers for a batch.  For it
+a q* family also keeps three order-free dense (M, K) arrays over the
+joint support: each column's top log p, log p shifted by that top (0 in
+each p = 0 cell) and the 0/1 support.  Each column's top cell enters exp
+as 0, so no weight overflows to NaN at any finite order, and exp meets no
+-inf (numpy's exp slows down on -inf and on underflowing inputs).  For q*
 no divergence is needed for S itself: with C the normalizer of q*,
 S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
 2015), which `optimize_lambda` and `variational_bound` use.
@@ -63,6 +64,7 @@ from .divergence import (
     _log_or_neg_inf,
     _logsumexp,
     _over_order_chunks,
+    _pmf_rows,
     _PmfRows,
     _positive,
     _positive_int,
@@ -97,21 +99,21 @@ _GOLDEN_ITERS = 60
 class _FamilyArrays(NamedTuple):
     """A discrete family's rows, plus its reference when that is order-free."""
 
-    rows: _PmfRows
-    joint: np.ndarray  # outcomes some conditional puts mass on; rows keep only these
+    rows: _PmfRows  # the p > 0 cells; their columns index the joint support
+    joint: np.ndarray  # outcomes some conditional puts mass on
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
-    log_ratio: np.ndarray | None = None  # r = log p_i - log Q, the kernel's input
-    # q* only: the order-free pieces of its weights, with log p shifted by
-    # its column's top once, so no order makes a weight NaN.  numpy's exp
-    # slows down on -inf and underflowing inputs, so no p = 0 cell reaches
-    # exp as -inf.
+    log_ratio: np.ndarray | None = None  # r = log p_i - log Q on the cells of rows
+    # q* only: the order-free pieces of its weights, dense (M, K) over the
+    # joint support, with log p shifted by its column's top once, so no
+    # order makes a weight NaN.  numpy's exp slows down on -inf and
+    # underflowing inputs, so no p = 0 cell reaches exp as -inf.
     colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
     shifted: np.ndarray | None = None  # log p - colmax <= 0, and 0 in each p = 0 cell
     support: np.ndarray | None = None  # 1.0 where p > 0, else 0.0
-    # The order-free scalar that bounds every overflow: max |r| where p > 0
-    # for an order-free reference.  For q*, the largest column spread
-    # -min(shifted) of log p, or 2 log M + 1 if larger: where p > 0, r lies
-    # in [-spread, log M / (1+lam) + log C] at every order, with 1 <= C <= M,
+    # The order-free scalar that bounds every overflow: max |r| for an
+    # order-free reference.  For q*, the largest column spread -min(shifted)
+    # of log p, or 2 log M + 1 if larger: where p > 0, r lies in
+    # [-spread, log M / (1+lam) + log C] at every order, with 1 <= C <= M,
     # and the + 1 absorbs the rounding of r (about 1e-12 at most).
     r_bound: float = math.inf
 
@@ -138,43 +140,45 @@ class ChannelFamily:
 
     @cached_property
     def _arrays(self) -> _FamilyArrays:
-        """The matrices of a discrete family, built on first use and kept.
+        """The arrays of a discrete family, built on first use and kept.
 
-        Outcomes no conditional puts mass on add nothing to any Renyi sum,
-        so the rows keep only the joint support.  For an order-free
-        reference also keep r = log p_i - log Q there, so no call repeats
-        that subtraction.  The mixture is positive there unless it rounds to
-        0 where every conditional has only subnormal mass; that raises
-        ValueError.  q* is rebuilt per order; for it keep instead the
-        order-free arrays of its weights (see `_log_qstar_weights`).
+        The rows keep only the p > 0 cells (`divergence._PmfRows`), which are
+        all a Renyi sum needs; their columns index the joint support, the
+        outcomes some conditional puts mass on.  For an order-free
+        reference also keep r = log p_i - log Q on those cells, so no call
+        repeats that subtraction.  The mixture is positive on the joint
+        support unless it rounds to 0 where every conditional has only
+        subnormal mass; that raises ValueError.  q* is rebuilt per order;
+        for it keep instead the dense order-free arrays of its weights (see
+        `_log_qstar_weights`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
         joint = np.any(mat > 0.0, axis=0)
-        probs = mat if joint.all() else mat[:, joint]
-        defect = np.array([c._mass_defect for c in self.conditionals])
-        rows = _PmfRows(probs, _log_or_neg_inf(probs), defect)
-        for arr in rows:
-            arr.setflags(write=False)
+        if not joint.all():
+            mat = mat[:, joint]
+        rows = _pmf_rows(mat, np.array([c._mass_defect for c in self.conditionals]))
         if self.q_choice == "qstar":
-            colmax = rows.log_probs.max(axis=0)
-            live = rows.probs > 0.0
-            shifted = np.where(live, rows.log_probs - colmax, 0.0)
-            support = live.astype(float)
+            shifted = _log_or_neg_inf(mat)
+            colmax = shifted.max(axis=0)
+            shifted -= colmax
+            support = (mat > 0.0).astype(float)
+            shifted[support == 0.0] = 0.0
             for arr in (colmax, shifted, support):
                 arr.setflags(write=False)
-            r_bound = max(-float(shifted.min()), 2.0 * math.log(len(probs)) + 1.0)
+            r_bound = max(-float(shifted.min()), 2.0 * math.log(len(mat)) + 1.0)
             return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support,
                                  r_bound=r_bound)
         if self.q_choice == "uniform":
-            ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
+            ref = DiscretePmf(np.full(joint.size, 1.0 / joint.size))
         else:
             ref = mixture_pmf(self.conditionals)
         q = ref.probs[joint]
         if not q.all():
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
-        log_ratio = rows.log_probs - np.log(q)
+        log_ratio = np.log(q)[rows.cols]
+        np.subtract(rows.log_probs, log_ratio, out=log_ratio)
         log_ratio.setflags(write=False)
-        r_bound = float(np.abs(log_ratio[rows.probs > 0.0]).max())
+        r_bound = max(float(log_ratio.max()), -float(log_ratio.min()))  # max |r|, no temporary
         return _FamilyArrays(rows, joint, ref, log_ratio, r_bound=r_bound)
 
     @property
@@ -209,7 +213,7 @@ class ChannelFamily:
         if arrays.ref is not None:
             return _renyi_log_sums(rows, arrays.log_ratio, lams, arrays.r_bound)
         # q* moves with the order: one kernel call per order
-        parts = [_renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0],
+        parts = [_renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0][rows.cols],
                                  lams[i:i + 1], arrays.r_bound)
                  for i, lam in enumerate(lams.tolist())]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -6,22 +6,29 @@ change-of-measure steps behind the converse bounds in this package, so it is
 passed around explicitly rather than the order itself.
 
 Every Renyi-type sum on a finite alphabet goes through one private kernel,
-`_renyi_log_sums`.  It takes pmfs as the rows of one matrix, with the
-order-free log ratio r = log p - log q of each row to the reference, and
-returns lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
+`_renyi_log_sums`.  It takes pmfs as rows of one compact array
+(`_PmfRows`): only their p > 0 cells, concatenated row by row, with each
+row's start offset and each cell's column.  With the order-free log ratio
+r = log p - log q of each cell to the reference, it returns
+lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
 for a whole axis of orders at once, as an (orders, rows) array:
 
+- Cells with p = 0 add nothing to a Renyi sum, so the kernel never visits
+  them: each order sums a row's segment of live cells, all rows in one
+  np.add.reduceat.  A product family built from letters with zero mass
+  is mostly such cells.
 - It evaluates log1p(S - 1), with S - 1 = sum_y p(y) expm1(lam r(y)) plus
   the exact defect sum_y p(y) - 1 of the row, and r = log p - log q.  Its
   error is then that of forming r, about eps lam sum_y p (|log p| + |log q|),
   however small lam D is.  log S itself would carry an error of about eps,
   which swamps lam D ~ 1e-8 at lam ~ 1e-6.
 - A row whose terms overflow that form (lam r past ~709) is redone as a
-  log-sum-exp of log p + lam r.  So reference masses down to the
-  subnormal 5e-324 and orders up to 100 give finite values: `renyi_discrete`
-  no longer returns inf (or NaN, where one term underflowed to 0 and its
-  partner overflowed) where the true divergence is finite.  Where lam r
-  itself passes the float maximum (orders near 1.7e308), lam D is +inf.
+  log-sum-exp of log p + lam r over its segment.  So reference masses down
+  to the subnormal 5e-324 and orders up to 100 give finite values:
+  `renyi_discrete` no longer returns inf (or NaN, where one term
+  underflowed to 0 and its partner overflowed) where the true divergence
+  is finite.  Where lam r itself passes the float maximum (orders near
+  1.7e308), lam D is +inf.
 - That guard, np.errstate(over="ignore") and a scan of the output for
   +inf, runs only where it can fire.  The caller passes an order-free
   bound on |r| (`converse.ChannelFamily` keeps one per family,
@@ -30,25 +37,30 @@ for a whole axis of orders at once, as an (orders, rows) array:
   with the same bits.
 - One function, `_over_order_chunks`, runs every order-batched pass, this
   kernel's and q*'s normalizers in `converse` alike.  It cuts the order
-  axis into chunks of max(1, 2^12 // (M K)) orders (`_CHUNK_CELLS`), each
-  a function of its slice of orders with temporaries of its own, so a call
-  that fits in one chunk (every one-order call) returns that chunk's array
-  and builds no output of its own.  Small families take the 64-order
-  pre-scan of `converse.optimize_lambda` in a few chunks; a 16 x 4096
-  family takes one order at a time, in 512 KiB temporaries.  Larger chunks
+  axis into chunks of max(1, 2^12 // N) orders (`_CHUNK_CELLS`), N the
+  cells of one order: the live cells for this kernel, M K for q*'s dense
+  weights.  Each chunk is a function of its slice of orders with
+  temporaries of its own, so a call that fits in one chunk (every
+  one-order call) returns that chunk's array and builds no output of its
+  own.  Small families take the 64-order pre-scan of
+  `converse.optimize_lambda` in a few chunks; a 16 x 4096 family takes one
+  order at a time, in temporaries of at most 512 KiB.  Larger chunks
   bought no speed on small families and raised their peak memory.
-- A pass of more than 2 x 2^21 entries (orders x M x K, `_SPLIT_CELLS`) is
+- A pass of more than 2 x 2^21 entries (orders x N, `_SPLIT_CELLS`) is
   cut by the same function into min(CPUs, entries // 2^21, chunks)
   contiguous ranges of chunks: the calling thread runs the first and a
   thread of a stdlib pool each of the others.  Each range runs in a copy
   of the caller's context, so under the caller's np.errstate, if any (a
   context variable since numpy 2.0), and with the warnings a serial pass
   would give.  2^21 entries are about 5 ms of kernel work against about
-  0.1 ms to start and join a thread.  So the 64-order pre-scan of a
-  16 x 4096 family takes two ranges on any host with two or more CPUs,
-  and no pass of a family with M <= 6 and K <= 12^3 splits.  Each order
-  gets the same chunk either way, so the split keeps every bit.  No
-  thread outlives a call and a pass of one part starts none.
+  0.1 ms to start and join a thread.  So a 64-order pre-scan takes two
+  ranges on any host with two or more CPUs where one order has 2^16
+  cells: the kernel's on a fully live 16 x 4096 family, q*'s normalizers
+  on any 16 x 4096 joint support.  The kernel's pre-scan of such a
+  family with about half its cells at p = 0 runs serially, and no pass of
+  a family with M <= 6 and K <= 12^3 splits.  Each order gets the same chunk
+  either way, so the split keeps every bit.  No thread outlives a call
+  and a pass of one part starts none.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -85,9 +97,9 @@ __all__ = [
 # Absolute slack allowed on sum(probs) == 1 at construction time.
 PMF_SUM_TOL = 1e-12
 
-# Order-batched passes take at most max(1, _CHUNK_CELLS // (M K)) orders of
-# an M x K matrix per chunk, so that orders x M x K stays below it whenever
-# one order fits (see `_over_order_chunks`).
+# Order-batched passes take at most max(1, _CHUNK_CELLS // N) orders of N
+# cells each per chunk, so that orders x N stays below it whenever one
+# order fits (see `_over_order_chunks`).
 _CHUNK_CELLS = 1 << 12
 
 # Order-batched passes take at most one thread per _SPLIT_CELLS entries and
@@ -205,14 +217,34 @@ def _log_or_neg_inf(arr: np.ndarray) -> np.ndarray:
 
 
 class _PmfRows(NamedTuple):
-    """Rows of pmfs on one alphabet, in the form the kernel reads."""
+    """Rows of pmfs on one alphabet, in the form the kernel reads: their p > 0 cells.
 
-    probs: np.ndarray  # (M, K)
-    log_probs: np.ndarray  # log of probs, -inf at zeros
+    The cells of every row are concatenated row by row, each row's in
+    column order; row i is the segment from starts[i] up to the next row's
+    start (or the end).  A pmf has mass somewhere, so no segment is empty.
+    """
+
+    probs: np.ndarray  # (N,) the p > 0 cells of every row
+    log_probs: np.ndarray  # (N,) log of probs, finite
+    cols: np.ndarray  # (N,) each cell's column
+    starts: np.ndarray  # (M,) each row's first cell
     # exact sum_y p_i(y) - 1 per row, from DiscretePmf._mass_defect: the sum
     # tolerance of DiscretePmf, up to 1e-12, is far above the precision lam D
-    # needs at small orders; dropping zero columns leaves it as it is
+    # needs at small orders; dropping zero cells leaves it as it is
     defect: np.ndarray  # (M,)
+
+
+def _pmf_rows(mat: np.ndarray, defect: np.ndarray) -> _PmfRows:
+    """The p > 0 cells of the rows of mat, shape (M, K), as read-only _PmfRows."""
+    m, k = mat.shape
+    cells = np.flatnonzero(mat > 0.0)  # row by row, each row in column order
+    probs = mat.ravel()[cells]
+    starts = np.searchsorted(cells, np.arange(0, m * k, k))
+    cols = np.remainder(cells, k, out=cells)
+    rows = _PmfRows(probs, np.log(probs), cols, starts, defect)
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -227,7 +259,7 @@ def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
     """chunk over every order of lams, one chunk at a time, joined on the order axis.
 
     chunk takes a slice of lams, at most max(1, _CHUNK_CELLS // cells)
-    orders of a matrix of `cells` entries, and returns their rows.  A pass
+    orders of `cells` entries each, and returns their rows.  A pass
     that fits in one chunk (every one-order call among them) returns chunk's
     own array.  A pass of more than 2 x _SPLIT_CELLS entries is cut into
     min(_CPUS, L cells // _SPLIT_CELLS, chunks) contiguous ranges of chunks:
@@ -264,28 +296,45 @@ def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
     return np.concatenate([first] + [future.result() for future in rest])
 
 
+def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log sum exp over each segment of 1-D a that starts cut, overwriting a.
+
+    A segment holding +inf gives +inf: its top is taken as 0, so its +inf
+    cells stay +inf through exp and never meet inf - inf.
+    """
+    top = np.maximum.reduceat(a, starts)
+    top[top == math.inf] = 0.0
+    a -= np.repeat(top, np.diff(starts, append=a.size))
+    np.exp(a, out=a)
+    return top + np.log(np.add.reduceat(a, starts))
+
+
 def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
                     r_bound: float = math.inf) -> np.ndarray:
     """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
 
-    log_ratio is r = log p_i - log q, shape (M, K), one reference for every
-    order: -inf where p_i = 0 and finite elsewhere.  r_bound is an
-    order-free bound on |r| where p_i > 0 (inf where none is known).  The
-    orders run in chunks (`_over_order_chunks`), each in a temporary of its
+    log_ratio is r = log p_i - log q on the cells of rows, shape (N,), one
+    reference for every order.  r_bound is an order-free bound on |r| (inf
+    where none is known).  Each order sums only the p > 0 cells, one
+    np.add.reduceat over the row segments.  The orders run in chunks of N
+    live cells each (`_over_order_chunks`), each in a temporary of its
     own.  Where lam r_bound <= _EXP_OVERFLOW for every order, no lam r
     passes the float range on either side and no term of S - 1 exceeds
     p exp(709), so the pass runs plain: no np.errstate and no scan for
     +inf.  Any other pass runs under np.errstate(over="ignore") (a split
     pass's ranges too, each in a copy of the caller's context), and rows
-    whose S - 1 overflowed are redone after it, on the calling thread.
+    whose S - 1 overflowed are redone after it, on the calling thread, as
+    a log-sum-exp of log p + lam r over the row's segment, one order at a
+    time; where lam r itself overflowed, that gives +inf, which is lam D
+    as a float.
     """
-    probs = rows.probs
+    probs, starts = rows.probs, rows.starts
 
     def chunk(lam: np.ndarray) -> np.ndarray:
-        terms = np.multiply(log_ratio, lam[:, None, None])  # -inf where p = 0
+        terms = np.multiply(log_ratio, lam[:, None])
         np.expm1(terms, out=terms)
         terms *= probs
-        excess = terms.sum(axis=-1)
+        excess = np.add.reduceat(terms, starts, axis=-1)
         excess += rows.defect  # S - 1
         return np.log1p(excess, out=excess)
 
@@ -294,12 +343,10 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
     with np.errstate(over="ignore"):
         out = _over_order_chunks(chunk, lams, probs.size)
         if out.max() == math.inf:  # only where S - 1 overflowed
-            li, mi = np.nonzero(out == math.inf)
-            logs = rows.log_probs[mi] + lams[li, None] * log_ratio[mi]
-            # where lam r itself overflowed, lam D is +inf as a float, and
-            # the log-sum-exp would meet inf - inf
-            finite = logs.max(axis=-1) < math.inf
-            out[li[finite], mi[finite]] = _logsumexp(logs[finite])
+            for li in np.nonzero(out.max(axis=1) == math.inf)[0].tolist():
+                hit = out[li] == math.inf
+                logs = rows.log_probs + lams[li] * log_ratio
+                out[li, hit] = _segment_logsumexp(logs, starts)[hit]
     return out
 
 
@@ -312,7 +359,8 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """
     lam = _lam(order)
     ps, qs = _on_support(p, q)
-    rows = _PmfRows(ps[None], np.log(ps)[None], np.array([p._mass_defect]))
+    # one row, starts = [0], its columns those of p's support
+    rows = _pmf_rows(ps[None], np.array([p._mass_defect]))
     log_ratio = rows.log_probs - np.log(qs)
     log_sum = _renyi_log_sums(rows, log_ratio, np.array([lam]), float(np.abs(log_ratio).max()))
     return float(log_sum[0, 0]) / lam

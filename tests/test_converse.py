@@ -426,6 +426,11 @@ def _dense_log_qstar_weights(log_probs, lams):
     return top + (log_sum - math.log(log_probs.shape[0])) / power
 
 
+def _joint_probs(fam):
+    """The family's conditionals as one (M, K) matrix, restricted to its joint support."""
+    return np.stack([c.probs for c in fam.conditionals])[:, fam._arrays.joint]
+
+
 def _weights(arrays, lams):
     return converse._log_qstar_weights(arrays, 1.0 + lams[:, None, None])
 
@@ -435,10 +440,12 @@ def test_qstar_weights_are_finite_at_huge_orders(conds):
     # at 1.7e308, (1+lam) log p passes the float range in every cell of the
     # first family's first column; shifted by the column max, no weight is
     # NaN (a RuntimeWarning fails the test)
-    arrays = ChannelFamily(conds, "qstar")._arrays
+    fam = ChannelFamily(conds, "qstar")
+    arrays = fam._arrays
     lams = np.array([0.5, 1e300, 1.7e308])
     got = _weights(arrays, lams)
-    assert np.array_equal(got, _dense_log_qstar_weights(arrays.rows.log_probs, lams))
+    log_probs = divergence._log_or_neg_inf(_joint_probs(fam))
+    assert np.array_equal(got, _dense_log_qstar_weights(log_probs, lams))
     assert np.isfinite(got).all()
 
 
@@ -463,7 +470,7 @@ def test_qstar_weights_on_sparse_families_match_the_dense_reference():
     lams = np.array([1e-6, 0.3, 2.0, 10.0, 1e300, 1.7e308])
     for fam in _sparse_qstar_families():
         arrays = fam._arrays
-        dense = _dense_log_qstar_weights(arrays.rows.log_probs, lams)
+        dense = _dense_log_qstar_weights(divergence._log_or_neg_inf(_joint_probs(fam)), lams)
         assert np.array_equal(_weights(arrays, lams), dense)
         for lam, log_w in zip(lams.tolist(), dense):
             log_q, log_c = converse._log_qstar(arrays, lam)
@@ -493,10 +500,11 @@ def test_qstar_weights_match_a_60_digit_reference():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(11)
     for _ in range(12):
-        arrays = random_discrete_family(rng, q_choice="qstar")._arrays
+        fam = random_discrete_family(rng, q_choice="qstar")
+        arrays = fam._arrays
         for lam in (1e-6, 0.3, 2.0, 10.0, 1e4, 1e300, 1.7e308):
             got = converse._log_qstar_weights(arrays, 1.0 + lam)
-            want = _decimal_log_qstar_weights(arrays.rows.probs, 1.0 + lam)
+            want = _decimal_log_qstar_weights(_joint_probs(fam), 1.0 + lam)
             for g, w in zip(got.tolist(), want):
                 assert float(abs(decimal.Decimal(g) - w)) <= 2.0 * eps * max(1.0, abs(float(w)))
 

@@ -50,9 +50,9 @@ EXTREME_PAIRS = [
 def _rows_and_log_q(rows, q):
     probs = np.array(rows)
     defect = np.array([pmf(*row)._mass_defect for row in rows])
-    kernel_rows = divergence._PmfRows(probs, divergence._log_or_neg_inf(probs), defect)
+    kernel_rows = divergence._pmf_rows(probs, defect)
     q = np.asarray(q, dtype=np.float64)
-    return kernel_rows, np.log(np.where(q > 0.0, q, 1.0))
+    return kernel_rows, np.log(np.where(q > 0.0, q, 1.0))[kernel_rows.cols]
 
 
 # --- against the decimal oracle ---
@@ -73,6 +73,25 @@ def test_batched_kernel_matches_decimal_oracle():
     rows = [(0.5, 0.0, 0.25, 0.25), (0.0, 1e-300, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5)]
     kernel_rows, log_q = _rows_and_log_q(rows, q)
     got = divergence._renyi_log_sums(kernel_rows, kernel_rows.log_probs - log_q, np.array(ORDERS))
+    for li, lam in enumerate(ORDERS):
+        for mi, p in enumerate(rows):
+            exact = decimal_log_renyi_sum(p, q, lam)
+            assert got[li, mi] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def test_batched_kernel_on_sparse_product_rows_matches_decimal_oracle():
+    # long rows with many dead cells: 4-fold products of letters with one or
+    # two zeros keep 81 or 16 of 256 cells.  Letter 0 of the reference is
+    # 1e-70, so rows with mass there take the overflow redo past order 1.
+    letters = [(0.5, 0.0, 0.3, 0.2), (0.0, 0.6, 0.0, 0.4),
+               (0.1, 0.2, 0.7, 0.0), (0.0, 0.0, 0.25, 0.75)]
+    rows = [iid_product_pmf(pmf(*p), 4).probs for p in letters]
+    q = iid_product_pmf(pmf(1e-70, 0.3, 0.3, 0.4), 4).probs
+    kernel_rows, log_q = _rows_and_log_q(rows, q)
+    assert kernel_rows.probs.size == 81 + 16 + 81 + 16
+    log_ratio = kernel_rows.log_probs - log_q
+    got = divergence._renyi_log_sums(kernel_rows, log_ratio, np.array(ORDERS),
+                                     float(np.abs(log_ratio).max()))
     for li, lam in enumerate(ORDERS):
         for mi, p in enumerate(rows):
             exact = decimal_log_renyi_sum(p, q, lam)
@@ -180,6 +199,48 @@ def _wide_conditionals():
     """An M = 16 family of 6-fold iid products of 4-letter pmfs: 16 x 4^6 cells."""
     rng = np.random.default_rng(7)
     return tuple(iid_product_pmf(DiscretePmf(rng.dirichlet(np.ones(4))), 6) for _ in range(16))
+
+
+def _sparse_wide_conditionals():
+    """An M = 16 family of 6-fold iid products of 4-letter pmfs, drawn as the wide benchmark does.
+
+    Each letter has mass 0 with chance 0.2, so 31866 of the 16 x 4^6 cells
+    (49%) are live.
+    """
+    rng = np.random.default_rng(10)
+    conds = []
+    for _ in range(16):
+        w = rng.gamma(1.0, 1.0, size=4)
+        w[rng.random(4) < 0.2] = 0.0
+        if not w.any():
+            w[int(rng.integers(4))] = 1.0
+        conds.append(iid_product_pmf(DiscretePmf(w / w.sum()), 6))
+    return tuple(conds)
+
+
+def test_kernel_chunks_and_splits_by_live_cells(monkeypatch):
+    # the kernel's passes are sized by the p > 0 cells it visits, not M K:
+    # a 64-order pre-scan of 64 x 31866 entries stays below two split ranges
+    conds = _sparse_wide_conditionals()
+    live = sum(int(np.count_nonzero(c.probs)) for c in conds)
+    assert live < len(conds) * conds[0].support_size
+    seen = []
+    drive = divergence._over_order_chunks
+
+    def record(chunk, lams, cells):
+        seen.append(cells)
+        return drive(chunk, lams, cells)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pass of the live cells started a thread")
+
+    monkeypatch.setattr(divergence, "_over_order_chunks", record)
+    monkeypatch.setattr(divergence, "_CPUS", 8)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    lams = np.geomspace(1e-6, 10.0, 64)
+    for q_choice in converse.Q_CHOICES:  # q*: one kernel pass per order
+        ChannelFamily(conds, q_choice)._scaled_divergences(lams)
+    assert seen and set(seen) == {live}
 
 
 def _count_threads(monkeypatch) -> list:
@@ -321,20 +382,21 @@ def test_import_loads_no_thread_pool():
 
 
 def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
-    # one M = 16, K = 4^6 family: a 64-order prescan in one array would be 32 MB;
-    # on 2 or more CPUs it runs as two ranges, each with a buffer of its own
-    conds = _wide_conditionals()
-    for cpus in (1, 2, 8):
-        monkeypatch.setattr(divergence, "_CPUS", cpus)
-        for q_choice in ("uniform", "mixture", "qstar"):
-            fam = ChannelFamily(conds, q_choice)
-            tracemalloc.start()
-            try:
-                optimize_lambda(fam)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
+    # M = 16, K = 4^6 families, fully live and half live: a 64-order prescan in
+    # one array would be 32 MB; on 2 or more CPUs a fully live one runs as two
+    # ranges, each with a buffer of its own
+    for conds in (_wide_conditionals(), _sparse_wide_conditionals()):
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(divergence, "_CPUS", cpus)
+            for q_choice in ("uniform", "mixture", "qstar"):
+                fam = ChannelFamily(conds, q_choice)
+                tracemalloc.start()
+                try:
+                    optimize_lambda(fam)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
 
 
 # --- overflow gates ---
