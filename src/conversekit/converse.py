@@ -45,7 +45,13 @@ each family keeps one order-free scalar (`_FamilyArrays.r_bound`) that
 bounds |r| and, for q*, the spread of its weights' exponents, and the
 kernel and the q* weights run plain wherever the order times it clears
 the overflow, with the same bits.
-`optimize_lambda` builds its pre-scan grid once per range.
+`optimize_lambda` builds its pre-scan grid once per range and evaluates it
+in two batched passes: every `_PRESCAN_STRIDE`-th order and the last, then
+only the orders that a ceiling does not rule out.  log S / lam never falls
+as lam grows, so the floor at an order is at most a ceiling computed from
+the first-pass order below it (`_floor_ceilings`); an order whose ceiling
+lies clearly below the best first-pass floor cannot be the pre-scan
+maximum, and skipping it keeps every bit of the result.
 """
 
 from __future__ import annotations
@@ -94,12 +100,14 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # optimize_lambda: pre-scan orders, then golden-section steps in one bracket.
 _PRESCAN = 64
 _GOLDEN_ITERS = 60
+# The pre-scan's first pass evaluates every _PRESCAN_STRIDE-th order and the last.
+_PRESCAN_STRIDE = 8
 
 
 class _FamilyArrays(NamedTuple):
     """A discrete family's rows, plus its reference when that is order-free."""
 
-    rows: _PmfRows  # the p > 0 cells; their columns index the joint support
+    rows: _PmfRows  # the p > 0 cells; their columns, kept for q* alone, index the joint support
     joint: np.ndarray  # outcomes some conditional puts mass on
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q on the cells of rows
@@ -179,7 +187,8 @@ class ChannelFamily:
         np.subtract(rows.log_probs, log_ratio, out=log_ratio)
         log_ratio.setflags(write=False)
         r_bound = max(float(log_ratio.max()), -float(log_ratio.min()))  # max |r|, no temporary
-        return _FamilyArrays(rows, joint, ref, log_ratio, r_bound=r_bound)
+        # only q*'s per-order gather reads the columns
+        return _FamilyArrays(rows._replace(cols=None), joint, ref, log_ratio, r_bound=r_bound)
 
     @property
     def m_codewords(self) -> int:
@@ -377,6 +386,23 @@ def _golden_max(g, lo: float, hi: float):
     return (c, gc) if gc >= gd else (d, gd)
 
 
+def _floor_ceilings(log_m: float, log_means: np.ndarray, lams_below: np.ndarray,
+                    lams: np.ndarray) -> np.ndarray:
+    """Upper bounds on the floor at lams, from log S at lams_below <= lams.
+
+    log S / lam never falls as lam grows: D_(1+lam) does not (van Erven and
+    Harremoes 2014), nor does Sibson's alpha-mutual information, which is
+    log S / lam for q* (Verdu 2015).  So log S / (1+lam) at lams is at least
+    lams / (1+lams) times log S / lam at lams_below, and the floor, which
+    falls as log S grows, at most what that gives.  Elementwise; these
+    values only decide which orders to evaluate, and a ceiling whose log S
+    passes the float range is -inf.
+    """
+    with np.errstate(over="ignore"):
+        slopes = log_means / lams_below
+        return 1.0 - np.exp(np.log1p(lams) + lams / (1.0 + lams) * (slopes - np.log(lams) - log_m))
+
+
 @lru_cache
 def _prescan_grid(lam_lo: float, lam_hi: float) -> tuple[tuple, tuple, np.ndarray]:
     """optimize_lambda's pre-scan on [lam_lo, lam_hi], built once per range.
@@ -400,8 +426,15 @@ def optimize_lambda(
     The raw bound need not be unimodal in lam, so a geometric pre-scan of
     _PRESCAN orders picks the basin first and golden section on log lam
     refines inside it, replacing the pre-scan maximum only when strictly
-    higher.  The pre-scan is one batched evaluation of log S; for q* each
-    order costs one normalizer instead of M divergences.
+    higher.  The pre-scan evaluates log S in at most two batches; for q*
+    each order costs one normalizer instead of M divergences.  The first
+    takes every _PRESCAN_STRIDE-th order and the last.  Each other order's
+    floor is at most the ceiling that `_floor_ceilings` gives from the
+    first-pass order below it, and the second batch takes only the orders
+    whose ceiling does not lie below the best first-pass floor by more than
+    1e-9 (1 + |ceiling|), thousands of times the rounding of log S.  A
+    skipped order's floor lies below that best, so it is never the first
+    maximum, and the result keeps the bits of a full pre-scan.
 
     When the pre-scan maximum is an end of the grid, one probe edge_tol
     inward of it (edge_tol = sqrt(eps) times the bracket width, the
@@ -423,8 +456,24 @@ def optimize_lambda(
         return _eps_from_log_terms(log_m, float(family._log_mean_terms(np.array([lam]))[0]), lam)
 
     grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
-    log_means = family._log_mean_terms(lam_array).tolist()
-    values = [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
+    values = [-math.inf] * _PRESCAN  # a skipped order is never the first maximum
+
+    def evaluate(idx: list) -> np.ndarray:
+        """log S at the pre-scan orders idx, in one batch; their floors go to values."""
+        log_means = family._log_mean_terms(lam_array[idx])
+        for i, s in zip(idx, log_means.tolist()):
+            values[i] = _eps_from_log_terms(log_m, s, lams[i])
+        return log_means
+
+    first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
+    below = np.arange(_PRESCAN) // _PRESCAN_STRIDE  # each order's first-pass order at or below it
+    ceilings = _floor_ceilings(log_m, evaluate(first)[below], lam_array[first][below], lam_array)
+    # a margin thousands of times the rounding of log S; a -inf ceiling is kept
+    skip = ceilings < max(values) - 1e-9 * (1.0 + np.abs(ceilings))
+    skip[first] = True
+    rest = np.flatnonzero(~skip).tolist()
+    if rest:
+        evaluate(rest)
     best_idx = values.index(max(values))
     x_best, v_best = grid[best_idx], values[best_idx]
     bracket_lo = grid[max(best_idx - 1, 0)]

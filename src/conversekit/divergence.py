@@ -42,9 +42,9 @@ for a whole axis of orders at once, as an (orders, rows) array:
   weights.  Each chunk is a function of its slice of orders with
   temporaries of its own, so a call that fits in one chunk (every
   one-order call) returns that chunk's array and builds no output of its
-  own.  Small families take the 64-order pre-scan of
-  `converse.optimize_lambda` in a few chunks; a 16 x 4096 family takes one
-  order at a time, in temporaries of at most 512 KiB.  Larger chunks
+  own.  Small families take each pass of `converse.optimize_lambda`'s
+  pre-scan in a few chunks; a 16 x 4096 family takes one order at a time,
+  in temporaries of at most 512 KiB.  Larger chunks
   bought no speed on small families and raised their peak memory.
 - A pass of more than 2 x 2^21 entries (orders x N, `_SPLIT_CELLS`) is
   cut by the same function into min(CPUs, entries // 2^21, chunks)
@@ -53,12 +53,13 @@ for a whole axis of orders at once, as an (orders, rows) array:
   of the caller's context, so under the caller's np.errstate, if any (a
   context variable since numpy 2.0), and with the warnings a serial pass
   would give.  2^21 entries are about 5 ms of kernel work against about
-  0.1 ms to start and join a thread.  So a 64-order pre-scan takes two
-  ranges on any host with two or more CPUs where one order has 2^16
-  cells: the kernel's on a fully live 16 x 4096 family, q*'s normalizers
-  on any 16 x 4096 joint support.  The kernel's pre-scan of such a
-  family with about half its cells at p = 0 runs serially, and no pass of
-  a family with M <= 6 and K <= 12^3 splits.  Each order gets the same chunk
+  0.1 ms to start and join a thread.  So a pass of 64 orders of 2^16
+  cells (the kernel's on a fully live 16 x 4096 family, q*'s normalizers'
+  on any 16 x 4096 joint support) takes two ranges on any host with two
+  or more CPUs.  `converse.optimize_lambda` passes at most 55 orders at a
+  time, 9 in its first pass, so its passes over such a family run
+  serially; only larger families or longer batches split, and no pass of
+  a family with M <= 6 and K <= 12^3 does.  Each order gets the same chunk
   either way, so the split keeps every bit.  No thread outlives a call
   and a pass of one part starts none.
 - Since r does not depend on the order, a caller with a fixed reference
@@ -226,7 +227,7 @@ class _PmfRows(NamedTuple):
 
     probs: np.ndarray  # (N,) the p > 0 cells of every row
     log_probs: np.ndarray  # (N,) log of probs, finite
-    cols: np.ndarray  # (N,) each cell's column
+    cols: np.ndarray | None  # (N,) each cell's column; None once no caller reads it
     starts: np.ndarray  # (M,) each row's first cell
     # exact sum_y p_i(y) - 1 per row, from DiscretePmf._mass_defect: the sum
     # tolerance of DiscretePmf, up to 1e-12, is far above the precision lam D

@@ -382,9 +382,8 @@ def test_import_loads_no_thread_pool():
 
 
 def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
-    # M = 16, K = 4^6 families, fully live and half live: a 64-order prescan in
-    # one array would be 32 MB; on 2 or more CPUs a fully live one runs as two
-    # ranges, each with a buffer of its own
+    # M = 16, K = 4^6 families, fully live and half live: 64 orders in one
+    # array would be 32 MB
     for conds in (_wide_conditionals(), _sparse_wide_conditionals()):
         for cpus in (1, 2, 8):
             monkeypatch.setattr(divergence, "_CPUS", cpus)
@@ -397,6 +396,15 @@ def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
                 finally:
                     tracemalloc.stop()
                 assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
+
+
+def test_only_qstar_families_keep_the_cell_columns():
+    # an order-free reference's log ratio is formed once, so no later call
+    # reads the columns; q* gathers log q*[cols] at every order
+    conds = _sparse_wide_conditionals()
+    for q_choice in converse.Q_CHOICES:
+        cols = ChannelFamily(conds, q_choice)._arrays.rows.cols
+        assert (cols is None) == (q_choice != "qstar")
 
 
 # --- overflow gates ---
