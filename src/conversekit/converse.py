@@ -13,21 +13,23 @@ footing.
 
 On first use a ChannelFamily builds its conditionals once in the compact
 layout the kernel reads (`divergence._PmfRows`): only their p > 0 cells,
-row by row, each with its column in the joint support.  For the
-order-free references (uniform and the mixture) it also keeps the
+row by row, from one stack of the conditionals and one p > 0 mask.  For
+the order-free references (uniform and the mixture) it also keeps the
 reference and the log ratio r = log p_i - log Q on those cells, which is
-finite there.  The terms lam D_i then come from the one log-space kernel
-`divergence._renyi_log_sums`, for a whole axis of orders per call, in
-chunks that bound its memory; for q*, which moves with the order, each
-order forms its own r = log p - log q*[cols] from q* at that order.  How
-a batch of orders is chunked, and split across threads, is decided in
-`divergence` alone (`divergence._over_order_chunks`), for the kernel and
-q*'s normalizers alike.  q* itself (`reference_pmf`) and its normalizer
-C come from one formula for its weights, `_log_qstar_weights`, which
-`_log_qstar` calls for one order and the normalizers for a batch.  For it
-a q* family also keeps three order-free dense (M, K) arrays over the
-joint support: each column's top log p, log p shifted by that top (0 in
-each p = 0 cell) and the 0/1 support.  Each column's top cell enters exp
+finite there, and nothing else per cell.  The terms lam D_i then come from
+the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
+orders per call, in chunks that bound its memory; for q*, which moves with
+the order, each order forms its own r = log p - log q*[cols] from q* at
+that order, so a q* family alone keeps log p and each cell's column in
+the joint support.  How a batch of orders is chunked, and split across
+threads, is decided in `divergence` alone (`divergence._over_order_chunks`),
+for the kernel and q*'s normalizers alike.  q* itself (`reference_pmf`)
+and its normalizer C come from one formula for its weights,
+`_log_qstar_weights`, which `_log_qstar` calls for one order and the
+normalizers for a batch.  For it a q* family also keeps three
+order-free dense (M, K) arrays over the joint support: each column's top
+log p, log p shifted by that top (0 in each p = 0 cell) and the 0/1
+support.  Each column's top cell enters exp
 as 0, so no weight overflows to NaN at any finite order, and exp meets no
 -inf (numpy's exp slows down on -inf and on underflowing inputs).  For q*
 no divergence is needed for S itself: with C the normalizer of q*,
@@ -46,12 +48,15 @@ bounds |r| and, for q*, the spread of its weights' exponents, and the
 kernel and the q* weights run plain wherever the order times it clears
 the overflow, with the same bits.
 `optimize_lambda` builds its pre-scan grid once per range and evaluates it
-in two batched passes: every `_PRESCAN_STRIDE`-th order and the last, then
-only the orders that a ceiling does not rule out.  log S / lam never falls
-as lam grows, so the floor at an order is at most a ceiling computed from
-the first-pass order below it (`_floor_ceilings`); an order whose ceiling
-lies clearly below the best first-pass floor cannot be the pre-scan
-maximum, and skipping it keeps every bit of the result.
+in two batched passes: every `_PRESCAN_STRIDE`-th order and the last
+(orders 0, 32 and 63 of 64), then only the orders that a ceiling does not
+rule out.  log S / lam never falls as lam grows, so the floor at an order
+lam' is at most a ceiling computed from the first-pass order lam below it
+(`_floor_ceilings`); an order whose ceiling lies below the best first-pass
+floor by more than a rounding margin cannot be the pre-scan maximum, and
+skipping it keeps every bit of the result.  The ceiling multiplies the
+rounding of log S at lam by up to lam' / lam, so the margin carries that
+ratio too and covers it on every range.
 """
 
 from __future__ import annotations
@@ -101,13 +106,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 64
 _GOLDEN_ITERS = 60
 # The pre-scan's first pass evaluates every _PRESCAN_STRIDE-th order and the last.
-_PRESCAN_STRIDE = 8
+_PRESCAN_STRIDE = 32
 
 
 class _FamilyArrays(NamedTuple):
     """A discrete family's rows, plus its reference when that is order-free."""
 
-    rows: _PmfRows  # the p > 0 cells; their columns, kept for q* alone, index the joint support
+    # the p > 0 cells; q* alone keeps their log p and their columns, which
+    # index the joint support
+    rows: _PmfRows
     joint: np.ndarray  # outcomes some conditional puts mass on
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q on the cells of rows
@@ -150,45 +157,52 @@ class ChannelFamily:
     def _arrays(self) -> _FamilyArrays:
         """The arrays of a discrete family, built on first use and kept.
 
-        The rows keep only the p > 0 cells (`divergence._PmfRows`), which are
-        all a Renyi sum needs; their columns index the joint support, the
-        outcomes some conditional puts mass on.  For an order-free
-        reference also keep r = log p_i - log Q on those cells, so no call
-        repeats that subtraction.  The mixture is positive on the joint
-        support unless it rounds to 0 where every conditional has only
-        subnormal mass; that raises ValueError.  q* is rebuilt per order;
-        for it keep instead the dense order-free arrays of its weights (see
-        `_log_qstar_weights`).
+        Every reference is built from one stack of the conditionals and one
+        p > 0 mask over it.  The rows keep only the p > 0 cells
+        (`divergence._PmfRows`), which are all a Renyi sum needs, restricted
+        to the joint support, the outcomes some conditional puts mass on.
+        For an order-free reference also keep r = log p_i - log Q on those
+        cells, so no call repeats that subtraction, and no log p or columns.
+        The mixture is positive on the joint support unless it rounds to 0
+        where every conditional has only subnormal mass; that raises
+        ValueError.  q* is rebuilt per order; for it keep instead log p and
+        the columns of the cells, and the dense order-free arrays of its
+        weights (see `_log_qstar_weights`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
-        joint = np.any(mat > 0.0, axis=0)
+        # an order-free reference lives on the full alphabet
+        if self.q_choice == "uniform":
+            ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
+        elif self.q_choice == "mixture":
+            ref = DiscretePmf(mat.mean(axis=0))  # the bits of `mixture_pmf`
+        live = mat > 0.0
+        joint = live.any(axis=0)
         if not joint.all():
-            mat = mat[:, joint]
-        rows = _pmf_rows(mat, np.array([c._mass_defect for c in self.conditionals]))
+            mat, live = mat[:, joint], live[:, joint]
+        rows = _pmf_rows(mat, np.array([c._mass_defect for c in self.conditionals]), live)
         if self.q_choice == "qstar":
+            # only q*'s per-order r = log p - log q*[cols] reads the cells
+            cols = np.broadcast_to(np.arange(live.shape[1]), live.shape)[live]
+            rows = rows._replace(log_probs=np.log(rows.probs), cols=cols)
             shifted = _log_or_neg_inf(mat)
             colmax = shifted.max(axis=0)
             shifted -= colmax
-            support = (mat > 0.0).astype(float)
-            shifted[support == 0.0] = 0.0
-            for arr in (colmax, shifted, support):
+            shifted[~live] = 0.0
+            support = live.astype(float)
+            for arr in (rows.log_probs, rows.cols, colmax, shifted, support):
                 arr.setflags(write=False)
             r_bound = max(-float(shifted.min()), 2.0 * math.log(len(mat)) + 1.0)
             return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support,
                                  r_bound=r_bound)
-        if self.q_choice == "uniform":
-            ref = DiscretePmf(np.full(joint.size, 1.0 / joint.size))
-        else:
-            ref = mixture_pmf(self.conditionals)
         q = ref.probs[joint]
         if not q.all():
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
-        log_ratio = np.log(q)[rows.cols]
-        np.subtract(rows.log_probs, log_ratio, out=log_ratio)
+        # log Q at each p > 0 cell, gathered row by row through the mask
+        log_ratio = np.broadcast_to(np.log(q), mat.shape)[live]
+        np.subtract(np.log(rows.probs), log_ratio, out=log_ratio)
         log_ratio.setflags(write=False)
         r_bound = max(float(log_ratio.max()), -float(log_ratio.min()))  # max |r|, no temporary
-        # only q*'s per-order gather reads the columns
-        return _FamilyArrays(rows._replace(cols=None), joint, ref, log_ratio, r_bound=r_bound)
+        return _FamilyArrays(rows, joint, ref, log_ratio, r_bound=r_bound)
 
     @property
     def m_codewords(self) -> int:
@@ -213,7 +227,7 @@ class ChannelFamily:
     def divergences(self, order) -> np.ndarray:
         """Per-codeword divergences D_i to the reference at one order."""
         lam = _lam(order)
-        return self._scaled_divergences(np.array([lam]))[0] / lam
+        return np.array(_divide_by_lam(self._scaled_divergences(np.array([lam]))[0], lam))
 
     def _scaled_divergences(self, lams: np.ndarray) -> np.ndarray:
         """lam D_i for each order in lams and each codeword, shape (L, M)."""
@@ -306,6 +320,16 @@ def _log_mean_exp(values: np.ndarray):
     return top[:, 0] + np.log(np.exp(shifted).sum(axis=-1) / values.shape[-1])
 
 
+def _divide_by_lam(scaled: np.ndarray, lam: float) -> list:
+    """D_i = (lam D_i) / lam as a list of floats.
+
+    Python's float division: where lam is near 5e-324, a row's mass defect
+    (up to 1e-12) in lam D makes D_i pass the float range, and the quotient
+    is +-inf, as numpy's divide gives it, without numpy's overflow warning.
+    """
+    return [s / lam for s in scaled.tolist()]
+
+
 def _exp_or_inf(x: float) -> float:
     """exp(x), with inf from _EXP_OVERFLOW up instead of an OverflowError."""
     return math.inf if x >= _EXP_OVERFLOW else math.exp(x)
@@ -354,7 +378,7 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
         "m_codewords": m,
         "q_choice": family.q_choice,
         "lam": lam,
-        "divergences": (scaled / lam).tolist(),
+        "divergences": _divide_by_lam(scaled, lam),
     }
     if m == 1:
         params["degenerate_single_codeword"] = True
@@ -428,13 +452,18 @@ def optimize_lambda(
     refines inside it, replacing the pre-scan maximum only when strictly
     higher.  The pre-scan evaluates log S in at most two batches; for q*
     each order costs one normalizer instead of M divergences.  The first
-    takes every _PRESCAN_STRIDE-th order and the last.  Each other order's
-    floor is at most the ceiling that `_floor_ceilings` gives from the
-    first-pass order below it, and the second batch takes only the orders
-    whose ceiling does not lie below the best first-pass floor by more than
-    1e-9 (1 + |ceiling|), thousands of times the rounding of log S.  A
-    skipped order's floor lies below that best, so it is never the first
-    maximum, and the result keeps the bits of a full pre-scan.
+    takes every _PRESCAN_STRIDE-th order and the last: 3 of the 64, as the
+    maximum lies at an end of the range in most calls.  Each other order
+    lam' has a floor at most the ceiling that `_floor_ceilings` gives from
+    the first-pass order lam below it, and the second batch takes only the
+    orders whose ceiling does not lie below the best first-pass floor by
+    more than 1e-9 (1 + |ceiling|) lam' / lam.  An absolute rounding delta
+    in log S at lam moves the ceiling by at most (lam' / lam) delta
+    |1 - ceiling|, so that margin stays thousands of times that rounding
+    on every range; where lam' / lam passes the float range the margin is
+    infinite and the order is kept.  A skipped order's floor lies below
+    that best, so it is never the first maximum, and the result keeps the
+    bits of a full pre-scan.
 
     When the pre-scan maximum is an end of the grid, one probe edge_tol
     inward of it (edge_tol = sqrt(eps) times the bracket width, the
@@ -467,9 +496,14 @@ def optimize_lambda(
 
     first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
     below = np.arange(_PRESCAN) // _PRESCAN_STRIDE  # each order's first-pass order at or below it
-    ceilings = _floor_ceilings(log_m, evaluate(first)[below], lam_array[first][below], lam_array)
-    # a margin thousands of times the rounding of log S; a -inf ceiling is kept
-    skip = ceilings < max(values) - 1e-9 * (1.0 + np.abs(ceilings))
+    lams_below = lam_array[first][below]
+    ceilings = _floor_ceilings(log_m, evaluate(first)[below], lams_below, lam_array)
+    # a margin thousands of times the rounding of log S, times the lam' / lam
+    # that the ceiling multiplies it by; a -inf ceiling is kept, and so is an
+    # order whose margin passes the float range
+    with np.errstate(over="ignore"):
+        margin = 1e-9 * (1.0 + np.abs(ceilings)) * (lam_array / lams_below)
+    skip = ceilings < max(values) - margin
     skip[first] = True
     rest = np.flatnonzero(~skip).tolist()
     if rest:

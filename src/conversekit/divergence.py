@@ -56,12 +56,13 @@ for a whole axis of orders at once, as an (orders, rows) array:
   0.1 ms to start and join a thread.  So a pass of 64 orders of 2^16
   cells (the kernel's on a fully live 16 x 4096 family, q*'s normalizers'
   on any 16 x 4096 joint support) takes two ranges on any host with two
-  or more CPUs.  `converse.optimize_lambda` passes at most 55 orders at a
-  time, 9 in its first pass, so its passes over such a family run
-  serially; only larger families or longer batches split, and no pass of
-  a family with M <= 6 and K <= 12^3 does.  Each order gets the same chunk
-  either way, so the split keeps every bit.  No thread outlives a call
-  and a pass of one part starts none.
+  or more CPUs.  `converse.optimize_lambda` passes at most 61 orders at a
+  time, 3 in its first pass, and 61 x 65,536 = 3,997,696 entries stay
+  under 2 x 2^21 = 4,194,304, so no `optimize_lambda` pass over such a
+  family starts a thread; only larger families or longer batches split,
+  and no pass of a family with M <= 6 and K <= 12^3 does.  Each order
+  gets the same chunk either way, so the split keeps every bit.  No
+  thread outlives a call and a pass of one part starts none.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -226,8 +227,10 @@ class _PmfRows(NamedTuple):
     """
 
     probs: np.ndarray  # (N,) the p > 0 cells of every row
-    log_probs: np.ndarray  # (N,) log of probs, finite
-    cols: np.ndarray | None  # (N,) each cell's column; None once no caller reads it
+    # log_probs and cols are built only where a caller reads them (q*'s
+    # per-order r = log p - log q*[cols] in `converse`), else None
+    log_probs: np.ndarray | None  # (N,) log of probs, finite
+    cols: np.ndarray | None  # (N,) each cell's column
     starts: np.ndarray  # (M,) each row's first cell
     # exact sum_y p_i(y) - 1 per row, from DiscretePmf._mass_defect: the sum
     # tolerance of DiscretePmf, up to 1e-12, is far above the precision lam D
@@ -235,17 +238,20 @@ class _PmfRows(NamedTuple):
     defect: np.ndarray  # (M,)
 
 
-def _pmf_rows(mat: np.ndarray, defect: np.ndarray) -> _PmfRows:
-    """The p > 0 cells of the rows of mat, shape (M, K), as read-only _PmfRows."""
-    m, k = mat.shape
-    cells = np.flatnonzero(mat > 0.0)  # row by row, each row in column order
-    probs = mat.ravel()[cells]
-    starts = np.searchsorted(cells, np.arange(0, m * k, k))
-    cols = np.remainder(cells, k, out=cells)
-    rows = _PmfRows(probs, np.log(probs), cols, starts, defect)
-    for arr in rows:
+def _pmf_rows(mat: np.ndarray, defect: np.ndarray, live: np.ndarray | None = None) -> _PmfRows:
+    """The p > 0 cells of the rows of mat, shape (M, K), as read-only _PmfRows.
+
+    live is the mask mat > 0, where the caller has it already.  log_probs
+    and cols are None.
+    """
+    if live is None:
+        live = mat > 0.0
+    probs = mat[live]  # row by row, each row in column order
+    counts = live.sum(axis=1)
+    starts = counts.cumsum() - counts
+    for arr in (probs, starts, defect):
         arr.setflags(write=False)
-    return rows
+    return _PmfRows(probs, None, None, starts, defect)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -344,9 +350,10 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
     with np.errstate(over="ignore"):
         out = _over_order_chunks(chunk, lams, probs.size)
         if out.max() == math.inf:  # only where S - 1 overflowed
+            log_probs = np.log(probs)
             for li in np.nonzero(out.max(axis=1) == math.inf)[0].tolist():
                 hit = out[li] == math.inf
-                logs = rows.log_probs + lams[li] * log_ratio
+                logs = log_probs + lams[li] * log_ratio
                 out[li, hit] = _segment_logsumexp(logs, starts)[hit]
     return out
 
@@ -360,9 +367,9 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """
     lam = _lam(order)
     ps, qs = _on_support(p, q)
-    # one row, starts = [0], its columns those of p's support
+    # one row, starts = [0]
     rows = _pmf_rows(ps[None], np.array([p._mass_defect]))
-    log_ratio = rows.log_probs - np.log(qs)
+    log_ratio = np.log(rows.probs) - np.log(qs)
     log_sum = _renyi_log_sums(rows, log_ratio, np.array([lam]), float(np.abs(log_ratio).max()))
     return float(log_sum[0, 0]) / lam
 

@@ -390,6 +390,16 @@ def test_floor_where_lam_d_overflows_is_minus_inf(q_choice):
     assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
 
 
+@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
+def test_divergences_past_the_float_range_at_a_subnormal_order_are_inf(q_choice):
+    # at lam = 5e-324 the first row's mass defect of 1e-13 is all of lam D,
+    # and D = lam D / lam passes the float range: +inf, with no warning
+    fam = ChannelFamily((pmf(0.5, 0.5 + 1e-13), pmf(0.5, 0.5)), q_choice)
+    rep = strong_converse_bound(fam, 5e-324)
+    assert rep.params["divergences"][0] == math.inf
+    assert fam.divergences(5e-324).tolist() == rep.params["divergences"]
+
+
 def test_kernel_where_lam_r_overflows_is_plus_inf():
     conds = OVERFLOWING_ORDER_FAMILY
     fam = ChannelFamily(conds, "uniform")

@@ -47,12 +47,14 @@ EXTREME_PAIRS = [
 ]
 
 
-def _rows_and_log_q(rows, q):
+def _rows_and_log_ratio(rows, q):
+    """The kernel's rows of rows, and r = log p - log q on their p > 0 cells."""
     probs = np.array(rows)
     defect = np.array([pmf(*row)._mass_defect for row in rows])
     kernel_rows = divergence._pmf_rows(probs, defect)
     q = np.asarray(q, dtype=np.float64)
-    return kernel_rows, np.log(np.where(q > 0.0, q, 1.0))[kernel_rows.cols]
+    log_q = np.log(np.where(q > 0.0, q, 1.0))[np.nonzero(probs > 0.0)[1]]
+    return kernel_rows, np.log(kernel_rows.probs) - log_q
 
 
 # --- against the decimal oracle ---
@@ -71,8 +73,8 @@ def test_batched_kernel_matches_decimal_oracle():
     # all rows against one reference, all orders in one call
     q = (1e-300, 5e-324, 0.25, 0.75 - 1e-300)
     rows = [(0.5, 0.0, 0.25, 0.25), (0.0, 1e-300, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5)]
-    kernel_rows, log_q = _rows_and_log_q(rows, q)
-    got = divergence._renyi_log_sums(kernel_rows, kernel_rows.log_probs - log_q, np.array(ORDERS))
+    kernel_rows, log_ratio = _rows_and_log_ratio(rows, q)
+    got = divergence._renyi_log_sums(kernel_rows, log_ratio, np.array(ORDERS))
     for li, lam in enumerate(ORDERS):
         for mi, p in enumerate(rows):
             exact = decimal_log_renyi_sum(p, q, lam)
@@ -87,9 +89,8 @@ def test_batched_kernel_on_sparse_product_rows_matches_decimal_oracle():
                (0.1, 0.2, 0.7, 0.0), (0.0, 0.0, 0.25, 0.75)]
     rows = [iid_product_pmf(pmf(*p), 4).probs for p in letters]
     q = iid_product_pmf(pmf(1e-70, 0.3, 0.3, 0.4), 4).probs
-    kernel_rows, log_q = _rows_and_log_q(rows, q)
+    kernel_rows, log_ratio = _rows_and_log_ratio(rows, q)
     assert kernel_rows.probs.size == 81 + 16 + 81 + 16
-    log_ratio = kernel_rows.log_probs - log_q
     got = divergence._renyi_log_sums(kernel_rows, log_ratio, np.array(ORDERS),
                                      float(np.abs(log_ratio).max()))
     for li, lam in enumerate(ORDERS):
@@ -400,11 +401,11 @@ def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
 
 def test_only_qstar_families_keep_the_cell_columns():
     # an order-free reference's log ratio is formed once, so no later call
-    # reads the columns; q* gathers log q*[cols] at every order
+    # reads the columns or log p; q* forms log p - log q*[cols] at every order
     conds = _sparse_wide_conditionals()
     for q_choice in converse.Q_CHOICES:
-        cols = ChannelFamily(conds, q_choice)._arrays.rows.cols
-        assert (cols is None) == (q_choice != "qstar")
+        rows = ChannelFamily(conds, q_choice)._arrays.rows
+        assert (rows.cols is None) == (rows.log_probs is None) == (q_choice != "qstar")
 
 
 # --- overflow gates ---

@@ -116,7 +116,43 @@ def test_wide_prescan_evaluates_few_orders(monkeypatch, make):
         with monkeypatch.context() as patched:
             patched.setattr(ChannelFamily, "_log_mean_terms", spy)
             optimize_lambda(ChannelFamily(conds, q_choice))
-        assert len(set(seen)) == len(seen) <= 16, (q_choice, len(seen))
+        assert len(set(seen)) == len(seen) <= 12, (q_choice, len(seen))
+
+
+# Ranges so wide that lam' / lam is at least e^22 one grid step up: every
+# margin then exceeds the floor's whole range, so the second pass keeps every
+# order.  On the first, order 31 over order 0 passes the float range.
+OVERFLOW_RANGES = [(5e-324, 1.7e308), (1e-300, 1.7e308)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ranges_whose_margin_overflows_keep_every_order_and_every_bit(monkeypatch):
+    for conds in (*_premise_families(), _wide_conditionals(), _sparse_wide_conditionals()):
+        _assert_every_order_kept(monkeypatch, conds)
+
+
+def _assert_every_order_kept(monkeypatch, conds):
+    log_mean_terms = ChannelFamily._log_mean_terms
+    for lam_lo, lam_hi in OVERFLOW_RANGES:
+        lam_array = _prescan_grid(lam_lo, lam_hi)[2]
+        with np.errstate(over="ignore"):
+            assert (lam_array[31] / lam_array[0] == math.inf) == (lam_lo == 5e-324)
+        for q_choice in converse.Q_CHOICES:
+            fam = ChannelFamily(conds, q_choice)
+            sizes = []
+
+            def spy(self, lams):
+                sizes.append(lams.size)
+                return log_mean_terms(self, lams)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(ChannelFamily, "_log_mean_terms", spy)
+                fast = optimize_lambda(fam, lam_lo, lam_hi)
+            # the two pre-scan passes, then one-order probes
+            assert sizes[:2] == [3, _PRESCAN - 3], (q_choice, lam_lo, sizes)
+            assert set(sizes[2:]) <= {1}
+            slow = reference_optimize_lambda(fam, lam_lo, lam_hi)
+            assert repr(fast) == repr(slow), (q_choice, lam_lo, lam_hi)
 
 
 def _premise_families():
@@ -136,7 +172,9 @@ def test_ceilings_lie_above_the_computed_floors(q_choice):
     # It is checked on the floor, the value the skip compares: log S / lam
     # itself carries the rounding of log S (about 1e-16) divided by lam, so
     # at lam ~ 1e-300 it is far from monotone, yet the ceiling multiplies it
-    # by lam' / (1+lam') and keeps that rounding far below the margin.
+    # by lam' / (1+lam') and keeps that rounding far below the margin.  An
+    # absolute rounding delta in log S at lam moves the ceiling at lam' by at
+    # most (lam' / lam) delta |1 - ceiling|, so the margin carries lam' / lam.
     # Every order up to _PRESCAN_STRIDE grid steps below lam' is checked.
     for conds in _premise_families():
         fam = ChannelFamily(conds, q_choice)
@@ -149,6 +187,10 @@ def test_ceilings_lie_above_the_computed_floors(q_choice):
             for step in range(1, _PRESCAN_STRIDE + 1):
                 ceilings = _floor_ceilings(log_m, log_means[:-step], lam_array[:-step],
                                            lam_array[step:])
-                # the skip's own comparison: a -inf ceiling has an infinite margin
-                late = floors[step:] - 1e-9 * (1.0 + np.abs(ceilings)) > ceilings
+                # the skip's own margin: infinite for a -inf ceiling, or
+                # where lam' / lam passes the float range
+                with np.errstate(over="ignore"):
+                    margin = (1e-9 * (1.0 + np.abs(ceilings))
+                              * (lam_array[step:] / lam_array[:-step]))
+                late = floors[step:] - margin > ceilings
                 assert not late.any(), (lam_lo, lam_hi, step, np.flatnonzero(late))
