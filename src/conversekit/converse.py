@@ -21,15 +21,14 @@ the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
 orders per call, in chunks that bound its memory; for q*, which moves with
 the order, each order forms its own r = log p - log q*[cols] from q* at
 that order, so a q* family alone keeps log p and each cell's column in
-the joint support.  How a batch of orders is chunked, and split across
-threads, is decided in `divergence` alone (`divergence._over_order_chunks`),
-for the kernel and q*'s normalizers alike.  q* itself (`reference_pmf`)
-and its normalizer C come from one formula for its weights,
-`_log_qstar_weights`, which `_log_qstar` calls for one order and the
-normalizers for a batch.  For it a q* family also keeps three
-order-free dense (M, K) arrays over the joint support: each column's top
-log p, log p shifted by that top (0 in each p = 0 cell) and the 0/1
-support.  Each column's top cell enters exp
+the joint support.  How a batch of orders is chunked is decided in
+`divergence` alone (`divergence._over_order_chunks`), for the kernel and
+q*'s normalizers alike.  q* itself (`reference_pmf`) and its normalizer C
+come from one formula for its weights, `_log_qstar_weights`, which
+`_log_qstar` calls for one order and the normalizers for a batch.  For it
+a q* family also keeps three order-free dense (M, K) arrays over the
+joint support: each column's top log p, log p shifted by that top (0 in
+each p = 0 cell) and the 0/1 support.  Each column's top cell enters exp
 as 0, so no weight overflows to NaN at any finite order, and exp meets no
 -inf (numpy's exp slows down on -inf and on underflowing inputs).  For q*
 no divergence is needed for S itself: with C the normalizer of q*,
@@ -183,8 +182,9 @@ class ChannelFamily:
         if self.q_choice == "qstar":
             # only q*'s per-order r = log p - log q*[cols] reads the cells
             cols = np.broadcast_to(np.arange(live.shape[1]), live.shape)[live]
-            rows = rows._replace(log_probs=np.log(rows.probs), cols=cols)
             shifted = _log_or_neg_inf(mat)
+            # log p of the live cells, row by row, before the column shift
+            rows = rows._replace(log_probs=shifted[live], cols=cols)
             colmax = shifted.max(axis=0)
             shifted -= colmax
             shifted[~live] = 0.0

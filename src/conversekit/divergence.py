@@ -44,25 +44,9 @@ for a whole axis of orders at once, as an (orders, rows) array:
   one-order call) returns that chunk's array and builds no output of its
   own.  Small families take each pass of `converse.optimize_lambda`'s
   pre-scan in a few chunks; a 16 x 4096 family takes one order at a time,
-  in temporaries of at most 512 KiB.  Larger chunks
-  bought no speed on small families and raised their peak memory.
-- A pass of more than 2 x 2^21 entries (orders x N, `_SPLIT_CELLS`) is
-  cut by the same function into min(CPUs, entries // 2^21, chunks)
-  contiguous ranges of chunks: the calling thread runs the first and a
-  thread of a stdlib pool each of the others.  Each range runs in a copy
-  of the caller's context, so under the caller's np.errstate, if any (a
-  context variable since numpy 2.0), and with the warnings a serial pass
-  would give.  2^21 entries are about 5 ms of kernel work against about
-  0.1 ms to start and join a thread.  So a pass of 64 orders of 2^16
-  cells (the kernel's on a fully live 16 x 4096 family, q*'s normalizers'
-  on any 16 x 4096 joint support) takes two ranges on any host with two
-  or more CPUs.  `converse.optimize_lambda` passes at most 61 orders at a
-  time, 3 in its first pass, and 61 x 65,536 = 3,997,696 entries stay
-  under 2 x 2^21 = 4,194,304, so no `optimize_lambda` pass over such a
-  family starts a thread; only larger families or longer batches split,
-  and no pass of a family with M <= 6 and K <= 12^3 does.  Each order
-  gets the same chunk either way, so the split keeps every bit.  No
-  thread outlives a call and a pass of one part starts none.
+  in temporaries of at most 512 KiB.  Larger chunks bought no speed on
+  small families and raised their peak memory.  Every pass runs its chunks
+  one after another on the calling thread.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -70,10 +54,8 @@ for a whole axis of orders at once, as an (orders, rows) array:
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -103,12 +85,6 @@ PMF_SUM_TOL = 1e-12
 # cells each per chunk, so that orders x N stays below it whenever one
 # order fits (see `_over_order_chunks`).
 _CHUNK_CELLS = 1 << 12
-
-# Order-batched passes take at most one thread per _SPLIT_CELLS entries and
-# per CPU of the affinity mask, so a process pinned to one CPU starts none
-# (see `_over_order_chunks`).
-_SPLIT_CELLS = 1 << 21
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # exp() overflows past this; the kernel runs a pass without its overflow
 # guard only where no lam r can pass it (see `_renyi_log_sums`).
@@ -266,41 +242,16 @@ def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
     """chunk over every order of lams, one chunk at a time, joined on the order axis.
 
     chunk takes a slice of lams, at most max(1, _CHUNK_CELLS // cells)
-    orders of `cells` entries each, and returns their rows.  A pass
-    that fits in one chunk (every one-order call among them) returns chunk's
-    own array.  A pass of more than 2 x _SPLIT_CELLS entries is cut into
-    min(_CPUS, L cells // _SPLIT_CELLS, chunks) contiguous ranges of chunks:
-    the calling thread runs the first range and a pool thread each of the
-    others.  Each range runs in a copy of the caller's context, so under
-    the caller's numpy errstate (a context variable since numpy 2.0): the
-    kernel's guard where its bound does not clear the orders, and none
-    where it does, since no term can overflow there.  The pool joins every
-    thread before this returns, and reading each range's result raises a
-    worker's exception on the caller.  Each order gets the same chunk
-    either way, so the split keeps every bit.
+    orders of `cells` entries each, and returns their rows.  A pass that
+    fits in one chunk (every one-order call among them) returns chunk's own
+    array; the chunks of a longer pass run in turn on the calling thread,
+    under the caller's numpy errstate, if any.
     """
-    n_orders = lams.size
     step = max(1, _CHUNK_CELLS // cells)
-    if n_orders <= step:
+    if lams.size <= step:
         return chunk(lams)
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        # only the last chunk of lams is short
-        return np.concatenate([chunk(lams[start:start + step]) for start in range(lo, hi, step)])
-
-    chunks = -(-n_orders // step)
-    parts = min(_CPUS, n_orders * cells // _SPLIT_CELLS, chunks)
-    if parts < 2:  # the common case: one part
-        return run(0, n_orders)
-    # imported here: concurrent.futures imports logging, which no serial pass needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [chunks * i // parts * step for i in range(parts)] + [n_orders]
-    with ThreadPoolExecutor(parts - 1) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, run, lo, hi)
-                for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        first = run(bounds[0], bounds[1])
-    return np.concatenate([first] + [future.result() for future in rest])
+    # only the last chunk of lams is short
+    return np.concatenate([chunk(lams[start:start + step]) for start in range(0, lams.size, step)])
 
 
 def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -328,12 +279,10 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
     own.  Where lam r_bound <= _EXP_OVERFLOW for every order, no lam r
     passes the float range on either side and no term of S - 1 exceeds
     p exp(709), so the pass runs plain: no np.errstate and no scan for
-    +inf.  Any other pass runs under np.errstate(over="ignore") (a split
-    pass's ranges too, each in a copy of the caller's context), and rows
-    whose S - 1 overflowed are redone after it, on the calling thread, as
-    a log-sum-exp of log p + lam r over the row's segment, one order at a
-    time; where lam r itself overflowed, that gives +inf, which is lam D
-    as a float.
+    +inf.  Any other pass runs under np.errstate(over="ignore"), and rows
+    whose S - 1 overflowed are redone after it as a log-sum-exp of
+    log p + lam r over the row's segment, one order at a time; where lam r
+    itself overflowed, that gives +inf, which is lam D as a float.
     """
     probs, starts = rows.probs, rows.starts
 

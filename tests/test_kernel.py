@@ -6,10 +6,7 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -185,11 +182,14 @@ def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
 
 
 def test_chunk_size_does_not_change_results(rng, monkeypatch):
-    lams = np.geomspace(1e-6, 10.0, 64)
-    fams = [random_discrete_family(rng, q_choice=q) for q in ("uniform", "qstar")]
+    # 64 geometric orders plus two where S - 1 overflows and rows take the
+    # redo; a RuntimeWarning of a chunk outside the caller's errstate fails
+    lams = np.concatenate([np.geomspace(1e-6, 10.0, 64), [1e300, 1.7e308]])
+    base = random_discrete_family(rng)
+    fams = [ChannelFamily(base.conditionals, q) for q in converse.Q_CHOICES]
     whole = [(f._scaled_divergences(lams), f._log_mean_terms(lams)) for f in fams]
     # one order per chunk, and chunks that split the order axis unevenly
-    for cells in (1, 3 * fams[0].m_codewords * fams[0].conditionals[0].support_size):
+    for cells in (1, 3 * base.m_codewords * base.conditionals[0].support_size):
         monkeypatch.setattr(divergence, "_CHUNK_CELLS", cells)
         for fam, (scaled, log_mean) in zip(fams, whole):
             assert np.array_equal(fam._scaled_divergences(lams), scaled)
@@ -219,9 +219,8 @@ def _sparse_wide_conditionals():
     return tuple(conds)
 
 
-def test_kernel_chunks_and_splits_by_live_cells(monkeypatch):
-    # the kernel's passes are sized by the p > 0 cells it visits, not M K:
-    # a 64-order pre-scan of 64 x 31866 entries stays below two split ranges
+def test_kernel_chunks_by_live_cells(monkeypatch):
+    # the kernel's passes are sized by the p > 0 cells it visits, not M K
     conds = _sparse_wide_conditionals()
     live = sum(int(np.count_nonzero(c.probs)) for c in conds)
     assert live < len(conds) * conds[0].support_size
@@ -232,125 +231,23 @@ def test_kernel_chunks_and_splits_by_live_cells(monkeypatch):
         seen.append(cells)
         return drive(chunk, lams, cells)
 
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a pass of the live cells started a thread")
-
     monkeypatch.setattr(divergence, "_over_order_chunks", record)
-    monkeypatch.setattr(divergence, "_CPUS", 8)
-    monkeypatch.setattr(threading, "Thread", no_thread)
     lams = np.geomspace(1e-6, 10.0, 64)
     for q_choice in converse.Q_CHOICES:  # q*: one kernel pass per order
         ChannelFamily(conds, q_choice)._scaled_divergences(lams)
     assert seen and set(seen) == {live}
 
 
-def _count_threads(monkeypatch) -> list:
-    """Patch threading.Thread to record each thread it starts; returns the record."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
-# 64 geometric orders plus two where S - 1 overflows and rows take the redo
-SPLIT_LAMS = np.concatenate([np.geomspace(1e-6, 10.0, 64), [1e300, 1.7e308]])
-
-
-def test_split_orders_equal_serial_bit_for_bit(rng, monkeypatch):
-    base = random_discrete_family(rng)
-    k = base.conditionals[0].support_size
-    fams = [ChannelFamily(base.conditionals, q) for q in converse.Q_CHOICES]
-    serial = [(f._scaled_divergences(SPLIT_LAMS), f._log_mean_terms(SPLIT_LAMS)) for f in fams]
-    started = _count_threads(monkeypatch)
-    monkeypatch.setattr(divergence, "_SPLIT_CELLS", 1)
-    # one order per chunk, and chunks that split the order axis unevenly
-    for chunk_cells in (1, 3 * base.m_codewords * k):
-        monkeypatch.setattr(divergence, "_CHUNK_CELLS", chunk_cells)
-        for cpus in (2, 3):
-            monkeypatch.setattr(divergence, "_CPUS", cpus)
-            before = len(started)
-            # a worker that entered no errstate of its own warns on overflow
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                for fam, (scaled, log_mean) in zip(fams, serial):
-                    assert np.array_equal(fam._scaled_divergences(SPLIT_LAMS), scaled)
-                    assert np.array_equal(fam._log_mean_terms(SPLIT_LAMS), log_mean)
-            assert len(started) > before
-
-
-def test_soundness_sized_passes_start_no_thread(rng, monkeypatch):
-    # the largest soundness pass is 64 x 6 x 12^3 cells, below two split ranges
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a serial pass started a thread")
-
-    monkeypatch.setattr(divergence, "_CPUS", 8)
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    for _ in range(10):
-        base = random_discrete_family(rng)
-        for q_choice in ("uniform", "mixture", "qstar"):
-            optimize_lambda(ChannelFamily(base.conditionals, q_choice))
-
-
-@pytest.mark.parametrize("cpus", [2, 8])
-def test_wide_prescan_starts_exactly_one_thread(monkeypatch, cpus):
-    conds = _wide_conditionals()
-    lams = np.geomspace(1e-6, 10.0, 64)
-    monkeypatch.setattr(divergence, "_CPUS", cpus)
-    started = _count_threads(monkeypatch)
-    for q_choice in ("uniform", "mixture", "qstar"):
-        fam = ChannelFamily(conds, q_choice)
-        before = len(started)
-        fam._log_mean_terms(lams)
-        assert len(started) - before == 1
-        # the probes and golden-section steps of optimize_lambda take one order
-        fam._log_mean_terms(lams[:1])
-        assert len(started) - before == 1
-
-
-def test_worker_exception_reaches_the_caller_and_no_thread_survives(monkeypatch):
-    # 3 CPUs, 2 orders per chunk and 10 orders of one cell: ranges start at 0, 2 and 6
-    monkeypatch.setattr(divergence, "_CPUS", 3)
-    monkeypatch.setattr(divergence, "_SPLIT_CELLS", 1)
-    monkeypatch.setattr(divergence, "_CHUNK_CELLS", 2)
-    lams = np.arange(10.0)
-    ran = {}
-
-    def chunk(fail_from, lam):
-        lo = int(lam[0])
-        if lo >= 2:  # a worker's range: still running when the caller's is done
-            time.sleep(0.05)
-        if lo >= fail_from:
-            raise ValueError(f"chunk at {lo}")
-        ran.setdefault(threading.get_ident(), []).extend(lam.tolist())
-        return 2.0 * lam
-
-    def drive(fail_from):
-        return divergence._over_order_chunks(lambda lam: chunk(fail_from, lam), lams, 1)
-
-    threads = threading.active_count()
-    assert np.array_equal(drive(math.inf), 2.0 * lams)
-    assert sorted(ran.values()) == [[0.0, 1.0], [2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0]]
-    assert threading.active_count() == threads
-    # a worker's range, and the calling thread's own range
-    for fail_from in (6, 0):
-        with pytest.raises(ValueError, match="chunk at"):
-            drive(fail_from)
-        assert threading.active_count() == threads
-
-
 def test_order_chunk_policy_lives_only_in_divergence():
-    # the chunk size, the split and its thread pool are one decision, in one module
-    policy = {"_CHUNK_CELLS", "_SPLIT_CELLS", "_CPUS", "threading", "concurrent"}
+    # the chunk size is one decision, in one module, and every pass runs on
+    # the calling thread: no module names a thread, a pool or a CPU count
+    chunk_policy = {"_CHUNK_CELLS"}
+    threads = {"threading", "concurrent", "contextvars", "_SPLIT_CELLS", "_CPUS",
+               "sched_getaffinity"}
     root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
     leaks = []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
-        if os.path.basename(path) == "divergence.py":
-            continue
+        banned = threads if os.path.basename(path) == "divergence.py" else chunk_policy | threads
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
@@ -364,13 +261,13 @@ def test_order_chunk_policy_lives_only_in_divergence():
                 names = (node.module or "").split(".")
             else:
                 continue
-            leaks += [(os.path.basename(path), name) for name in names if name in policy]
+            leaks += [(os.path.basename(path), name) for name in names if name in banned]
     assert not leaks, leaks
 
 
 def test_import_loads_no_thread_pool():
-    # the pool is imported on the split branch alone: concurrent.futures
-    # imports logging, which no other pass needs
+    # no module imports concurrent.futures, which imports logging; the
+    # package needs neither
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = (
         "import sys, conversekit, conversekit.cli; "
@@ -382,21 +279,19 @@ def test_import_loads_no_thread_pool():
     assert done.stdout.strip() == "[]"
 
 
-def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap(monkeypatch):
+def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap():
     # M = 16, K = 4^6 families, fully live and half live: 64 orders in one
     # array would be 32 MB
     for conds in (_wide_conditionals(), _sparse_wide_conditionals()):
-        for cpus in (1, 2, 8):
-            monkeypatch.setattr(divergence, "_CPUS", cpus)
-            for q_choice in ("uniform", "mixture", "qstar"):
-                fam = ChannelFamily(conds, q_choice)
-                tracemalloc.start()
-                try:
-                    optimize_lambda(fam)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < 4 * 2**20, f"{q_choice}, {cpus} CPUs: peak {peak / 2**20:.2f} MiB"
+        for q_choice in ("uniform", "mixture", "qstar"):
+            fam = ChannelFamily(conds, q_choice)
+            tracemalloc.start()
+            try:
+                optimize_lambda(fam)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, f"{q_choice}: peak {peak / 2**20:.2f} MiB"
 
 
 def test_only_qstar_families_keep_the_cell_columns():
