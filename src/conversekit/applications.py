@@ -169,6 +169,7 @@ class ActiveConfig:
         _require(self.H < math.inf, "H < inf violated: H = {}", self.H)
         _require(0.0 < self.c <= 0.5, "0 < c <= 1/2 violated: c = {}", self.c)
         _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
+        _require(self.nu < math.inf, "nu < inf violated: nu = {}", self.nu)
         _require(0.0 < self.lam <= 1.0, "0 < lam <= 1 violated: lam = {}", self.lam)
 
     @property

@@ -16,41 +16,35 @@ layout the kernel reads (`divergence._PmfRows`): only their p > 0 cells,
 row by row, from one stack of the conditionals and one p > 0 mask.  For
 the order-free references (uniform and the mixture) it also keeps the
 reference and the log ratio r = log p_i - log Q on those cells, which is
-finite there, and nothing else per cell.  The terms lam D_i then come from
-the one log-space kernel `divergence._renyi_log_sums`, for a whole axis of
-orders per call, in chunks that bound its memory; for q*, which moves with
-the order, each order forms its own r = log p - log q*[cols] from q* at
-that order, so a q* family alone keeps log p and each cell's column in
-the joint support.  How a batch of orders is chunked is decided in
-`divergence` alone (`divergence._over_order_chunks`), for the kernel and
-q*'s normalizers alike.  q* itself (`reference_pmf`) and its normalizer C
-come from one formula for its weights, `_log_qstar_weights`, which
-`_log_qstar` calls for one order and the normalizers for a batch.  For it
-a q* family also keeps three order-free dense (M, K) arrays over the
-joint support: each column's top log p, log p shifted by that top (0 in
-each p = 0 cell) and the 0/1 support.  Each column's top cell enters exp
-as 0, so no weight overflows to NaN at any finite order, and exp meets no
--inf (numpy's exp slows down on -inf and on underflowing inputs).  For q*
-no divergence is needed for S itself: with C the normalizer of q*,
-S = C^(1+lam) (Sibson's alpha-mutual information; Sibson 1969, Verdu
-2015), which `optimize_lambda` and `variational_bound` use.
-`strong_converse_bound` still reports every D_i, from the same kernel.
+finite there, and nothing else per cell.  Every quantity is evaluated at
+one order lam at a time: the terms lam D_i come from the one log-space
+kernel `divergence._renyi_log_sums`, and a search over orders calls it
+once per order.  For q*, which moves with the order, each order forms its
+own r = log p - log q*[cols] from q* at that order, so a q* family alone
+keeps log p and each cell's column in the joint support.  q* itself
+(`reference_pmf`) and its normalizer C come from one formula for its
+weights, `_log_qstar_weights`.  For it a q* family also keeps each
+column's top log p, shape (K,), and log p shifted by that top on the
+cells, so each column's top cell enters exp as 0 and no weight overflows
+to NaN at any finite order; the weights sum each column's cells with
+np.bincount, and no family keeps an (M, K) array.  For q* no divergence
+is needed for S itself: with C the normalizer of q*, S = C^(1+lam)
+(Sibson's alpha-mutual information; Sibson 1969, Verdu 2015), which
+`optimize_lambda` and `variational_bound` use.  `strong_converse_bound`
+still reports every D_i, from the same kernel.
 
-The one-order callers (`strong_converse_bound`, `ChannelFamily.divergences`,
-`variational_bound` and the probe and golden-section steps of
-`optimize_lambda`) take the same arithmetic without the order axis: one
-kernel chunk, the 1-D form of `_log_mean_exp`, `_log_qstar`, and lam
-checked once per public call.  They give the bits of the same order
-evaluated inside a batch.  Overflow guards run only where they can fire:
-each family keeps one order-free scalar (`_FamilyArrays.r_bound`) that
-bounds |r| and, for q*, the spread of its weights' exponents, and the
-kernel and the q* weights run plain wherever the order times it clears
-the overflow, with the same bits.
+lam is checked once per public call.  Overflow guards run only where they
+can fire: each family keeps one order-free scalar
+(`_FamilyArrays.r_bound`) that bounds |r| and, for q*, the spread of its
+weights' exponents, and the kernel and the q* weights run plain wherever
+the order times it clears the overflow, with the same bits.
+
 `optimize_lambda` builds its pre-scan grid once per range and evaluates it
-in two batched passes: every `_PRESCAN_STRIDE`-th order and the last
-(orders 0, 32 and 63 of 64), then only the orders that a ceiling does not
-rule out.  log S / lam never falls as lam grows, so the floor at an order
-lam' is at most a ceiling computed from the first-pass order lam below it
+in two passes of `ChannelFamily._log_mean_terms`, each a loop over its
+orders: every `_PRESCAN_STRIDE`-th order and the last (orders 0, 32 and
+63 of 64), then only the orders that a ceiling does not rule out.
+log S / lam never falls as lam grows, so the floor at an order lam' is
+at most a ceiling computed from the first-pass order lam below it
 (`_floor_ceilings`); an order whose ceiling lies below the best first-pass
 floor by more than a rounding margin cannot be the pre-scan maximum, and
 skipping it keeps every bit of the result.  The ceiling multiplies the
@@ -71,9 +65,7 @@ from .divergence import (
     _EXP_OVERFLOW,
     DiscretePmf,
     _lam,
-    _log_or_neg_inf,
     _logsumexp,
-    _over_order_chunks,
     _pmf_rows,
     _PmfRows,
     _positive,
@@ -117,13 +109,10 @@ class _FamilyArrays(NamedTuple):
     joint: np.ndarray  # outcomes some conditional puts mass on
     ref: DiscretePmf | None = None  # None for q*, which depends on the order
     log_ratio: np.ndarray | None = None  # r = log p_i - log Q on the cells of rows
-    # q* only: the order-free pieces of its weights, dense (M, K) over the
-    # joint support, with log p shifted by its column's top once, so no
-    # order makes a weight NaN.  numpy's exp slows down on -inf and
-    # underflowing inputs, so no p = 0 cell reaches exp as -inf.
-    colmax: np.ndarray | None = None  # (K,) max_i log p_i(y)
-    shifted: np.ndarray | None = None  # log p - colmax <= 0, and 0 in each p = 0 cell
-    support: np.ndarray | None = None  # 1.0 where p > 0, else 0.0
+    # q* only: the order-free pieces of its weights, with log p shifted by
+    # its column's top once, so no order makes a weight NaN
+    colmax: np.ndarray | None = None  # (K,) max_i log p_i(y) over the joint support
+    shifted: np.ndarray | None = None  # (N,) log p - colmax[cols] <= 0 on the cells of rows
     # The order-free scalar that bounds every overflow: max |r| for an
     # order-free reference.  For q*, the largest column spread -min(shifted)
     # of log p, or 2 log M + 1 if larger: where p > 0, r lies in
@@ -165,8 +154,8 @@ class ChannelFamily:
         The mixture is positive on the joint support unless it rounds to 0
         where every conditional has only subnormal mass; that raises
         ValueError.  q* is rebuilt per order; for it keep instead log p and
-        the columns of the cells, and the dense order-free arrays of its
-        weights (see `_log_qstar_weights`).
+        the columns of the cells, each column's top log p and log p shifted
+        by it (see `_log_qstar_weights`).
         """
         mat = np.stack([c.probs for c in self.conditionals])
         # an order-free reference lives on the full alphabet
@@ -182,18 +171,15 @@ class ChannelFamily:
         if self.q_choice == "qstar":
             # only q*'s per-order r = log p - log q*[cols] reads the cells
             cols = np.broadcast_to(np.arange(live.shape[1]), live.shape)[live]
-            shifted = _log_or_neg_inf(mat)
-            # log p of the live cells, row by row, before the column shift
-            rows = rows._replace(log_probs=shifted[live], cols=cols)
-            colmax = shifted.max(axis=0)
-            shifted -= colmax
-            shifted[~live] = 0.0
-            support = live.astype(float)
-            for arr in (rows.log_probs, rows.cols, colmax, shifted, support):
+            log_mat = np.log(mat, out=np.full(mat.shape, -np.inf), where=live)
+            colmax = log_mat.max(axis=0)
+            # log p of the live cells, row by row
+            rows = rows._replace(log_probs=log_mat[live], cols=cols)
+            shifted = rows.log_probs - colmax[cols]
+            for arr in (rows.log_probs, rows.cols, colmax, shifted):
                 arr.setflags(write=False)
             r_bound = max(-float(shifted.min()), 2.0 * math.log(len(mat)) + 1.0)
-            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support,
-                                 r_bound=r_bound)
+            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, r_bound=r_bound)
         q = ref.probs[joint]
         if not q.all():
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
@@ -227,44 +213,30 @@ class ChannelFamily:
     def divergences(self, order) -> np.ndarray:
         """Per-codeword divergences D_i to the reference at one order."""
         lam = _lam(order)
-        return np.array(_divide_by_lam(self._scaled_divergences(np.array([lam]))[0], lam))
+        return np.array(_divide_by_lam(self._scaled_divergences(lam), lam))
 
-    def _scaled_divergences(self, lams: np.ndarray) -> np.ndarray:
-        """lam D_i for each order in lams and each codeword, shape (L, M)."""
+    def _scaled_divergences(self, lam: float) -> np.ndarray:
+        """lam D_i for each codeword at one order lam, shape (M,)."""
         arrays = self._arrays
         rows = arrays.rows
         if arrays.ref is not None:
-            return _renyi_log_sums(rows, arrays.log_ratio, lams, arrays.r_bound)
-        # q* moves with the order: one kernel call per order
-        parts = [_renyi_log_sums(rows, rows.log_probs - _log_qstar(arrays, lam)[0][rows.cols],
-                                 lams[i:i + 1], arrays.r_bound)
-                 for i, lam in enumerate(lams.tolist())]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return _renyi_log_sums(rows, arrays.log_ratio, lam, arrays.r_bound)
+        # q* moves with the order: r = log p - log q* on the cells, per order
+        log_ratio = rows.log_probs - _log_qstar(arrays, lam)[0][rows.cols]
+        return _renyi_log_sums(rows, log_ratio, lam, arrays.r_bound)
 
     def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
         """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
 
-        For q* this is (1+lam) log C from the normalizer alone, one chunk of
-        weights at a time (`divergence._over_order_chunks`).  One order takes
-        the one-order forms, `_log_qstar` and the 1-D `_log_mean_exp`.
+        One order at a time.  For q* this is (1+lam) log C from the
+        normalizer alone (`_log_qstar`).  Each w(y) is a power mean of the
+        p_i(y), so at least their mean, and C >= 1: the product overflows only
+        to +inf, which is lam D as a float (a vacuous floor).
         """
-        if lams.size == 1:
-            lam = float(lams[0])
-            if self.q_choice == "qstar":
-                return np.array([(1.0 + lam) * _log_qstar(self._arrays, lam)[1]])
-            return np.array([_log_mean_exp(self._scaled_divergences(lams)[0])])
         if self.q_choice == "qstar":
             arrays = self._arrays
-            log_c = _over_order_chunks(
-                lambda part: _logsumexp(_log_qstar_weights(arrays, 1.0 + part[:, None, None])),
-                lams, arrays.shifted.size,
-            )
-            # each w(y) is a power mean of the p_i(y), so at least their mean,
-            # and C >= 1: the product overflows only to +inf, which is lam D
-            # as a float (a vacuous floor)
-            with np.errstate(over="ignore"):
-                return (1.0 + lams) * log_c
-        return _log_mean_exp(self._scaled_divergences(lams))
+            return np.array([(1.0 + lam) * _log_qstar(arrays, lam)[1] for lam in lams.tolist()])
+        return np.array([_log_mean_exp(self._scaled_divergences(lam)) for lam in lams.tolist()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,21 +275,16 @@ def _clamp_eps(raw: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _log_mean_exp(values: np.ndarray):
-    """log((1/n) sum_i exp(v_i)) over the last axis of a 1-D or 2-D array.
+def _log_mean_exp(values: np.ndarray) -> float:
+    """log((1/n) sum_i exp(v_i)) over a 1-D array.
 
-    A row holding +inf gives +inf without an exp, which its finite entries
-    above ~709 would overflow.  A 1-D array gives a float.
+    An entry of +inf gives +inf without an exp, which the finite entries
+    above ~709 would overflow.
     """
-    if values.ndim == 1:
-        top = values.max()
-        if top == math.inf:
-            return math.inf
-        return float(top + np.log(np.exp(values - top).sum() / values.size))
-    top = values.max(axis=-1, keepdims=True)
-    shifted = np.zeros_like(values)  # rows whose top is +inf keep 0 here
-    np.subtract(values, top, out=shifted, where=top < math.inf)
-    return top[:, 0] + np.log(np.exp(shifted).sum(axis=-1) / values.shape[-1])
+    top = values.max()
+    if top == math.inf:
+        return math.inf
+    return float(top + np.log(np.exp(values - top).sum() / values.size))
 
 
 def _divide_by_lam(scaled: np.ndarray, lam: float) -> list:
@@ -371,7 +338,7 @@ def strong_converse_bound(family: ChannelFamily, order) -> BoundReport:
     lam = _lam(order)
     m = family.m_codewords
     log_m = math.log(m)
-    scaled = family._scaled_divergences(np.array([lam]))[0]
+    scaled = family._scaled_divergences(lam)
     log_mean = _log_mean_exp(scaled)
     raw = _eps_from_log_terms(log_m, log_mean, lam)
     params = {
@@ -450,12 +417,12 @@ def optimize_lambda(
     The raw bound need not be unimodal in lam, so a geometric pre-scan of
     _PRESCAN orders picks the basin first and golden section on log lam
     refines inside it, replacing the pre-scan maximum only when strictly
-    higher.  The pre-scan evaluates log S in at most two batches; for q*
+    higher.  The pre-scan evaluates log S in at most two passes; for q*
     each order costs one normalizer instead of M divergences.  The first
     takes every _PRESCAN_STRIDE-th order and the last: 3 of the 64, as the
     maximum lies at an end of the range in most calls.  Each other order
     lam' has a floor at most the ceiling that `_floor_ceilings` gives from
-    the first-pass order lam below it, and the second batch takes only the
+    the first-pass order lam below it, and the second pass takes only the
     orders whose ceiling does not lie below the best first-pass floor by
     more than 1e-9 (1 + |ceiling|) lam' / lam.  An absolute rounding delta
     in log S at lam moves the ceiling by at most (lam' / lam) delta
@@ -488,7 +455,7 @@ def optimize_lambda(
     values = [-math.inf] * _PRESCAN  # a skipped order is never the first maximum
 
     def evaluate(idx: list) -> np.ndarray:
-        """log S at the pre-scan orders idx, in one batch; their floors go to values."""
+        """log S at the pre-scan orders idx, in one pass; their floors go to values."""
         log_means = family._log_mean_terms(lam_array[idx])
         for i, s in zip(idx, log_means.tolist()):
             values[i] = _eps_from_log_terms(log_m, s, lams[i])
@@ -549,51 +516,50 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     return 1.0 - g / family.m_codewords - _exp_or_inf(exponent)
 
 
-def _log_qstar_weights(arrays: _FamilyArrays, power) -> np.ndarray:
-    """log w(y) = log(mean_i p_i(y)^power) / power, shape (..., K).
+def _log_qstar_weights(arrays: _FamilyArrays, power: float) -> np.ndarray:
+    """log w(y) = log(mean_i p_i(y)^power) / power at one order, shape (K,).
 
-    power is 1 + lam: a float, or an (L, 1, 1) array of L orders.  q* is
-    w / C with C = sum_y w(y).  From log p shifted by its column max,
+    power is 1 + lam.  q* is w / C with C = sum_y w(y).  From log p shifted
+    by its column max on the live cells,
 
-        log w = colmax + (log sum_i support exp(power shifted) - log M) / power.
+        log w = colmax + (log sum_i exp(power shifted) - log M) / power,
 
-    Each column's top cell enters exp as exactly 0, so the sum lies in
-    [1, M] and no weight is NaN at any finite order; a product that
+    each column summed over its live cells by np.bincount, which adds them
+    in row order from 0, as a sum over the rows of a dense (M, K) array
+    would.  Each column's top cell enters exp as exactly 0, so the sum lies
+    in [1, M] and no weight is NaN at any finite order; a product that
     overflows to -inf (orders near 1e300) drops out as the 0 it rounds to.
-    A p = 0 cell enters exp as 0 too and is masked, so exp never takes
-    numpy's slow path on -inf there.  Unchunked: callers pass at most one
-    chunk of orders.
+    p = 0 cells are not stored, so exp never meets -inf, on which numpy's
+    exp takes a slow path.
 
     Every exponent power shifted is at least -power r_bound, r_bound at
-    least the largest column spread.  Where that is at least -700 for every
-    power, the multiply runs plain.  Elsewhere it runs under
-    np.errstate(over="ignore"), and exponents below -700 are raised to -700,
-    where exp is normal (numpy's exp slows down on subnormal and underflowing
-    results).  The sum keeps its bits: a raised term, exp(-700) ~ 9.9e-305,
-    and the value it replaces both lie below half an ulp of any partial sum
-    of at least 2^-956, so adding either returns that sum, ties included.
-    Each column's top cell adds exactly 1, so that covers every term from
-    it on; a raised term met earlier by a smaller partial sum moves it by
-    less than 1e-304, which reaches the rounded sum only if a later exact
+    least the largest column spread.  Where that is at least -700, the
+    multiply runs plain.  Elsewhere it runs under np.errstate(over="ignore"),
+    and exponents below -700 are raised to -700, where exp is normal
+    (numpy's exp slows down on subnormal and underflowing results).  The
+    sum keeps its bits: a raised term, exp(-700) ~ 9.9e-305, and the value
+    it replaces both lie below half an ulp of any partial sum of at least
+    2^-956, so adding either returns that sum, ties included.  Each
+    column's top cell adds exactly 1, so that covers every term from it on;
+    a raised term met earlier by a smaller partial sum moves it by less
+    than 1e-304, which reaches the rounded sum only if a later exact
     partial sum lies that close to a rounding midpoint.
     """
-    top = power if isinstance(power, float) else float(power.max())
-    if top * arrays.r_bound <= 700.0:
+    if power * arrays.r_bound <= 700.0:
         terms = power * arrays.shifted
     else:
         with np.errstate(over="ignore"):
             terms = power * arrays.shifted
         np.maximum(terms, -700.0, out=terms)
     np.exp(terms, out=terms)
-    terms *= arrays.support
-    log_sum = np.log(terms.sum(axis=-2, keepdims=True))
-    return arrays.colmax + ((log_sum - math.log(terms.shape[-2])) / power)[..., 0, :]
+    log_sum = np.log(np.bincount(arrays.rows.cols, weights=terms, minlength=arrays.colmax.size))
+    return arrays.colmax + (log_sum - math.log(arrays.rows.starts.size)) / power
 
 
 def _log_qstar(arrays: _FamilyArrays, lam: float):
     """log q* (shape (K,)) and log C at one order, from `_log_qstar_weights`."""
     log_w = _log_qstar_weights(arrays, 1.0 + lam)
-    log_c = float(_logsumexp(log_w.copy()))
+    log_c = _logsumexp(log_w.copy())
     return log_w - log_c, log_c
 
 
@@ -636,7 +602,7 @@ def generalized_fano_log_m_bound(order, ratio_sup: float, mutual_info: float, ep
     lam = _lam(order)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if mutual_info < 0.0:
+    if not mutual_info >= 0.0:  # NaN fails this too
         raise ValueError("mutual_info must be non-negative")
     kappa = hellinger_kl_coefficient(lam, ratio_sup)
     # kappa = inf (t^(1+lam) past the float range) caps log M at inf for I > 0,

@@ -11,10 +11,10 @@ Every Renyi-type sum on a finite alphabet goes through one private kernel,
 row's start offset and each cell's column.  With the order-free log ratio
 r = log p - log q of each cell to the reference, it returns
 lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
-for a whole axis of orders at once, as an (orders, rows) array:
+for every row at one order:
 
 - Cells with p = 0 add nothing to a Renyi sum, so the kernel never visits
-  them: each order sums a row's segment of live cells, all rows in one
+  them: it sums each row's segment of live cells, all rows in one
   np.add.reduceat.  A product family built from letters with zero mass
   is mostly such cells.
 - It evaluates log1p(S - 1), with S - 1 = sum_y p(y) expm1(lam r(y)) plus
@@ -33,20 +33,10 @@ for a whole axis of orders at once, as an (orders, rows) array:
   +inf, runs only where it can fire.  The caller passes an order-free
   bound on |r| (`converse.ChannelFamily` keeps one per family,
   `renyi_discrete` takes max |r| of its row); where lam times it is at
-  most 709 for every order, no term overflows and the pass runs plain,
-  with the same bits.
-- One function, `_over_order_chunks`, runs every order-batched pass, this
-  kernel's and q*'s normalizers in `converse` alike.  It cuts the order
-  axis into chunks of max(1, 2^12 // N) orders (`_CHUNK_CELLS`), N the
-  cells of one order: the live cells for this kernel, M K for q*'s dense
-  weights.  Each chunk is a function of its slice of orders with
-  temporaries of its own, so a call that fits in one chunk (every
-  one-order call) returns that chunk's array and builds no output of its
-  own.  Small families take each pass of `converse.optimize_lambda`'s
-  pre-scan in a few chunks; a 16 x 4096 family takes one order at a time,
-  in temporaries of at most 512 KiB.  Larger chunks bought no speed on
-  small families and raised their peak memory.  Every pass runs its chunks
-  one after another on the calling thread.
+  most 709, no term overflows and the call runs plain, with the same bits.
+- Its temporaries hold one value per live cell, so a call's memory is that
+  of the family's rows, whatever the order.  A search over orders
+  (`converse.optimize_lambda`) calls it once per order.
 - Since r does not depend on the order, a caller with a fixed reference
   forms it once and keeps it (`converse.ChannelFamily`), so no call repeats
   that subtraction.
@@ -81,13 +71,8 @@ __all__ = [
 # Absolute slack allowed on sum(probs) == 1 at construction time.
 PMF_SUM_TOL = 1e-12
 
-# Order-batched passes take at most max(1, _CHUNK_CELLS // N) orders of N
-# cells each per chunk, so that orders x N stays below it whenever one
-# order fits (see `_over_order_chunks`).
-_CHUNK_CELLS = 1 << 12
-
-# exp() overflows past this; the kernel runs a pass without its overflow
-# guard only where no lam r can pass it (see `_renyi_log_sums`).
+# exp() overflows past this; the kernel runs without its overflow guard
+# only where no lam r can pass it (see `_renyi_log_sums`).
 _EXP_OVERFLOW = 709.0
 
 # Width of the neighbourhood of t = 1 where the kappa coefficient switches to
@@ -187,13 +172,6 @@ def _on_support(p: DiscretePmf, q: DiscretePmf):
     return ps, qs
 
 
-def _log_or_neg_inf(arr: np.ndarray) -> np.ndarray:
-    """Elementwise log with -inf at zeros, without a divide-by-zero warning."""
-    out = np.full(arr.shape, -np.inf)
-    np.log(arr, out=out, where=arr > 0.0)
-    return out
-
-
 class _PmfRows(NamedTuple):
     """Rows of pmfs on one alphabet, in the form the kernel reads: their p > 0 cells.
 
@@ -204,7 +182,8 @@ class _PmfRows(NamedTuple):
 
     probs: np.ndarray  # (N,) the p > 0 cells of every row
     # log_probs and cols are built only where a caller reads them (q*'s
-    # per-order r = log p - log q*[cols] in `converse`), else None
+    # per-order r = log p - log q*[cols] and its weights' column sums in
+    # `converse`), else None
     log_probs: np.ndarray | None  # (N,) log of probs, finite
     cols: np.ndarray | None  # (N,) each cell's column
     starts: np.ndarray  # (M,) each row's first cell
@@ -230,28 +209,12 @@ def _pmf_rows(mat: np.ndarray, defect: np.ndarray, live: np.ndarray | None = Non
     return _PmfRows(probs, None, None, starts, defect)
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log sum exp over one axis, overwriting a; every slice needs a finite entry."""
-    top = a.max(axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp of 1-D a, overwriting a; a needs a finite entry."""
+    top = a.max()
     a -= top
     np.exp(a, out=a)
-    return top.squeeze(axis) + np.log(a.sum(axis=axis))
-
-
-def _over_order_chunks(chunk, lams: np.ndarray, cells: int) -> np.ndarray:
-    """chunk over every order of lams, one chunk at a time, joined on the order axis.
-
-    chunk takes a slice of lams, at most max(1, _CHUNK_CELLS // cells)
-    orders of `cells` entries each, and returns their rows.  A pass that
-    fits in one chunk (every one-order call among them) returns chunk's own
-    array; the chunks of a longer pass run in turn on the calling thread,
-    under the caller's numpy errstate, if any.
-    """
-    step = max(1, _CHUNK_CELLS // cells)
-    if lams.size <= step:
-        return chunk(lams)
-    # only the last chunk of lams is short
-    return np.concatenate([chunk(lams[start:start + step]) for start in range(0, lams.size, step)])
+    return float(top + np.log(a.sum()))
 
 
 def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -267,43 +230,38 @@ def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return top + np.log(np.add.reduceat(a, starts))
 
 
-def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lams: np.ndarray,
+def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lam: float,
                     r_bound: float = math.inf) -> np.ndarray:
-    """lam D_(1+lam)(p_i || q) for every order lam and row p_i, shape (L, M).
+    """lam D_(1+lam)(p_i || q) for every row p_i at one order lam, shape (M,).
 
-    log_ratio is r = log p_i - log q on the cells of rows, shape (N,), one
-    reference for every order.  r_bound is an order-free bound on |r| (inf
-    where none is known).  Each order sums only the p > 0 cells, one
-    np.add.reduceat over the row segments.  The orders run in chunks of N
-    live cells each (`_over_order_chunks`), each in a temporary of its
-    own.  Where lam r_bound <= _EXP_OVERFLOW for every order, no lam r
-    passes the float range on either side and no term of S - 1 exceeds
-    p exp(709), so the pass runs plain: no np.errstate and no scan for
-    +inf.  Any other pass runs under np.errstate(over="ignore"), and rows
-    whose S - 1 overflowed are redone after it as a log-sum-exp of
-    log p + lam r over the row's segment, one order at a time; where lam r
+    log_ratio is r = log p_i - log q on the cells of rows, shape (N,).
+    r_bound is an order-free bound on |r| (inf where none is known).  Only
+    the p > 0 cells are summed, one np.add.reduceat over the row segments.
+    Where lam r_bound <= _EXP_OVERFLOW, no lam r passes the float range on
+    either side and no term of S - 1 exceeds p exp(709), so the call runs
+    plain: no np.errstate and no scan for +inf.  Otherwise it runs under
+    np.errstate(over="ignore"), and rows whose S - 1 overflowed are redone
+    as a log-sum-exp of log p + lam r over the row's segment; where lam r
     itself overflowed, that gives +inf, which is lam D as a float.
     """
     probs, starts = rows.probs, rows.starts
 
-    def chunk(lam: np.ndarray) -> np.ndarray:
-        terms = np.multiply(log_ratio, lam[:, None])
+    def log_sums() -> np.ndarray:
+        terms = np.multiply(log_ratio, lam)
         np.expm1(terms, out=terms)
         terms *= probs
-        excess = np.add.reduceat(terms, starts, axis=-1)
+        excess = np.add.reduceat(terms, starts)
         excess += rows.defect  # S - 1
         return np.log1p(excess, out=excess)
 
-    if max(lams.tolist()) * r_bound <= _EXP_OVERFLOW:
-        return _over_order_chunks(chunk, lams, probs.size)
+    if lam * r_bound <= _EXP_OVERFLOW:
+        return log_sums()
     with np.errstate(over="ignore"):
-        out = _over_order_chunks(chunk, lams, probs.size)
-        if out.max() == math.inf:  # only where S - 1 overflowed
-            log_probs = np.log(probs)
-            for li in np.nonzero(out.max(axis=1) == math.inf)[0].tolist():
-                hit = out[li] == math.inf
-                logs = log_probs + lams[li] * log_ratio
-                out[li, hit] = _segment_logsumexp(logs, starts)[hit]
+        out = log_sums()
+        hit = out == math.inf  # only rows whose S - 1 overflowed
+        if hit.any():
+            logs = np.log(probs) + lam * log_ratio
+            out[hit] = _segment_logsumexp(logs, starts)[hit]
     return out
 
 
@@ -319,8 +277,8 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     # one row, starts = [0]
     rows = _pmf_rows(ps[None], np.array([p._mass_defect]))
     log_ratio = np.log(rows.probs) - np.log(qs)
-    log_sum = _renyi_log_sums(rows, log_ratio, np.array([lam]), float(np.abs(log_ratio).max()))
-    return float(log_sum[0, 0]) / lam
+    log_sum = _renyi_log_sums(rows, log_ratio, lam, float(np.abs(log_ratio).max()))
+    return float(log_sum[0]) / lam
 
 
 def renyi_product_iid(p: DiscretePmf, q: DiscretePmf, order, n_factors: int) -> float:

@@ -22,6 +22,13 @@ def pmf(*probs) -> DiscretePmf:
     return DiscretePmf(np.array(probs, dtype=np.float64))
 
 
+def log_or_neg_inf(arr: np.ndarray) -> np.ndarray:
+    """Elementwise log with -inf at zeros, without a divide-by-zero warning."""
+    out = np.full(arr.shape, -np.inf)
+    np.log(arr, out=out, where=arr > 0.0)
+    return out
+
+
 def random_pmf(rng, size: int, with_zeros: bool = False) -> DiscretePmf:
     raw = rng.uniform(0.0, 1.0, size=size)
     if with_zeros and size > 1:

@@ -15,9 +15,9 @@ import pytest
 
 from conversekit import converse
 from conversekit.converse import ChannelFamily, _FamilyArrays
-from conversekit.divergence import DiscretePmf, _log_or_neg_inf, _PmfRows, mixture_pmf
+from conversekit.divergence import DiscretePmf, _PmfRows, mixture_pmf
 from conversekit.suites import random_discrete_family
-from conftest import pmf
+from conftest import log_or_neg_inf, pmf
 from test_converse import SUBNORMAL_MIXTURE_FAMILY
 from test_kernel import EXTREME_PAIRS, _sparse_wide_conditionals, _wide_conditionals
 
@@ -42,16 +42,17 @@ def reference_arrays(self) -> _FamilyArrays:
         mat = mat[:, joint]
     rows = reference_pmf_rows(mat, np.array([c._mass_defect for c in self.conditionals]))
     if self.q_choice == "qstar":
-        shifted = _log_or_neg_inf(mat)
+        # the dense (M, K) shift, kept on the p > 0 cells
+        shifted = log_or_neg_inf(mat)
         colmax = shifted.max(axis=0)
         shifted -= colmax
         support = (mat > 0.0).astype(float)
         shifted[support == 0.0] = 0.0
-        for arr in (colmax, shifted, support):
-            arr.setflags(write=False)
         r_bound = max(-float(shifted.min()), 2.0 * math.log(len(mat)) + 1.0)
-        return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, support=support,
-                             r_bound=r_bound)
+        shifted = shifted[support > 0.0]
+        for arr in (colmax, shifted):
+            arr.setflags(write=False)
+        return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, r_bound=r_bound)
     if self.q_choice == "uniform":
         ref = DiscretePmf(np.full(joint.size, 1.0 / joint.size))
     else:
@@ -76,7 +77,7 @@ def assert_same_arrays(conds, q_choices=converse.Q_CHOICES):
     for q_choice in q_choices:
         fam = ChannelFamily(conds, q_choice)
         got, want = fam._arrays, reference_arrays(fam)
-        names = ["joint", "log_ratio", "colmax", "shifted", "support"]
+        names = ["joint", "log_ratio", "colmax", "shifted"]
         pairs = [(name, getattr(got, name), getattr(want, name)) for name in names]
         pairs += [("rows." + name, getattr(got.rows, name), getattr(want.rows, name))
                   for name in ("probs", "starts", "defect")]

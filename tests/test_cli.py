@@ -437,6 +437,7 @@ def test_report_past_the_float_range_exits_2(capsys):
     ("active", "kappa", "--kappa"),
     ("active", "L", "--L"),
     ("active", "H", "--H"),
+    ("active", "nu", "--nu"),
     ("cs", "sigma_sq", "--sigma2"),
     ("cs", "frob_norm_sq", "--frob2"),
     ("cs", "beta", "--beta"),

@@ -22,7 +22,7 @@ from conversekit.converse import (
 from conversekit.divergence import DiscretePmf, GaussianShiftPair, iid_product_pmf
 from conversekit.oracle import exact_bayes_error
 from conversekit.suites import random_discrete_family
-from conftest import pmf
+from conftest import log_or_neg_inf, pmf
 
 
 # --- family plumbing ---
@@ -403,12 +403,10 @@ def test_divergences_past_the_float_range_at_a_subnormal_order_are_inf(q_choice)
 def test_kernel_where_lam_r_overflows_is_plus_inf():
     conds = OVERFLOWING_ORDER_FAMILY
     fam = ChannelFamily(conds, "uniform")
-    lams = np.array([1.0, 1e300, 1.7e308])
-    out = fam._scaled_divergences(lams)
-    assert np.all(out[2] == math.inf)
-    # the rows at the finite orders keep the bits of a call without the huge one
-    assert np.array_equal(out[:2], fam._scaled_divergences(lams[:2]))
-    assert np.all(np.isfinite(out[:2]))
+    # at 1e300 every row takes the redo, and at 1.7e308 lam r itself overflows
+    assert np.all(np.isfinite(fam._scaled_divergences(1.0)))
+    assert np.all(np.isfinite(fam._scaled_divergences(1e300)))
+    assert np.all(fam._scaled_divergences(1.7e308) == math.inf)
 
 
 def test_log_mean_over_an_infinite_and_a_huge_finite_term_is_inf():
@@ -416,7 +414,7 @@ def test_log_mean_over_an_infinite_and_a_huge_finite_term_is_inf():
     # first row.  The log-mean-exp must not exp the finite term (a
     # RuntimeWarning fails the test), and the floor is the vacuous -inf.
     fam = ChannelFamily((pmf(1.0, 0.0, 0.0), pmf(0.5, 0.5, 0.0)), "uniform")
-    scaled = fam._scaled_divergences(np.array([1.7e308]))[0]
+    scaled = fam._scaled_divergences(1.7e308)
     assert scaled[0] == math.inf and 709.0 < scaled[1] < math.inf
     rep = strong_converse_bound(fam, 1.7e308)
     assert rep.eps_raw == -math.inf and rep.eps_lower == 0.0
@@ -442,7 +440,8 @@ def _joint_probs(fam):
 
 
 def _weights(arrays, lams):
-    return converse._log_qstar_weights(arrays, 1.0 + lams[:, None, None])
+    """The q* weights at each order of lams, one order at a time, shape (L, K)."""
+    return np.array([converse._log_qstar_weights(arrays, 1.0 + lam) for lam in lams.tolist()])
 
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
@@ -454,7 +453,7 @@ def test_qstar_weights_are_finite_at_huge_orders(conds):
     arrays = fam._arrays
     lams = np.array([0.5, 1e300, 1.7e308])
     got = _weights(arrays, lams)
-    log_probs = divergence._log_or_neg_inf(_joint_probs(fam))
+    log_probs = log_or_neg_inf(_joint_probs(fam))
     assert np.array_equal(got, _dense_log_qstar_weights(log_probs, lams))
     assert np.isfinite(got).all()
 
@@ -465,7 +464,7 @@ def _sparse_qstar_families():
     fams = []
     while len(fams) < 12:
         fam = random_discrete_family(rng, q_choice="qstar")
-        if (fam._arrays.support == 0.0).any():
+        if (_joint_probs(fam) == 0.0).any():
             fams.append(fam)
     letters = rng.dirichlet(np.ones(4), size=16)
     letters[rng.random(letters.shape) < 0.25] = 0.0
@@ -475,16 +474,16 @@ def _sparse_qstar_families():
 
 
 def test_qstar_weights_on_sparse_families_match_the_dense_reference():
-    # p = 0 cells reach exp as 0, not -inf; every weight keeps the bits of
-    # the dense shifted formula (a RuntimeWarning fails the test)
+    # the weights sum only the p > 0 cells, by column; every weight keeps
+    # the bits of the dense shifted formula (a RuntimeWarning fails the test)
     lams = np.array([1e-6, 0.3, 2.0, 10.0, 1e300, 1.7e308])
     for fam in _sparse_qstar_families():
         arrays = fam._arrays
-        dense = _dense_log_qstar_weights(divergence._log_or_neg_inf(_joint_probs(fam)), lams)
+        dense = _dense_log_qstar_weights(log_or_neg_inf(_joint_probs(fam)), lams)
         assert np.array_equal(_weights(arrays, lams), dense)
         for lam, log_w in zip(lams.tolist(), dense):
             log_q, log_c = converse._log_qstar(arrays, lam)
-            assert log_c == float(divergence._logsumexp(log_w.copy()))
+            assert log_c == divergence._logsumexp(log_w.copy())
             assert np.array_equal(log_q, log_w - log_c)
 
 
@@ -522,7 +521,7 @@ def test_qstar_weights_match_a_60_digit_reference():
 def test_qstar_arrays_are_read_only_and_unchanged_by_use():
     fam = _sparse_qstar_families()[-1]
     arrays = fam._arrays
-    kept = {name: getattr(arrays, name).copy() for name in ("colmax", "shifted", "support")}
+    kept = {name: getattr(arrays, name).copy() for name in ("colmax", "shifted")}
     assert not any(getattr(arrays, name).flags.writeable for name in kept)
     optimize_lambda(fam)
     optimize_lambda(fam, 1.0, 1.7e308)
@@ -620,6 +619,9 @@ def test_generalized_fano_validation():
         generalized_fano_log_m_bound(1.0, 2.0, -0.1, 0.0)
     with pytest.raises(ValueError):
         generalized_fano_log_m_bound(1.0, 2.0, 0.0, 1.0)
+    # a sign check alone lets NaN through, to a NaN cap
+    with pytest.raises(ValueError, match="mutual_info"):
+        generalized_fano_log_m_bound(1.0, 2.0, math.nan, 0.3)
 
 
 # --- report serialization ---

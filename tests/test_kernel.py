@@ -67,15 +67,15 @@ def test_renyi_matches_decimal_oracle(p, q):
 
 
 def test_batched_kernel_matches_decimal_oracle():
-    # all rows against one reference, all orders in one call
+    # all rows against one reference in one call per order
     q = (1e-300, 5e-324, 0.25, 0.75 - 1e-300)
     rows = [(0.5, 0.0, 0.25, 0.25), (0.0, 1e-300, 0.5, 0.5), (0.0, 0.0, 0.5, 0.5)]
     kernel_rows, log_ratio = _rows_and_log_ratio(rows, q)
-    got = divergence._renyi_log_sums(kernel_rows, log_ratio, np.array(ORDERS))
-    for li, lam in enumerate(ORDERS):
+    for lam in ORDERS:
+        got = divergence._renyi_log_sums(kernel_rows, log_ratio, lam)
         for mi, p in enumerate(rows):
             exact = decimal_log_renyi_sum(p, q, lam)
-            assert got[li, mi] == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert got[mi] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_batched_kernel_on_sparse_product_rows_matches_decimal_oracle():
@@ -88,12 +88,12 @@ def test_batched_kernel_on_sparse_product_rows_matches_decimal_oracle():
     q = iid_product_pmf(pmf(1e-70, 0.3, 0.3, 0.4), 4).probs
     kernel_rows, log_ratio = _rows_and_log_ratio(rows, q)
     assert kernel_rows.probs.size == 81 + 16 + 81 + 16
-    got = divergence._renyi_log_sums(kernel_rows, log_ratio, np.array(ORDERS),
-                                     float(np.abs(log_ratio).max()))
-    for li, lam in enumerate(ORDERS):
+    r_bound = float(np.abs(log_ratio).max())
+    for lam in ORDERS:
+        got = divergence._renyi_log_sums(kernel_rows, log_ratio, lam, r_bound)
         for mi, p in enumerate(rows):
             exact = decimal_log_renyi_sum(p, q, lam)
-            assert got[li, mi] == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert got[mi] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def _flat_family_draw(rng):
@@ -141,21 +141,13 @@ def test_underflowing_reference_keeps_the_bound_finite():
             assert lam * d == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-# --- batching and chunking ---
-
-
-def test_batched_orders_equal_single_order_calls(rng):
-    lams = np.geomspace(1e-6, 10.0, 17)
-    for q_choice in ("uniform", "mixture", "qstar"):
-        fam = random_discrete_family(rng, q_choice=q_choice)
-        batched = fam._scaled_divergences(lams)
-        for lam, row in zip(lams, batched):
-            assert np.array_equal(row, fam._scaled_divergences(np.array([lam]))[0])
+# --- routes to one order, layout and memory ---
 
 
 def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
-    # strong_converse_bound, variational_bound and q* at one order skip the
-    # order axis; each must give the bits of the same order inside a batch
+    # strong_converse_bound and divergences report the same D_i, and
+    # variational_bound gives the floor from log S at an order inside a
+    # pre-scan pass; each pair must agree bit for bit
     for _ in range(12):
         base = random_discrete_family(rng)
         for q_choice in ("uniform", "mixture", "qstar"):
@@ -164,36 +156,14 @@ def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
             for lam in (1e-6, 0.3, 2.0, 100.0, 1e300, 1.7e308):
                 lams = np.array([0.5 * lam, lam, 3.0])
                 divs = strong_converse_bound(fam, lam).params["divergences"]
-                assert divs == (fam._scaled_divergences(lams)[1] / lam).tolist()
+                assert divs == fam.divergences(lam).tolist()
                 log_mean = float(fam._log_mean_terms(lams)[1])
                 for gamma in (0.5, 1.0, float(m)):
                     exponent = log_mean - lam * math.log(gamma)
                     # -inf where log S and lam log gamma are both +inf
-                    batched = (-math.inf if math.isnan(exponent)
+                    in_pass = (-math.inf if math.isnan(exponent)
                                else 1.0 - gamma / m - converse._exp_or_inf(exponent))
-                    assert variational_bound(fam, lam, gamma) == batched
-        arrays = ChannelFamily(base.conditionals, "qstar")._arrays
-        lams = np.array([1e-6, 0.3, 2.0, 1e300, 1.7e308])
-        log_ws = converse._log_qstar_weights(arrays, 1.0 + lams[:, None, None])
-        for lam, log_w in zip(lams.tolist(), log_ws):
-            log_q, log_c = converse._log_qstar(arrays, lam)
-            assert log_c == float(divergence._logsumexp(log_w.copy()))
-            assert np.array_equal(log_q, log_w - log_c)
-
-
-def test_chunk_size_does_not_change_results(rng, monkeypatch):
-    # 64 geometric orders plus two where S - 1 overflows and rows take the
-    # redo; a RuntimeWarning of a chunk outside the caller's errstate fails
-    lams = np.concatenate([np.geomspace(1e-6, 10.0, 64), [1e300, 1.7e308]])
-    base = random_discrete_family(rng)
-    fams = [ChannelFamily(base.conditionals, q) for q in converse.Q_CHOICES]
-    whole = [(f._scaled_divergences(lams), f._log_mean_terms(lams)) for f in fams]
-    # one order per chunk, and chunks that split the order axis unevenly
-    for cells in (1, 3 * base.m_codewords * base.conditionals[0].support_size):
-        monkeypatch.setattr(divergence, "_CHUNK_CELLS", cells)
-        for fam, (scaled, log_mean) in zip(fams, whole):
-            assert np.array_equal(fam._scaled_divergences(lams), scaled)
-            assert np.array_equal(fam._log_mean_terms(lams), log_mean)
+                    assert variational_bound(fam, lam, gamma) == in_pass
 
 
 def _wide_conditionals():
@@ -219,35 +189,15 @@ def _sparse_wide_conditionals():
     return tuple(conds)
 
 
-def test_kernel_chunks_by_live_cells(monkeypatch):
-    # the kernel's passes are sized by the p > 0 cells it visits, not M K
-    conds = _sparse_wide_conditionals()
-    live = sum(int(np.count_nonzero(c.probs)) for c in conds)
-    assert live < len(conds) * conds[0].support_size
-    seen = []
-    drive = divergence._over_order_chunks
-
-    def record(chunk, lams, cells):
-        seen.append(cells)
-        return drive(chunk, lams, cells)
-
-    monkeypatch.setattr(divergence, "_over_order_chunks", record)
-    lams = np.geomspace(1e-6, 10.0, 64)
-    for q_choice in converse.Q_CHOICES:  # q*: one kernel pass per order
-        ChannelFamily(conds, q_choice)._scaled_divergences(lams)
-    assert seen and set(seen) == {live}
-
-
 def test_order_chunk_policy_lives_only_in_divergence():
-    # the chunk size is one decision, in one module, and every pass runs on
-    # the calling thread: no module names a thread, a pool or a CPU count
-    chunk_policy = {"_CHUNK_CELLS"}
-    threads = {"threading", "concurrent", "contextvars", "_SPLIT_CELLS", "_CPUS",
-               "sched_getaffinity"}
+    # every order is evaluated alone, on the calling thread: no module,
+    # divergence included, names an order-chunk policy, a thread, a pool or
+    # a CPU count
+    banned = {"_CHUNK_CELLS", "_over_order_chunks", "threading", "concurrent", "contextvars",
+              "_SPLIT_CELLS", "_CPUS", "sched_getaffinity"}
     root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
     leaks = []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
-        banned = threads if os.path.basename(path) == "divergence.py" else chunk_policy | threads
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
@@ -279,9 +229,13 @@ def test_import_loads_no_thread_pool():
     assert done.stdout.strip() == "[]"
 
 
-def test_optimize_lambda_memory_is_bounded_by_the_chunk_cap():
+def test_optimize_lambda_peak_memory_stays_below_4_mib():
     # M = 16, K = 4^6 families, fully live and half live: 64 orders in one
-    # array would be 32 MB
+    # array would be 32 MB.  Each order's temporaries hold one value per
+    # cell, so building the family sets the peak, not the search: 3.60 MiB
+    # for the fully live q* family, whose build holds dense (M, K) log p and
+    # the cells' log p, columns and shifted log p at once.  With the family
+    # built first, the search alone peaks at 1.04 MiB (tracemalloc).
     for conds in (_wide_conditionals(), _sparse_wide_conditionals()):
         for q_choice in ("uniform", "mixture", "qstar"):
             fam = ChannelFamily(conds, q_choice)
@@ -305,17 +259,18 @@ def test_only_qstar_families_keep_the_cell_columns():
 
 # --- overflow gates ---
 
-# Orders on both sides of every gate of a one-order or batched pass: the
-# kernel's lam r_bound <= 709 and q*'s weights' (1 + lam) r_bound <= 700.
+# Orders on both sides of every gate: the kernel's lam r_bound <= 709 and
+# q*'s weights' (1 + lam) r_bound <= 700.  1e300 and 1.7e308 take the
+# kernel's +inf redo.
 GATE_ORDERS = np.concatenate([np.geomspace(1e-6, 10.0, 8), [1e2, 1e4, 1e300, 1.7e308]])
 
 
 def _gate_outputs(fam):
     """Every floor, D_i, gamma*, log S and optimize_lambda result at GATE_ORDERS."""
     m = fam.m_codewords
-    out = [fam._scaled_divergences(GATE_ORDERS),
-           fam._log_mean_terms(GATE_ORDERS), fam._log_mean_terms(GATE_ORDERS[:-1])]
+    out = [fam._log_mean_terms(GATE_ORDERS)]
     for lam in GATE_ORDERS.tolist():
+        out.append(fam._scaled_divergences(lam))
         rep = strong_converse_bound(fam, lam)
         out.append([rep.eps_raw, rep.gamma_star, *rep.params["divergences"]])
         out.append([variational_bound(fam, lam, gamma) for gamma in (0.5, 1.0, float(m))])
@@ -326,9 +281,9 @@ def _gate_outputs(fam):
 
 
 def test_gated_passes_equal_the_guarded_passes_bit_for_bit(monkeypatch):
-    # a pass whose order-free bound clears its orders runs with no
+    # a call whose order-free bound clears its order runs with no
     # np.errstate, no +inf scan and no clamp; it must give the bits of the
-    # guarded pass (a RuntimeWarning on either side fails the test)
+    # guarded call (a RuntimeWarning on either side fails the test)
     rng = np.random.default_rng(2026)
     fams = [ChannelFamily(base.conditionals, q)
             for base in (random_discrete_family(rng) for _ in range(150))
@@ -340,10 +295,10 @@ def test_gated_passes_equal_the_guarded_passes_bit_for_bit(monkeypatch):
     pairs = [(pmf(*p), pmf(*q)) for p, q in EXTREME_PAIRS]
     gated_pairs = [renyi_discrete(p, q, lam) for p, q in pairs for lam in GATE_ORDERS.tolist()]
 
-    # no bound clears any order: every pass takes the guarded branch
+    # no bound clears any order: every call takes the guarded branch
     kernel = divergence._renyi_log_sums
     monkeypatch.setattr(divergence, "_renyi_log_sums",
-                        lambda rows, log_ratio, lams, r_bound: kernel(rows, log_ratio, lams))
+                        lambda rows, log_ratio, lam, r_bound: kernel(rows, log_ratio, lam))
     for fam in fams:
         fam.__dict__["_arrays"] = fam._arrays._replace(r_bound=math.inf)
     for fam, want in zip(fams, gated):
