@@ -39,17 +39,18 @@ can fire: each family keeps one order-free scalar
 weights' exponents, and the kernel and the q* weights run plain wherever
 the order times it clears the overflow, with the same bits.
 
-`optimize_lambda` builds its pre-scan grid once per range and evaluates it
-in two passes of `ChannelFamily._log_mean_terms`, each a loop over its
-orders: every `_PRESCAN_STRIDE`-th order and the last (orders 0, 32 and
-63 of 64), then only the orders that a ceiling does not rule out.
+`optimize_lambda` builds its pre-scan grid once per range and evaluates
+log S there with `ChannelFamily._log_mean_term`, one order per call, in
+two passes: every `_PRESCAN_STRIDE`-th order and the last (orders 0, 32
+and 63 of 64), then only the orders that a ceiling does not rule out.
 log S / lam never falls as lam grows, so the floor at an order lam' is
 at most a ceiling computed from the first-pass order lam below it
 (`_floor_ceilings`); an order whose ceiling lies below the best first-pass
 floor by more than a rounding margin cannot be the pre-scan maximum, and
 skipping it keeps every bit of the result.  The ceiling multiplies the
 rounding of log S at lam by up to lam' / lam, so the margin carries that
-ratio too and covers it on every range.
+ratio too and covers it on every range.  Golden section, the edge probe
+and the lambda_at_boundary flag share one resolution, `_RESOLUTION`.
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ __all__ = [
 Q_CHOICES = ("uniform", "mixture", "qstar")
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# optimize_lambda: pre-scan orders, then golden-section steps in one bracket.
+# optimize_lambda: pre-scan orders, then golden section in one bracket.
 _PRESCAN = 64
-_GOLDEN_ITERS = 60
+# The fraction of a bracket the order search resolves: a smooth maximum can
+# be located in floats only to about sqrt(eps) (Brent 1973, ch. 5).
+_RESOLUTION = math.sqrt(np.finfo(float).eps)
 # The pre-scan's first pass evaluates every _PRESCAN_STRIDE-th order and the last.
 _PRESCAN_STRIDE = 32
 
@@ -225,18 +228,17 @@ class ChannelFamily:
         log_ratio = rows.log_probs - _log_qstar(arrays, lam)[0][rows.cols]
         return _renyi_log_sums(rows, log_ratio, lam, arrays.r_bound)
 
-    def _log_mean_terms(self, lams: np.ndarray) -> np.ndarray:
-        """log S = log mean_i exp(lam D_i) for each order in lams, shape (L,).
+    def _log_mean_term(self, lam: float) -> float:
+        """log S = log mean_i exp(lam D_i) at one order lam.
 
-        One order at a time.  For q* this is (1+lam) log C from the
-        normalizer alone (`_log_qstar`).  Each w(y) is a power mean of the
-        p_i(y), so at least their mean, and C >= 1: the product overflows only
-        to +inf, which is lam D as a float (a vacuous floor).
+        For q* this is (1+lam) log C from the normalizer alone
+        (`_log_qstar`).  Each w(y) is a power mean of the p_i(y), so at least
+        their mean, and C >= 1: the product overflows only to +inf, which is
+        lam D as a float (a vacuous floor).
         """
         if self.q_choice == "qstar":
-            arrays = self._arrays
-            return np.array([(1.0 + lam) * _log_qstar(arrays, lam)[1] for lam in lams.tolist()])
-        return np.array([_log_mean_exp(self._scaled_divergences(lam)) for lam in lams.tolist()])
+            return (1.0 + lam) * _log_qstar(self._arrays, lam)[1]
+        return _log_mean_exp(self._scaled_divergences(lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +367,10 @@ def _golden_max(g, lo: float, hi: float):
     c = hi - _INVPHI * span
     d = lo + _INVPHI * span
     gc, gd = g(c), g(d)
-    for _ in range(_GOLDEN_ITERS):
+    # Each step shrinks the bracket by _INVPHI; take the steps that shrink
+    # it to _RESOLUTION of its width (38).  A count, not a width test: no
+    # bracket shrinks below an ulp, so a width test may never pass.
+    for _ in range(math.ceil(math.log(_RESOLUTION) / math.log(_INVPHI))):
         if gc >= gd:
             hi, d, gd = d, c, gc
             c = hi - _INVPHI * (hi - lo)
@@ -432,13 +437,14 @@ def optimize_lambda(
     that best, so it is never the first maximum, and the result keeps the
     bits of a full pre-scan.
 
-    When the pre-scan maximum is an end of the grid, one probe edge_tol
-    inward of it (edge_tol = sqrt(eps) times the bracket width, the
-    tolerance of the lambda_at_boundary flag) decides: if the probe is not
-    higher, that end is kept and golden section is skipped.  Golden section
-    would only have crept to within about edge_tol of the end, beating it,
-    if at all, by rounding.  An end of the range is reported as lam_lo or
-    lam_hi exactly.
+    The search resolves its bracket to edge_tol = _RESOLUTION (sqrt(eps))
+    times the bracket width: golden section stops when its bracket is that
+    narrow, and the lambda_at_boundary flag counts a point within edge_tol
+    of an end as at it.  When the pre-scan maximum is an end of the grid,
+    one probe edge_tol inward of it decides: if the probe is not higher,
+    that end is kept and golden section is skipped, since it could only
+    have crept to within edge_tol of the end, beating it, if at all, by
+    rounding.  An end of the range is reported as lam_lo or lam_hi exactly.
 
     lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi; anything
     else raises ValueError.
@@ -449,22 +455,22 @@ def optimize_lambda(
 
     def raw_at(log_lam: float) -> float:
         lam = math.exp(log_lam)
-        return _eps_from_log_terms(log_m, float(family._log_mean_terms(np.array([lam]))[0]), lam)
+        return _eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
 
     grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
     values = [-math.inf] * _PRESCAN  # a skipped order is never the first maximum
 
-    def evaluate(idx: list) -> np.ndarray:
-        """log S at the pre-scan orders idx, in one pass; their floors go to values."""
-        log_means = family._log_mean_terms(lam_array[idx])
-        for i, s in zip(idx, log_means.tolist()):
-            values[i] = _eps_from_log_terms(log_m, s, lams[i])
-        return log_means
+    def evaluate(i: int) -> float:
+        """log S at pre-scan order i; its floor goes to values."""
+        log_mean = family._log_mean_term(lams[i])
+        values[i] = _eps_from_log_terms(log_m, log_mean, lams[i])
+        return log_mean
 
     first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
     below = np.arange(_PRESCAN) // _PRESCAN_STRIDE  # each order's first-pass order at or below it
     lams_below = lam_array[first][below]
-    ceilings = _floor_ceilings(log_m, evaluate(first)[below], lams_below, lam_array)
+    log_means = np.array([evaluate(i) for i in first])
+    ceilings = _floor_ceilings(log_m, log_means[below], lams_below, lam_array)
     # a margin thousands of times the rounding of log S, times the lam' / lam
     # that the ceiling multiplies it by; a -inf ceiling is kept, and so is an
     # order whose margin passes the float range
@@ -472,17 +478,15 @@ def optimize_lambda(
         margin = 1e-9 * (1.0 + np.abs(ceilings)) * (lam_array / lams_below)
     skip = ceilings < max(values) - margin
     skip[first] = True
-    rest = np.flatnonzero(~skip).tolist()
-    if rest:
-        evaluate(rest)
+    for i in np.flatnonzero(~skip).tolist():
+        evaluate(i)
     best_idx = values.index(max(values))
     x_best, v_best = grid[best_idx], values[best_idx]
     bracket_lo = grid[max(best_idx - 1, 0)]
     bracket_hi = grid[min(best_idx + 1, _PRESCAN - 1)]
-    # Golden section stalls where rounding in raw_at hides the slope, short
-    # of a maximum at an end of the range by up to about sqrt(eps) times the
-    # bracket it searched (3e-11 in log lam is common).
-    edge_tol = math.sqrt(np.finfo(float).eps) * (bracket_hi - bracket_lo)
+    # The resolution of the whole search: golden section stops within it of
+    # a maximum, and the flag counts a point within it of an end as at it.
+    edge_tol = _RESOLUTION * (bracket_hi - bracket_lo)
     # An edge maximum that does not rise one edge_tol inward is settled as is.
     inward = {0: edge_tol, _PRESCAN - 1: -edge_tol}.get(best_idx)
     if inward is None or raw_at(x_best + inward) > v_best:
@@ -509,7 +513,7 @@ def variational_bound(family: ChannelFamily, order, gamma: float) -> float:
     """
     lam = _lam(order)
     g = _positive("gamma", gamma)
-    log_mean = float(family._log_mean_terms(np.array([lam]))[0])
+    log_mean = family._log_mean_term(lam)
     exponent = log_mean - lam * math.log(g)
     if math.isnan(exponent):  # inf - inf
         return -math.inf

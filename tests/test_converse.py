@@ -160,8 +160,10 @@ def test_optimize_lambda_boundary_flag():
 
 
 def test_optimize_lambda_boundary_flag_past_golden_section_stall():
-    # golden section stops about 3e-11 short of lam_lo in log lam on this
-    # family; the optimum is still the end of the range and must be flagged
+    # the floor peaks at lam_lo on this family.  The probe one edge_tol
+    # inward is not higher, so golden section does not run and lam_lo is
+    # reported exactly; golden section would stop up to edge_tol short of
+    # lam_lo, which the flag counts as the end of the range
     fam = random_discrete_family(np.random.default_rng(0), q_choice="uniform")
     rep = optimize_lambda(fam)
     assert rep.lambda_star == 1e-6
@@ -191,6 +193,32 @@ def test_optimize_lambda_rejects_bad_arguments(kwargs):
         optimize_lambda(ChannelFamily((p, p)), **kwargs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam_lo", [1e-300, 1e-6, 0.3, 1e8, 1e300])
+def test_optimize_lambda_ends_on_ranges_a_few_ulps_wide(monkeypatch, lam_lo):
+    # No bracket shrinks below an ulp, so a golden section that waited for
+    # its bracket to pass a width would never end on these ranges; a search
+    # that does end evaluates at most 64 + 1 + 40 orders.  A spy stops a
+    # hang after 200.
+    log_mean_term = ChannelFamily._log_mean_term
+    calls = []
+
+    def capped(self, lam):
+        calls.append(lam)
+        if len(calls) > 200:
+            raise AssertionError(f"order search did not end on [{lam_lo!r}, {lam_hi!r}]")
+        return log_mean_term(self, lam)
+
+    monkeypatch.setattr(ChannelFamily, "_log_mean_term", capped)
+    conds = random_discrete_family(np.random.default_rng(0)).conditionals
+    for lam_hi in (math.nextafter(lam_lo, math.inf), lam_lo + 3 * math.ulp(lam_lo),
+                   lam_lo * (1.0 + 1e3 * np.finfo(float).eps)):
+        for q_choice in converse.Q_CHOICES:
+            calls.clear()
+            rep = optimize_lambda(ChannelFamily(conds, q_choice), lam_lo, lam_hi)
+            assert lam_lo <= rep.lambda_star <= lam_hi, (q_choice, lam_hi)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -209,10 +237,12 @@ def test_optimize_lambda_edge_optimum_costs_prescan_and_one_probe(monkeypatch):
     # lam, so it peaks at lam_hi
     p = pmf(0.5, 0.5)
     fam = ChannelFamily((p, p, p), q_choice="mixture")
-    evals = _count_calls(monkeypatch, ChannelFamily, "_log_mean_terms")
+    evals = _count_calls(monkeypatch, ChannelFamily, "_log_mean_term")
     golden = _count_calls(monkeypatch, converse, "_golden_max")
     rep = optimize_lambda(fam)
-    assert len(evals) == 2
+    # the first pre-scan pass (orders 0, 32 and 63) rules out every other
+    # order, and one probe inward of lam_hi settles it
+    assert len(evals) == 3 + 1
     assert not golden
     assert rep.lambda_star == 10.0
     assert rep.params["lambda_at_boundary"]
@@ -222,10 +252,22 @@ def test_optimize_lambda_interior_optimum_runs_golden_section(monkeypatch):
     # draw 46 of default_rng(11) peaks about 2.9 pre-scan steps below lam_hi
     rng = np.random.default_rng(11)
     fam = [random_discrete_family(rng, q_choice="mixture") for _ in range(47)][-1]
-    golden = _count_calls(monkeypatch, converse, "_golden_max")
+    evals = _count_calls(monkeypatch, ChannelFamily, "_log_mean_term")
+    golden_evals = []  # per _golden_max call, the orders it evaluates
+    golden_max = converse._golden_max
+
+    def golden(*args):
+        start = len(evals)
+        found = golden_max(*args)
+        golden_evals.append(len(evals) - start)
+        return found
+
+    monkeypatch.setattr(converse, "_golden_max", golden)
     rep = optimize_lambda(fam)
     grid = np.linspace(math.log(1e-6), math.log(10.0), 64)
-    assert len(golden) == 1
+    # one golden section: its two first points, then the 38 steps that
+    # shrink the bracket by 0.618^38 ~ 1.1e-8 <= sqrt(eps)
+    assert golden_evals == [2 + 38]
     assert grid[1] < math.log(rep.lambda_star) < grid[-2]
     assert not rep.params["lambda_at_boundary"]
 
@@ -240,9 +282,8 @@ def _always_golden_reference(family, lam_lo=1e-6, lam_hi=10.0, prescan=64, iters
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def raw(lams):
-        log_means = family._log_mean_terms(np.array(lams)).tolist()
-        return [strong_converse_eps_from_log_terms(log_m, s, lam)
-                for s, lam in zip(log_means, lams)]
+        return [strong_converse_eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
+                for lam in lams]
 
     def g(x):
         return raw([math.exp(x)])[0]
@@ -387,7 +428,7 @@ def test_floor_where_lam_d_overflows_is_minus_inf(q_choice):
     assert rep.gamma_star == math.inf
     assert '"gamma_star": null' in canonical_json(rep.to_json_dict())
     assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
-    assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
+    assert fam._log_mean_term(1.7e308) == math.inf
 
 
 @pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
@@ -419,7 +460,7 @@ def test_log_mean_over_an_infinite_and_a_huge_finite_term_is_inf():
     rep = strong_converse_bound(fam, 1.7e308)
     assert rep.eps_raw == -math.inf and rep.eps_lower == 0.0
     assert variational_bound(fam, 1.7e308, 2.0) == -math.inf
-    assert fam._log_mean_terms(np.array([0.5, 1.7e308]))[1] == math.inf
+    assert fam._log_mean_term(1.7e308) == math.inf
     best = optimize_lambda(fam, 1.0, 1.7e308)
     assert 0.0 <= best.eps_lower <= exact_bayes_error(fam.conditionals)
 

@@ -146,18 +146,17 @@ def test_underflowing_reference_keeps_the_bound_finite():
 
 def test_one_order_routes_match_batched_evaluation_bit_for_bit(rng):
     # strong_converse_bound and divergences report the same D_i, and
-    # variational_bound gives the floor from log S at an order inside a
-    # pre-scan pass; each pair must agree bit for bit
+    # variational_bound gives the floor from the log S that the order
+    # search evaluates at that order; each pair must agree bit for bit
     for _ in range(12):
         base = random_discrete_family(rng)
         for q_choice in ("uniform", "mixture", "qstar"):
             fam = ChannelFamily(base.conditionals, q_choice)
             m = fam.m_codewords
             for lam in (1e-6, 0.3, 2.0, 100.0, 1e300, 1.7e308):
-                lams = np.array([0.5 * lam, lam, 3.0])
                 divs = strong_converse_bound(fam, lam).params["divergences"]
                 assert divs == fam.divergences(lam).tolist()
-                log_mean = float(fam._log_mean_terms(lams)[1])
+                log_mean = fam._log_mean_term(lam)
                 for gamma in (0.5, 1.0, float(m)):
                     exponent = log_mean - lam * math.log(gamma)
                     # -inf where log S and lam log gamma are both +inf
@@ -191,10 +190,10 @@ def _sparse_wide_conditionals():
 
 def test_order_chunk_policy_lives_only_in_divergence():
     # every order is evaluated alone, on the calling thread: no module,
-    # divergence included, names an order-chunk policy, a thread, a pool or
-    # a CPU count
+    # divergence included, names an order-chunk policy, a thread, a pool,
+    # a CPU count, a batched log S or a golden-section step count of its own
     banned = {"_CHUNK_CELLS", "_over_order_chunks", "threading", "concurrent", "contextvars",
-              "_SPLIT_CELLS", "_CPUS", "sched_getaffinity"}
+              "_SPLIT_CELLS", "_CPUS", "sched_getaffinity", "_GOLDEN_ITERS", "_log_mean_terms"}
     root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
     leaks = []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):
@@ -268,13 +267,13 @@ GATE_ORDERS = np.concatenate([np.geomspace(1e-6, 10.0, 8), [1e2, 1e4, 1e300, 1.7
 def _gate_outputs(fam):
     """Every floor, D_i, gamma*, log S and optimize_lambda result at GATE_ORDERS."""
     m = fam.m_codewords
-    out = [fam._log_mean_terms(GATE_ORDERS)]
+    out = []
     for lam in GATE_ORDERS.tolist():
         out.append(fam._scaled_divergences(lam))
         rep = strong_converse_bound(fam, lam)
         out.append([rep.eps_raw, rep.gamma_star, *rep.params["divergences"]])
         out.append([variational_bound(fam, lam, gamma) for gamma in (0.5, 1.0, float(m))])
-        out.append(fam._log_mean_terms(np.array([lam])))
+        out.append([fam._log_mean_term(lam)])
     best = optimize_lambda(fam)
     out.append([best.eps_raw, best.lambda_star])
     return [np.asarray(x, dtype=float) for x in out]
@@ -331,7 +330,7 @@ def test_sibson_identity_for_qstar(rng):
             assert shortcut == pytest.approx(direct, rel=1e-12, abs=1e-15)
             if lam >= 1e-2:
                 assert shortcut == pytest.approx(direct, rel=1e-12, abs=0.0)
-            log_mean = fam._log_mean_terms(np.array([lam]))[0]
+            log_mean = fam._log_mean_term(lam)
             assert log_mean == pytest.approx(shortcut, rel=1e-12, abs=1e-15)
 
 

@@ -4,6 +4,14 @@
 `converse.optimize_lambda` evaluates every _PRESCAN_STRIDE-th order first and
 then only the orders that its ceiling does not rule out, so every report
 must come out the same, bit for bit.
+
+Both searches call the same `ChannelFamily._log_mean_term`, one order per
+call.  The bit-identity tests share its values between them through
+`shared_log_means`, so the reference reuses the log S that the fast search
+has just computed on the same family object; they check which orders each
+search evaluates and what it does with them.
+`test_special_families_keep_every_bit` shares nothing, so a log S that came
+to depend on call history would still show there.
 """
 
 import math
@@ -38,10 +46,10 @@ def reference_optimize_lambda(family, lam_lo=1e-6, lam_hi=10.0):
 
     def raw_at(log_lam: float) -> float:
         lam = math.exp(log_lam)
-        return _eps_from_log_terms(log_m, float(family._log_mean_terms(np.array([lam]))[0]), lam)
+        return _eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
 
     grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
-    log_means = family._log_mean_terms(lam_array).tolist()
+    log_means = [family._log_mean_term(lam) for lam in lams]
     values = [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
     best_idx = values.index(max(values))
     x_best, v_best = grid[best_idx], values[best_idx]
@@ -64,6 +72,25 @@ def reference_optimize_lambda(family, lam_lo=1e-6, lam_hi=10.0):
     return report
 
 
+@pytest.fixture
+def shared_log_means(monkeypatch):
+    """log S computed once per (family object, order) for the rest of the test.
+
+    A spy installed later wraps this memo, so it still sees each search's
+    own calls.
+    """
+    log_mean_term = ChannelFamily._log_mean_term
+    memo = {}
+
+    def shared(self, lam):
+        key = (self, lam)
+        if key not in memo:
+            memo[key] = log_mean_term(self, lam)
+        return memo[key]
+
+    monkeypatch.setattr(ChannelFamily, "_log_mean_term", shared)
+
+
 def assert_same_reports(conds, ranges=RANGES):
     # repr keeps every bit of eps_raw, lambda_star, gamma_star and params
     for q_choice in converse.Q_CHOICES:
@@ -74,19 +101,19 @@ def assert_same_reports(conds, ranges=RANGES):
             assert repr(fast) == repr(slow), (q_choice, lam_lo, lam_hi)
 
 
-def test_random_families_keep_every_bit():
+def test_random_families_keep_every_bit(shared_log_means):
     rng = np.random.default_rng(27)
     for _ in range(40):
         assert_same_reports(random_discrete_family(rng).conditionals)
 
 
 @pytest.mark.parametrize("make", [_wide_conditionals, _sparse_wide_conditionals])
-def test_wide_families_keep_every_bit(make):
+def test_wide_families_keep_every_bit(shared_log_means, make):
     assert_same_reports(make())
 
 
 @pytest.mark.parametrize("conds", QSTAR_HUGE_ORDER_FAMILIES)
-def test_huge_order_families_keep_every_bit(conds):
+def test_huge_order_families_keep_every_bit(shared_log_means, conds):
     assert_same_reports(conds)
 
 
@@ -97,6 +124,7 @@ def test_huge_order_families_keep_every_bit(conds):
     (pmf(5e-324, 1.0), pmf(0.5, 0.5)),  # subnormal mass
 ])
 def test_special_families_keep_every_bit(conds):
+    # no shared log S: each search computes its own
     assert_same_reports(conds)
 
 
@@ -105,16 +133,17 @@ def test_wide_prescan_evaluates_few_orders(monkeypatch, make):
     # a silent return to the full 64-order pre-scan fails here
     conds = make()
     grid_orders = set(_prescan_grid(1e-6, 10.0)[1])
-    log_mean_terms = ChannelFamily._log_mean_terms
+    log_mean_term = ChannelFamily._log_mean_term
     for q_choice in converse.Q_CHOICES:
         seen = []
 
-        def spy(self, lams):
-            seen.extend(lam for lam in lams.tolist() if lam in grid_orders)
-            return log_mean_terms(self, lams)
+        def spy(self, lam):
+            if lam in grid_orders:
+                seen.append(lam)
+            return log_mean_term(self, lam)
 
         with monkeypatch.context() as patched:
-            patched.setattr(ChannelFamily, "_log_mean_terms", spy)
+            patched.setattr(ChannelFamily, "_log_mean_term", spy)
             optimize_lambda(ChannelFamily(conds, q_choice))
         assert len(set(seen)) == len(seen) <= 12, (q_choice, len(seen))
 
@@ -126,31 +155,33 @@ OVERFLOW_RANGES = [(5e-324, 1.7e308), (1e-300, 1.7e308)]
 
 
 @pytest.mark.filterwarnings("error")
-def test_ranges_whose_margin_overflows_keep_every_order_and_every_bit(monkeypatch):
+def test_ranges_whose_margin_overflows_keep_every_order_and_every_bit(shared_log_means,
+                                                                       monkeypatch):
     for conds in (*_premise_families(), _wide_conditionals(), _sparse_wide_conditionals()):
         _assert_every_order_kept(monkeypatch, conds)
 
 
 def _assert_every_order_kept(monkeypatch, conds):
-    log_mean_terms = ChannelFamily._log_mean_terms
+    log_mean_term = ChannelFamily._log_mean_term
     for lam_lo, lam_hi in OVERFLOW_RANGES:
-        lam_array = _prescan_grid(lam_lo, lam_hi)[2]
+        _, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
         with np.errstate(over="ignore"):
             assert (lam_array[31] / lam_array[0] == math.inf) == (lam_lo == 5e-324)
+        first = [0, _PRESCAN_STRIDE, _PRESCAN - 1]
+        orders = [lams[i] for i in first] + [lam for i, lam in enumerate(lams) if i not in first]
         for q_choice in converse.Q_CHOICES:
             fam = ChannelFamily(conds, q_choice)
-            sizes = []
+            seen = []
 
-            def spy(self, lams):
-                sizes.append(lams.size)
-                return log_mean_terms(self, lams)
+            def spy(self, lam):
+                seen.append(lam)
+                return log_mean_term(self, lam)
 
             with monkeypatch.context() as patched:
-                patched.setattr(ChannelFamily, "_log_mean_terms", spy)
+                patched.setattr(ChannelFamily, "_log_mean_term", spy)
                 fast = optimize_lambda(fam, lam_lo, lam_hi)
-            # the two pre-scan passes, then one-order probes
-            assert sizes[:2] == [3, _PRESCAN - 3], (q_choice, lam_lo, sizes)
-            assert set(sizes[2:]) <= {1}
+            # orders 0, 32 and 63, then every other order of the grid in turn
+            assert seen[:_PRESCAN] == orders, (q_choice, lam_lo)
             slow = reference_optimize_lambda(fam, lam_lo, lam_hi)
             assert repr(fast) == repr(slow), (q_choice, lam_lo, lam_hi)
 
@@ -181,7 +212,7 @@ def test_ceilings_lie_above_the_computed_floors(q_choice):
         log_m = math.log(fam.m_codewords)
         for lam_lo, lam_hi in RANGES:
             _, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
-            log_means = fam._log_mean_terms(lam_array)
+            log_means = np.array([fam._log_mean_term(lam) for lam in lams])
             floors = np.array([_eps_from_log_terms(log_m, s, lam)
                                for s, lam in zip(log_means.tolist(), lams)])
             for step in range(1, _PRESCAN_STRIDE + 1):
