@@ -16,6 +16,13 @@ unconverged are taken as they are, and the call then warns with
 QuadratureWarning.  The stops are checked only on a step where one can bind:
 at the last depth, or where more than half the cap is open in all.  Each
 integral has one fixed tolerance, stated in its docstring.
+
+numpy runs only where the arrays are wide: the (panels, 15) abscissae, the
+integrand call and the rule's matrix product, once per step.  The per-panel
+bookkeeping (estimates, tolerances, the accept or split decision, the
+accepted totals, the stops and the halves) runs on Python floats and lists,
+since a step holds 1 to a few dozen panels and a numpy call on so few costs
+more than the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -113,42 +120,73 @@ def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
     and accepts a panel when |K15 - G7| <= max(atol, rtol * |estimate|) times
     its share of its interval's width, the estimate being the interval's
     accepted total plus the K15 values of its open panels.  The rest are
-    bisected.  A step where every panel converged ends the loop with its
-    estimate as the totals.  The two stops are checked only on a step where
-    one can bind: at the depth limit, or where more than _MAX_OPEN / 2 panels
-    are open in all, since one interval holds at most all of them.  Returns
-    one total per interval, and warns with QuadratureWarning if either stop
-    took panels unconverged.
+    bisected, all left halves before all right halves.  A step where every
+    panel converged ends the loop with its estimate as the totals.  The two
+    stops are checked only on a step where one can bind: at the depth limit,
+    or where more than _MAX_OPEN / 2 panels are open in all, since one
+    interval holds at most all of them.  Returns one total per interval, and
+    warns with QuadratureWarning if either stop took panels unconverged.
+
+    numpy runs only where the arrays are wide: the abscissae, the call to f
+    and the (panels, 15) @ (15, 2) rule times the half-widths.  The per-panel
+    bookkeeping runs on Python floats, in the order of operations of the
+    array form in tests/test_gk_reference.py, so the two agree bit for bit:
+    each interval's sum starts at 0.0 and adds its panels in order, as
+    np.bincount does; the tolerance multiplies left to right; and a NaN
+    estimate gives a NaN tolerance, as np.maximum does (Python's max would
+    return atol), which no panel meets.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
-    n = a.size
-    share = 1.0 / (b - a)
-    totals = np.zeros(n)
-    lo, hi, k = a, b, np.arange(n)
+    share = (1.0 / (b - a)).tolist()
+    lo, hi = a.tolist(), b.tolist()
+    n = len(lo)
+    k = list(range(n))
+    totals = [0.0] * n
     stalled = 0
     for depth in range(_MAX_DEPTH + 1):
-        half = 0.5 * (hi - lo)
-        mid = lo + half
-        x = mid[:, None] + half[:, None] * _GK_NODES
-        kron, gauss = (f(x, k[:, None]) @ _GK_WEIGHTS).T * half
-        estimate = totals + np.bincount(k, weights=kron, minlength=n)
-        tol = np.maximum(atol, rtol * np.abs(estimate[k])) * (2.0 * half * share[k])
-        met = np.abs(kron - gauss) <= tol
-        if met.all():
-            totals = estimate
+        half = [0.5 * (h - l) for l, h in zip(lo, hi)]
+        mid = [l + d for l, d in zip(lo, half)]
+        grid = np.array((mid, half), dtype=float)
+        x = grid[0, :, None] + grid[1, :, None] * _GK_NODES
+        rule = f(x, np.array(k, dtype=np.intp)[:, None]) @ _GK_WEIGHTS
+        kron, gauss = (rule.T * grid[1]).tolist()
+        sums = [0.0] * n
+        for j, v in zip(k, kron):
+            sums[j] += v
+        # np.maximum(atol, rtol * |estimate|) per interval, NaN if either is
+        scale = [
+            atol if atol >= (r := rtol * abs(t + s)) or atol != atol else r
+            for t, s in zip(totals, sums)
+        ]
+        met = [
+            abs(kv - gv) <= scale[j] * (2.0 * d * share[j])
+            for j, kv, gv, d in zip(k, kron, gauss, half)
+        ]
+        split = [i for i, ok in enumerate(met) if not ok]
+        if not split:
+            totals = [t + s for t, s in zip(totals, sums)]
             break
-        split = np.flatnonzero(~met)
-        if 2 * split.size > _MAX_OPEN or depth == _MAX_DEPTH:
-            crowded = 2 * np.bincount(k[split], minlength=n)[k] > _MAX_OPEN
-            done = met | crowded | (depth == _MAX_DEPTH)
-            stalled += np.count_nonzero(done) - np.count_nonzero(met)
-            met, split = done, np.flatnonzero(~done)
-        totals += np.bincount(k[met], weights=kron[met], minlength=n)
-        if not split.size:
+        if 2 * len(split) > _MAX_OPEN or depth == _MAX_DEPTH:
+            count = [0] * n
+            for i in split:
+                count[k[i]] += 1
+            for i in split:
+                if depth == _MAX_DEPTH or 2 * count[k[i]] > _MAX_OPEN:
+                    met[i] = True
+                    stalled += 1
+            split = [i for i in split if not met[i]]
+        accepted = [0.0] * n
+        for j, v, ok in zip(k, kron, met):
+            if ok:
+                accepted[j] += v
+        totals = [t + s for t, s in zip(totals, accepted)]
+        if not split:
             break
-        lo, mid, hi, k = lo[split], mid[split], hi[split], k[split]
-        lo, hi, k = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((k, k))
+        left = [lo[i] for i in split]
+        cut = [mid[i] for i in split]
+        lo, hi = left + cut, cut + [hi[i] for i in split]
+        k = [k[i] for i in split] * 2
     if stalled:
         warnings.warn(
             f"adaptive Gauss-Kronrod: {stalled} panel(s) taken as they were, short of "
@@ -157,7 +195,7 @@ def _gk_panels(f, a, b, atol, rtol) -> np.ndarray:
             QuadratureWarning,
             stacklevel=3,
         )
-    return totals
+    return np.array(totals)
 
 
 def renyi_gaussian_quadrature(pair: GaussianShiftPair, order) -> float:
@@ -215,52 +253,54 @@ class HypercubeDensityFamily:
         return self.c**2 * _BUMP_SQ_INTEGRAL / self.m**4
 
     def check_tau(self, tau) -> np.ndarray:
-        # checked before the cast to int64, which would truncate 1.5 or -1.9 to a sign
+        """tau as a float array of m signs; ValueError unless each entry is -1 or +1."""
         arr = np.asarray(tau, dtype=np.float64).reshape(-1)
         if arr.shape != (self.m,) or not np.all(np.abs(arr) == 1.0):
             raise ValueError("tau must be a vector of m entries in {-1, +1}")
-        return arr.astype(np.int64)
+        return arr
 
 
-def _cell_bump(family: HypercubeDensityFamily, cells):
-    """bump(x, k) = (c / m^2) g(m x - j) at abscissae x in cell j = cells[k]."""
+def _cell_bump(family: HypercubeDensityFamily, x, cell):
+    """(c / m^2) g(m x - j) at abscissae x in cell j."""
     m = family.m
-    scale = family.c / m**2
-
-    def bump(x, k):
-        return scale * np.sin(2.0 * np.pi * (x * m - cells[k]))
-
-    return bump
+    return family.c / m**2 * np.sin(2.0 * np.pi * (x * m - cell))
 
 
 def density_sq_integral(family: HypercubeDensityFamily, tau) -> float:
-    """integral of f_tau^2 over [0, 1] by per-cell adaptive quadrature, to 1e-12 absolute."""
-    sign = family.check_tau(tau).astype(float)
-    cells = np.arange(family.m)
-    bump = _cell_bump(family, cells)
+    """integral of f_tau^2 over [0, 1] by per-cell adaptive quadrature.
+
+    Each of the m cells is integrated to 1e-12 absolute, shared out over its
+    panels, so the total's error estimate (the sum of |K15 - G7| over all
+    panels) is at most m * 1e-12 unless a QuadratureWarning is raised.
+    """
+    sign = family.check_tau(tau)
 
     def f_sq(x, k):
-        val = 1.0 + sign[k] * bump(x, k)
+        val = 1.0 + sign[k] * _cell_bump(family, x, k)
         return val * val
 
     m = family.m
+    cells = np.arange(m)
     return float(_gk_panels(f_sq, cells / m, (cells + 1) / m, 1e-12, 0.0).sum())
 
 
 def hellinger_sq_distance(family: HypercubeDensityFamily, tau_a, tau_b) -> float:
-    """integral of (sqrt(f_a) - sqrt(f_b))^2, cell by cell, to 1e-13 absolute.
+    """integral of (sqrt(f_a) - sqrt(f_b))^2, cell by cell.
 
     Cells where the sign vectors agree contribute exactly zero and are
-    skipped, which also keeps the result symmetric in its arguments.
+    skipped, which also keeps the result symmetric in its arguments.  Each
+    other cell is integrated to 1e-13 absolute, shared out over its panels,
+    so the total's error estimate (the sum of |K15 - G7| over all panels)
+    is at most (number of cells where the signs differ) * 1e-13 unless a
+    QuadratureWarning is raised.
     """
-    sa = family.check_tau(tau_a).astype(float)
-    sb = family.check_tau(tau_b).astype(float)
+    sa = family.check_tau(tau_a)
+    sb = family.check_tau(tau_b)
     cells = np.flatnonzero(sa != sb)
     sa, sb = sa[cells], sb[cells]
-    bump = _cell_bump(family, cells)
 
     def gap_sq(x, k):
-        g = bump(x, k)
+        g = _cell_bump(family, x, cells[k])
         diff = np.sqrt(1.0 + sa[k] * g) - np.sqrt(1.0 + sb[k] * g)
         return diff * diff
 

@@ -1,9 +1,10 @@
 """The Gauss-Kronrod driver against a verbatim copy of its first breadth-first form.
 
-`reference_gk_panels` runs the open-panel-cap and depth-stop bookkeeping on
-every step and adds even a fully converged step through the split path.
-`oracle._gk_panels` skips that work where no stop can bind, so every total
-and every QuadratureWarning must come out the same, bit for bit.
+`reference_gk_panels` keeps every panel's bookkeeping in numpy arrays, runs
+the open-panel-cap and depth-stop bookkeeping on every step and adds even a
+fully converged step through the split path.  `oracle._gk_panels` keeps the
+bookkeeping in Python floats and skips the stops where none can bind, so
+every total and every QuadratureWarning must come out the same, bit for bit.
 """
 
 import math
@@ -11,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conversekit import oracle
 from conversekit.divergence import GaussianShiftPair
@@ -171,3 +174,131 @@ def test_single_tolerance_kinds_match_reference(monkeypatch, atol, rtol):
         monkeypatch, lambda: oracle._gk_panels(f, a, b, atol, rtol)
     )
     assert not seen and all(math.isfinite(t) for t in np.frombuffer(value))
+
+
+def test_nan_estimate_gives_nan_tolerance(monkeypatch):
+    # interval 1 is nan on (0.9, 1], so its estimate is nan and, as under
+    # np.maximum, so is the tolerance of each of its panels, even where atol
+    # alone would accept one: all of it refines to the cap, not just the
+    # panels that meet the nan
+    def f(x, k):
+        return np.where((k == 1) & (x > 0.9), np.nan, np.cos(x))
+
+    call = lambda: oracle._gk_panels(f, [0.0, 0.0], [1.0, 1.0], 1e-12, 1e-10)
+    value, seen = assert_same_as_reference(monkeypatch, call)
+    assert _stalled((value, seen)) == _MAX_OPEN
+    total, nan = np.frombuffer(value)
+    assert total == pytest.approx(math.sin(1.0), abs=1e-12) and math.isnan(nan)
+
+
+@pytest.mark.parametrize("atol, rtol", [(0.0, 1e-10), (1e-12, 1e-10)])
+def test_infinite_estimates_match_reference(monkeypatch, atol, rtol):
+    # rtol * |inf| makes every tolerance of intervals 0 and 1 infinite; the
+    # infinite panels still fail, as inf - inf and inf * 0 weights give nan
+    def f(x, k):
+        return np.where(x > 0.7, np.where(k == 0, np.inf, -np.inf), np.cos(x))
+
+    call = lambda: oracle._gk_panels(f, [0.0, 0.0, 0.0], [1.0, 1.0, 0.5], atol, rtol)
+    value, seen = assert_same_as_reference(monkeypatch, call)
+    assert _stalled((value, seen)) > _MAX_OPEN
+    plus, minus, finite = np.frombuffer(value)
+    assert plus == math.inf and minus == -math.inf
+    assert finite == pytest.approx(math.sin(0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("atol, rtol", [(1e-12, 0.0), (0.0, 1e-12)])
+def test_widths_a_billion_apart_match_reference(monkeypatch, atol, rtol):
+    # each panel's tolerance scales with its share of its own interval, so the
+    # 1e-6 interval's panels get a share 1e9 times the 1e3 interval's
+    def f(x, k):
+        return np.exp(-0.5 * x * x) + 1.0 / (1.0 + x * x)
+
+    call = lambda: oracle._gk_panels(f, [0.0, -500.0], [1e-6, 500.0], atol, rtol)
+    value, seen = assert_same_as_reference(monkeypatch, call)
+    assert not seen
+    narrow, wide = np.frombuffer(value)
+    assert narrow == pytest.approx(2e-6, rel=1e-12)
+    assert wide == pytest.approx(math.sqrt(2.0 * math.pi) + 2.0 * math.atan(500.0), rel=1e-11)
+
+
+def _panels_per_step(monkeypatch, call):
+    """How many panels each step of call()'s one quadrature evaluates."""
+    steps = []
+    driver = oracle._gk_panels
+
+    def counting(f, a, b, atol, rtol):
+        def f_counted(x, k):
+            steps.append(len(x))
+            return f(x, k)
+
+        return driver(f_counted, a, b, atol, rtol)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "_gk_panels", counting)
+        call()
+    return steps
+
+
+def test_many_cells_over_several_levels_match_reference(monkeypatch):
+    # m = 64 cells, each one interval, refined over three steps or more
+    fam = HypercubeDensityFamily(m=64, c=2000.0)
+    rng = np.random.default_rng(3)
+    tau_a = rng.choice([-1, 1], size=64)
+    tau_b = -tau_a
+    tau_b[::3] *= -1
+    square = lambda: density_sq_integral(fam, tau_a)
+    value, seen = assert_same_as_reference(monkeypatch, square)
+    assert not seen
+    assert np.frombuffer(value)[0] == pytest.approx(1.0 + fam.sq_integral_excess, abs=64e-12)
+    steps = _panels_per_step(monkeypatch, square)
+    assert steps[0] == 64 and len(steps) >= 3
+    gap = lambda: hellinger_sq_distance(fam, tau_a, tau_b)
+    value, seen = assert_same_as_reference(monkeypatch, gap)
+    assert not seen and np.frombuffer(value)[0] > 0.0
+    steps = _panels_per_step(monkeypatch, gap)
+    assert steps[0] == 42 and len(steps) >= 3
+
+
+# Integrands drawn by the property below: smooth, peaked, oscillating,
+# discontinuous, singular in the derivative, and nan on part of the range.
+_MENU = {
+    "polynomial": lambda x, k: (1.0 + k) * x**3 - 2.0 * x + 0.5,
+    "gaussian bump": lambda x, k: np.exp(-4.0 * (x - 0.5 * k) ** 2),
+    "fast sine": lambda x, k: np.sin(40.0 * x),
+    "step": lambda x, k: (x > 0.1 * k).astype(float),
+    "sqrt near 0": lambda x, k: np.sqrt(np.abs(x)),
+    "nan on part": lambda x, k: np.where(x > 0.5, np.nan, np.cos(x)),
+}
+# log-uniform on [1e-6, 1e3]
+_WIDTHS = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
+_TOLERANCES = st.one_of(
+    st.tuples(st.floats(1e-14, 1e-6), st.just(0.0)),
+    st.tuples(st.just(0.0), st.floats(1e-13, 1e-6)),
+    st.tuples(st.floats(1e-14, 1e-6), st.floats(1e-13, 1e-6)),
+)
+
+
+# monkeypatch is only used through monkeypatch.context(), which undoes its
+# patch before the next example
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(sorted(_MENU)),
+    st.lists(
+        st.tuples(st.floats(-2.0, 2.0), _WIDTHS),
+        min_size=1,
+        max_size=4,
+    ),
+    _TOLERANCES,
+)
+def test_drawn_integrals_match_reference(monkeypatch, name, intervals, tolerances):
+    a = [lo for lo, _ in intervals]
+    b = [lo + width for lo, width in intervals]
+    atol, rtol = tolerances
+    assert_same_as_reference(
+        monkeypatch, lambda: oracle._gk_panels(_MENU[name], a, b, atol, rtol)
+    )
