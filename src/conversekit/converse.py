@@ -13,13 +13,14 @@ footing.
 
 On first use a ChannelFamily builds its conditionals once in the compact
 layout the kernel reads (`divergence._PmfRows`): only their p > 0 cells,
-row by row, from one stack of the conditionals and one p > 0 mask.  For
-the order-free references (uniform and the mixture) it also keeps the
-reference and the log ratio r = log p_i - log Q on those cells, which is
-finite there, and nothing else per cell.  Every quantity is evaluated at
-one order lam at a time: the terms lam D_i come from the one log-space
-kernel `divergence._renyi_log_sums`, and a search over orders calls it
-once per order.  For q*, which moves with the order, each order forms its
+row by row, taken from each conditional's own p > 0 mask, so the build
+holds no (M, K) array of floats at any point.  For the order-free
+references (uniform and the mixture) it also keeps the reference and the
+log ratio r = log p_i - log Q on those cells, which is finite there, and
+nothing else per cell.  Every quantity is evaluated at one order lam at a
+time: the terms lam D_i come from the one log-space kernel
+`divergence._renyi_log_sums`, and a search over orders calls it once per
+order.  For q*, which moves with the order, each order forms its
 own r = log p - log q*[cols] from q* at that order, so a q* family alone
 keeps log p and each cell's column in the joint support.  q* itself
 (`reference_pmf`) and its normalizer C come from one formula for its
@@ -27,7 +28,7 @@ weights, `_log_qstar_weights`.  For it a q* family also keeps each
 column's top log p, shape (K,), and log p shifted by that top on the
 cells, so each column's top cell enters exp as 0 and no weight overflows
 to NaN at any finite order; the weights sum each column's cells with
-np.bincount, and no family keeps an (M, K) array.  For q* no divergence
+np.add.at, and no family keeps an (M, K) array.  For q* no divergence
 is needed for S itself: with C the normalizer of q*, S = C^(1+lam)
 (Sibson's alpha-mutual information; Sibson 1969, Verdu 2015), which
 `optimize_lambda` and `variational_bound` use.  `strong_converse_bound`
@@ -148,47 +149,56 @@ class ChannelFamily:
     def _arrays(self) -> _FamilyArrays:
         """The arrays of a discrete family, built on first use and kept.
 
-        Every reference is built from one stack of the conditionals and one
-        p > 0 mask over it.  The rows keep only the p > 0 cells
-        (`divergence._PmfRows`), which are all a Renyi sum needs, restricted
-        to the joint support, the outcomes some conditional puts mass on.
-        For an order-free reference also keep r = log p_i - log Q on those
-        cells, so no call repeats that subtraction, and no log p or columns.
-        The mixture is positive on the joint support unless it rounds to 0
-        where every conditional has only subnormal mass; that raises
-        ValueError.  q* is rebuilt per order; for it keep instead log p and
-        the columns of the cells, each column's top log p and log p shifted
-        by it (see `_log_qstar_weights`).
+        Everything comes from each conditional's own p > 0 mask and cells,
+        row by row; past those masks, one bool per outcome, no array of the
+        build holds a value per (codeword, outcome) pair.  The rows keep only
+        the p > 0 cells (`divergence._PmfRows`), which are all a Renyi sum
+        needs.  The joint support is the outcomes some conditional puts mass
+        on.  For an order-free reference also keep r = log p_i - log Q on
+        those cells, with log Q taken on the joint support only, so no call
+        repeats that subtraction, and no log p or columns.  The mixture is
+        positive on the joint support unless it rounds to 0 where every
+        conditional has only subnormal mass; that raises ValueError.  q* is
+        rebuilt per order; for it keep instead log p and the columns of the
+        cells in the joint support, each column's top log p and log p
+        shifted by it (see `_log_qstar_weights`).
         """
-        mat = np.stack([c.probs for c in self.conditionals])
+        conds = self.conditionals
+        live = [c.probs > 0.0 for c in conds]
+        joint = live[0].copy()
+        for row in live[1:]:
+            joint |= row
+        rows = _pmf_rows([c.probs[row] for c, row in zip(conds, live)],
+                         np.array([c._mass_defect for c in conds]))
+        if self.q_choice == "qstar":
+            # only q*'s per-order r = log p - log q*[cols] reads the cells;
+            # their columns index the joint support
+            index = np.arange(joint.size) if joint.all() else joint.cumsum() - 1
+            cols = np.concatenate([index[row] for row in live])
+            log_probs = np.log(rows.probs)
+            colmax = np.full(np.count_nonzero(joint), -np.inf)
+            np.maximum.at(colmax, cols, log_probs)
+            shifted = colmax[cols]
+            np.subtract(log_probs, shifted, out=shifted)
+            rows = rows._replace(log_probs=log_probs, cols=cols)
+            for arr in (log_probs, cols, colmax, shifted):
+                arr.setflags(write=False)
+            r_bound = max(-float(shifted.min()), 2.0 * math.log(len(conds)) + 1.0)
+            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, r_bound=r_bound)
         # an order-free reference lives on the full alphabet
         if self.q_choice == "uniform":
-            ref = DiscretePmf(np.full(mat.shape[1], 1.0 / mat.shape[1]))
-        elif self.q_choice == "mixture":
-            ref = DiscretePmf(mat.mean(axis=0))  # the bits of `mixture_pmf`
-        live = mat > 0.0
-        joint = live.any(axis=0)
-        if not joint.all():
-            mat, live = mat[:, joint], live[:, joint]
-        rows = _pmf_rows(mat, np.array([c._mass_defect for c in self.conditionals]), live)
-        if self.q_choice == "qstar":
-            # only q*'s per-order r = log p - log q*[cols] reads the cells
-            cols = np.broadcast_to(np.arange(live.shape[1]), live.shape)[live]
-            log_mat = np.log(mat, out=np.full(mat.shape, -np.inf), where=live)
-            colmax = log_mat.max(axis=0)
-            # log p of the live cells, row by row
-            rows = rows._replace(log_probs=log_mat[live], cols=cols)
-            shifted = rows.log_probs - colmax[cols]
-            for arr in (rows.log_probs, rows.cols, colmax, shifted):
-                arr.setflags(write=False)
-            r_bound = max(-float(shifted.min()), 2.0 * math.log(len(mat)) + 1.0)
-            return _FamilyArrays(rows, joint, colmax=colmax, shifted=shifted, r_bound=r_bound)
+            ref = DiscretePmf(np.full(joint.size, 1.0 / joint.size))
+        else:
+            ref = mixture_pmf(conds)
         q = ref.probs[joint]
         if not q.all():
             raise ValueError("mixture rounds to 0 on the support; use 'uniform' or 'qstar'")
-        # log Q at each p > 0 cell, gathered row by row through the mask
-        log_ratio = np.broadcast_to(np.log(q), mat.shape)[live]
-        np.subtract(np.log(rows.probs), log_ratio, out=log_ratio)
+        # log Q on the joint support only; no live cell reads the rest
+        log_q = np.zeros(joint.size)
+        log_q[joint] = np.log(q)
+        log_ratio = np.log(rows.probs)
+        for segment, row in zip(np.split(log_ratio, rows.starts[1:]), live):
+            segment -= log_q[row]  # a view: r = log p - log Q in place, row by row
         log_ratio.setflags(write=False)
         r_bound = max(float(log_ratio.max()), -float(log_ratio.min()))  # max |r|, no temporary
         return _FamilyArrays(rows, joint, ref, log_ratio, r_bound=r_bound)
@@ -528,9 +538,10 @@ def _log_qstar_weights(arrays: _FamilyArrays, power: float) -> np.ndarray:
 
         log w = colmax + (log sum_i exp(power shifted) - log M) / power,
 
-    each column summed over its live cells by np.bincount, which adds them
+    each column summed over its live cells by np.add.at, which adds them
     in row order from 0, as a sum over the rows of a dense (M, K) array
-    would.  Each column's top cell enters exp as exactly 0, so the sum lies
+    would (np.bincount adds them the same way, but copies the read-only
+    columns on every call).  Each column's top cell enters exp as exactly 0, so the sum lies
     in [1, M] and no weight is NaN at any finite order; a product that
     overflows to -inf (orders near 1e300) drops out as the 0 it rounds to.
     p = 0 cells are not stored, so exp never meets -inf, on which numpy's
@@ -556,7 +567,9 @@ def _log_qstar_weights(arrays: _FamilyArrays, power: float) -> np.ndarray:
             terms = power * arrays.shifted
         np.maximum(terms, -700.0, out=terms)
     np.exp(terms, out=terms)
-    log_sum = np.log(np.bincount(arrays.rows.cols, weights=terms, minlength=arrays.colmax.size))
+    log_sum = np.zeros(arrays.colmax.size)
+    np.add.at(log_sum, arrays.rows.cols, terms)
+    np.log(log_sum, out=log_sum)
     return arrays.colmax + (log_sum - math.log(arrays.rows.starts.size)) / power
 
 

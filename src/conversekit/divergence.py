@@ -8,9 +8,10 @@ passed around explicitly rather than the order itself.
 Every Renyi-type sum on a finite alphabet goes through one private kernel,
 `_renyi_log_sums`.  It takes pmfs as rows of one compact array
 (`_PmfRows`): only their p > 0 cells, concatenated row by row, with each
-row's start offset and each cell's column.  With the order-free log ratio
-r = log p - log q of each cell to the reference, it returns
-lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
+row's start offset and each cell's column.  `_pmf_rows` builds it from
+each row's own p > 0 cells, so no (M, K) array is ever formed.  With the
+order-free log ratio r = log p - log q of each cell to the reference, it
+returns lam * D_(1+lam)(p_i || q) = log sum_y p_i(y)^(1+lam) q(y)^(-lam)
 for every row at one order:
 
 - Cells with p = 0 add nothing to a Renyi sum, so the kernel never visits
@@ -178,6 +179,8 @@ class _PmfRows(NamedTuple):
     The cells of every row are concatenated row by row, each row's in
     column order; row i is the segment from starts[i] up to the next row's
     start (or the end).  A pmf has mass somewhere, so no segment is empty.
+    Every array here holds one value per cell or per row, none one per
+    (row, outcome) pair.
     """
 
     probs: np.ndarray  # (N,) the p > 0 cells of every row
@@ -193,16 +196,14 @@ class _PmfRows(NamedTuple):
     defect: np.ndarray  # (M,)
 
 
-def _pmf_rows(mat: np.ndarray, defect: np.ndarray, live: np.ndarray | None = None) -> _PmfRows:
-    """The p > 0 cells of the rows of mat, shape (M, K), as read-only _PmfRows.
+def _pmf_rows(cells: list, defect: np.ndarray) -> _PmfRows:
+    """Rows of pmfs as read-only _PmfRows, from each row's p > 0 cells.
 
-    live is the mask mat > 0, where the caller has it already.  log_probs
-    and cols are None.
+    cells holds one 1-D array per row: that row's p > 0 cells in column
+    order.  log_probs and cols are None.
     """
-    if live is None:
-        live = mat > 0.0
-    probs = mat[live]  # row by row, each row in column order
-    counts = live.sum(axis=1)
+    counts = np.array([row.size for row in cells])
+    probs = np.concatenate(cells)  # row by row
     starts = counts.cumsum() - counts
     for arr in (probs, starts, defect):
         arr.setflags(write=False)
@@ -274,8 +275,7 @@ def renyi_discrete(p: DiscretePmf, q: DiscretePmf, order) -> float:
     """
     lam = _lam(order)
     ps, qs = _on_support(p, q)
-    # one row, starts = [0]
-    rows = _pmf_rows(ps[None], np.array([p._mass_defect]))
+    rows = _pmf_rows([ps], np.array([p._mass_defect]))  # one row, starts = [0]
     log_ratio = np.log(rows.probs) - np.log(qs)
     log_sum = _renyi_log_sums(rows, log_ratio, lam, float(np.abs(log_ratio).max()))
     return float(log_sum[0]) / lam
@@ -362,5 +362,23 @@ def iid_product_pmf(p: DiscretePmf, n_factors: int) -> DiscretePmf:
 
 
 def mixture_pmf(pmfs) -> DiscretePmf:
-    """Uniform mixture of pmfs on a shared alphabet."""
-    return DiscretePmf(np.stack([pm.probs for pm in pmfs]).mean(axis=0))
+    """Uniform mixture of pmfs on a shared alphabet: their sum divided by M.
+
+    The sum adds the pmfs one by one to 0.0, which is how numpy sums the rows
+    of their (M, K) stack in its mean over axis 0, so the mixture has that
+    mean's bits without the stack.  On a one-outcome alphabet numpy sums the
+    stack as one column, pairwise; so does this, over the M masses.
+    """
+    pmfs = list(pmfs)
+    if not pmfs:
+        raise ValueError("mixture needs at least one pmf")
+    size = pmfs[0].support_size
+    if any(pm.support_size != size for pm in pmfs):
+        raise ValueError("pmfs must share one alphabet")
+    if size == 1:
+        total = np.concatenate([pm.probs for pm in pmfs]).sum(keepdims=True)
+    else:
+        total = np.zeros(size)
+        for pm in pmfs:
+            total += pm.probs
+    return DiscretePmf(total / len(pmfs))

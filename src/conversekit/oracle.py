@@ -54,7 +54,8 @@ class CapabilityError(ValueError):
     """Instance is too large for exact enumeration."""
 
 
-def _conditional_matrix(conditionals) -> np.ndarray:
+def _conditional_probs(conditionals) -> list:
+    """The probs of each conditional, once they share an alphabet within the cap."""
     pmfs = list(conditionals)
     if not pmfs:
         raise ValueError("need at least one conditional")
@@ -65,17 +66,22 @@ def _conditional_matrix(conditionals) -> np.ndarray:
         raise CapabilityError(
             f"alphabet of size {size} exceeds enumeration cap {MAX_ORACLE_OUTCOMES}"
         )
-    return np.stack([pm.probs for pm in pmfs])
+    return [pm.probs for pm in pmfs]
 
 
 def exact_bayes_error(conditionals) -> float:
     """Minimum average error probability of any decoder, uniform prior.
 
-    Enumerates the alphabet: 1 - sum_y max_i p_i(y) / M.
+    Enumerates the alphabet: 1 - sum_y max_i p_i(y) / M.  Each outcome's
+    max is a running np.maximum over the conditionals, one array of the
+    alphabet's size, with no (M, K) stack; a max rounds nothing, so it has
+    the stack's bits.
     """
-    mat = _conditional_matrix(conditionals)
-    m_codewords = mat.shape[0]
-    return float(1.0 - mat.max(axis=0).sum() / m_codewords)
+    probs = _conditional_probs(conditionals)
+    top = probs[0].copy()
+    for row in probs[1:]:
+        np.maximum(top, row, out=top)
+    return float(1.0 - top.sum() / len(probs))
 
 
 # === Quadrature ===

@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from conversekit.divergence import DiscretePmf
 
@@ -37,6 +38,33 @@ def random_pmf(rng, size: int, with_zeros: bool = False) -> DiscretePmf:
     if raw.sum() == 0.0:
         raw[0] = 1.0
     return DiscretePmf(raw / raw.sum())
+
+
+# The masses a drawn pmf is normalized from: zeros of either sign, the
+# subnormal 5e-324, 1e-300, 1e-12, or any float in [1e-3, 1].
+_MASSES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12]) | st.floats(1e-3, 1.0)
+
+
+@st.composite
+def small_families(draw, max_m: int, max_k: int):
+    """M <= max_m DiscretePmf on one alphabet of K <= max_k outcomes, as a tuple.
+
+    A one-outcome pmf is 1 + d with |d| < 9e-13, within the sum tolerance;
+    a longer one is masses from _MASSES (not all zero) over their sum.
+    """
+    m = draw(st.integers(1, max_m))
+    k = draw(st.integers(1, max_k))
+    conds = []
+    for _ in range(m):
+        if k == 1:
+            w = np.array([1.0 + draw(st.floats(-9e-13, 9e-13))])
+        else:
+            w = np.array(draw(st.lists(_MASSES, min_size=k, max_size=k)))
+            if not w.any():
+                w[draw(st.integers(0, k - 1))] = 1.0
+            w = w / w.sum()
+        conds.append(DiscretePmf(w))
+    return tuple(conds)
 
 
 def decimal_log_renyi_sum(p, q, lam, digits: int = 50) -> float:

@@ -2,10 +2,11 @@
 
 `reference_arrays` stacks the conditionals, finds their p > 0 cells with
 `reference_pmf_rows` (log p and each cell's column included) and builds the
-mixture with `mixture_pmf`, a second stack.  `ChannelFamily._arrays` builds
-every reference from one stack and one p > 0 mask, and gives the order-free
-references no log p or columns, so every array it keeps must come out the
-same, bit for bit.
+mixture with `mixture_pmf`.  `ChannelFamily._arrays` builds every reference
+from each conditional's own p > 0 cells, with no (M, K) array, and gives
+the order-free references no log p or columns, so every array it keeps
+must come out the same, bit for bit.  `mixture_pmf` itself no longer
+stacks; tests/test_divergence.py checks it against the stacked mean.
 """
 
 import math

@@ -2,9 +2,12 @@
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from conversekit import converse, divergence
 from conversekit.cli import canonical_json
@@ -22,7 +25,7 @@ from conversekit.converse import (
 from conversekit.divergence import DiscretePmf, GaussianShiftPair, iid_product_pmf
 from conversekit.oracle import exact_bayes_error
 from conversekit.suites import random_discrete_family
-from conftest import log_or_neg_inf, pmf
+from conftest import log_or_neg_inf, pmf, small_families
 
 
 # --- family plumbing ---
@@ -133,6 +136,30 @@ def test_single_codeword_flag():
     rep = strong_converse_bound(fam, 1.0)
     assert rep.params["degenerate_single_codeword"] is True
     assert rep.eps_lower == 0.0
+
+
+def rational_bayes_error(conds) -> Fraction:
+    """1 - sum_y max_i p_i(y) / M, exactly, for the pmfs as stored."""
+    columns = zip(*(c.probs.tolist() for c in conds))
+    return 1 - sum(max(map(Fraction, col)) for col in columns) / len(conds)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_families(max_m=4, max_k=5), st.sampled_from(converse.Q_CHOICES),
+       st.floats(-6.0, 12.0).map(lambda e: 10.0**e))
+def test_floor_never_exceeds_the_rational_bayes_error(conds, q_choice, lam):
+    # zero slack: no float oracle and no tolerance; orders up to 1e12, as the
+    # 3.5e-14 past it at lam = 1e300 is a known rounding excess
+    try:
+        rep = strong_converse_bound(ChannelFamily(conds, q_choice), lam)
+    except ValueError as err:
+        if "mixture rounds to 0" not in str(err):
+            raise
+        reject()
+    # a floor of 0 claims nothing; it is exempt because a stored pmf may sum
+    # past 1 (within the sum tolerance), and then one codeword's exact Bayes
+    # error, 1 - sum_y p(y), lies below 0
+    assert rep.eps_lower == 0.0 or Fraction(rep.eps_lower) <= rational_bayes_error(conds)
 
 
 # --- lambda optimization ---

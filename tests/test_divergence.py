@@ -23,7 +23,10 @@ from conversekit.divergence import (
     renyi_gaussian_shift,
     renyi_product_iid,
 )
-from conftest import decimal_log_renyi_sum, pmf, random_pmf
+from conversekit.suites import random_discrete_family
+from conftest import decimal_log_renyi_sum, pmf, random_pmf, small_families
+from test_converse import SUBNORMAL_MIXTURE_FAMILY
+from test_kernel import EXTREME_PAIRS, _sparse_wide_conditionals, _wide_conditionals
 
 
 # --- pmf plumbing ---
@@ -165,6 +168,52 @@ def test_product_pmf_shapes():
     assert np.array_equal(cube.probs, outer)  # row-major outcome order
     mix = mixture_pmf([pmf(1.0, 0.0), pmf(0.0, 1.0)])
     assert np.allclose(mix.probs, [0.5, 0.5])
+
+
+# --- the mixture without a stack ---
+
+
+def stacked_mixture(pmfs) -> np.ndarray:
+    """The mixture's probabilities from the (M, K) stack of the pmfs, as they once were."""
+    return np.stack([pm.probs for pm in pmfs]).mean(axis=0)
+
+
+def assert_mixture_keeps_the_stacked_bits(pmfs):
+    got, want = mixture_pmf(pmfs).probs, stacked_mixture(pmfs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_families(max_m=12, max_k=5))
+def test_mixture_keeps_the_stacked_bits(conds):
+    # zeros of both signs, subnormals, and one-outcome families of up to 12
+    # pmfs, whose stack numpy sums pairwise rather than row by row
+    assert_mixture_keeps_the_stacked_bits(conds)
+
+
+def test_mixture_of_the_build_reference_families_keeps_the_stacked_bits():
+    # tests/test_build_reference.py's reference build takes its mixture from
+    # mixture_pmf, so these are checked against the stack here
+    rng = np.random.default_rng(30)
+    families = [random_discrete_family(rng).conditionals for _ in range(60)]
+    families += [_wide_conditionals(), _sparse_wide_conditionals(), SUBNORMAL_MIXTURE_FAMILY]
+    families += [
+        (pmf(0.5, 0.0, 0.5, 0.0), pmf(0.2, 0.0, 0.3, 0.5)),
+        (pmf(3e-300, 0.5, 0.5), pmf(1e-300, 0.9, 0.1)),
+        *[(pmf(*p), pmf(*q)) for p, q in EXTREME_PAIRS],
+        # one outcome, 12 pmfs: a row-by-row sum differs from numpy's here
+        tuple(pmf(1.0 + d) for d in (3.2e-13, 6.7e-13, -4.9e-13, 7.1e-13, 6.7e-13, -8.7e-13,
+                                     3.7e-13, -9e-13, 1e-14, -1.1e-13, -5.3e-13, -3.2e-13)),
+    ]
+    for conds in families:
+        assert_mixture_keeps_the_stacked_bits(conds)
+
+
+def test_mixture_needs_pmfs_on_one_alphabet():
+    with pytest.raises(ValueError, match="at least one pmf"):
+        mixture_pmf([])
+    with pytest.raises(ValueError, match="share one alphabet"):
+        mixture_pmf([pmf(0.5, 0.5), pmf(1.0)])
 
 
 # --- closed forms ---

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conversekit import converse, divergence, suites
+from conversekit import converse, divergence, oracle, suites
 from conversekit.converse import (
     ChannelFamily,
     optimize_lambda,
@@ -48,7 +48,7 @@ def _rows_and_log_ratio(rows, q):
     """The kernel's rows of rows, and r = log p - log q on their p > 0 cells."""
     probs = np.array(rows)
     defect = np.array([pmf(*row)._mass_defect for row in rows])
-    kernel_rows = divergence._pmf_rows(probs, defect)
+    kernel_rows = divergence._pmf_rows([row[row > 0.0] for row in probs], defect)
     q = np.asarray(q, dtype=np.float64)
     log_q = np.log(np.where(q > 0.0, q, 1.0))[np.nonzero(probs > 0.0)[1]]
     return kernel_rows, np.log(kernel_rows.probs) - log_q
@@ -231,10 +231,11 @@ def test_import_loads_no_thread_pool():
 def test_optimize_lambda_peak_memory_stays_below_4_mib():
     # M = 16, K = 4^6 families, fully live and half live: 64 orders in one
     # array would be 32 MB.  Each order's temporaries hold one value per
-    # cell, so building the family sets the peak, not the search: 3.60 MiB
-    # for the fully live q* family, whose build holds dense (M, K) log p and
-    # the cells' log p, columns and shifted log p at once.  With the family
-    # built first, the search alone peaks at 1.04 MiB (tracemalloc).
+    # cell: 3.04 MiB for the fully live q* family, the 2.04 MiB its build
+    # keeps (the cells' p, log p, columns and shifted log p) plus 1.00 MiB
+    # for its last order's log p - log q*[cols].  Its build alone peaks at
+    # 2.13 MiB, and with the family built first the search alone peaks at
+    # 1.00 MiB (tracemalloc).
     for conds in (_wide_conditionals(), _sparse_wide_conditionals()):
         for q_choice in ("uniform", "mixture", "qstar"):
             fam = ChannelFamily(conds, q_choice)
@@ -245,6 +246,51 @@ def test_optimize_lambda_peak_memory_stays_below_4_mib():
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20, f"{q_choice}: peak {peak / 2**20:.2f} MiB"
+
+
+def _kept_bytes(arrays) -> int:
+    """Bytes of the arrays a built family keeps."""
+    kept = [*arrays.rows, arrays.joint, arrays.log_ratio, arrays.colmax, arrays.shifted]
+    if arrays.ref is not None:
+        kept.append(arrays.ref.probs)
+    return sum(arr.nbytes for arr in kept if arr is not None)
+
+
+@pytest.mark.parametrize("make", [_wide_conditionals, _sparse_wide_conditionals])
+@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
+def test_family_build_peaks_below_what_it_keeps_plus_one_cell_array(make, q_choice):
+    # No (M, K) float array: the build's peak is at most the bytes the family
+    # keeps plus one float per cell.  Measured (tracemalloc), the peak lies
+    # 103 kB (q*) and 170 kB (uniform, mixture) above what is kept: the p > 0
+    # masks of the rows, 64 kB here, and a few arrays of K floats.  That
+    # leaves 85 kB to 422 kB of headroom under the bound, less than an
+    # (M, K) stack of 512 kB in every case.
+    conds = make()
+    for c in conds:
+        c._mass_defect  # each pmf keeps its own, whoever asks first
+    fam = ChannelFamily(conds, q_choice)
+    tracemalloc.start()
+    try:
+        arrays = fam._arrays
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = _kept_bytes(arrays) + arrays.rows.probs.nbytes
+    assert peak <= bound, f"{q_choice}: peak {peak} B over {bound} B"
+
+
+@pytest.mark.parametrize("make", [_wide_conditionals, _sparse_wide_conditionals])
+def test_bayes_error_peaks_at_a_few_alphabet_sized_arrays(make):
+    # one running column max of K floats, 32 kB here, and no (M, K) stack:
+    # measured at 1.04 times K floats (tracemalloc)
+    conds = make()
+    tracemalloc.start()
+    try:
+        oracle.exact_bayes_error(conds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * conds[0].support_size
 
 
 def test_only_qstar_families_keep_the_cell_columns():

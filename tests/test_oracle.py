@@ -21,7 +21,9 @@ from conversekit.oracle import (
     renyi_gaussian_quadrature,
 )
 from conversekit.divergence import renyi_gaussian_shift
+from conversekit.suites import random_discrete_family
 from conftest import pmf, random_pmf
+from test_kernel import EXTREME_PAIRS, _sparse_wide_conditionals, _wide_conditionals
 
 
 def bsc_conditionals(crossover: float, n: int = 1):
@@ -66,6 +68,51 @@ def test_bayes_error_outcome_cap():
     big = DiscretePmf(np.full(MAX_ORACLE_OUTCOMES + 1, 1.0 / (MAX_ORACLE_OUTCOMES + 1)))
     with pytest.raises(CapabilityError):
         exact_bayes_error([big, big])
+
+
+def stacked_bayes_error(conds) -> float:
+    """The Bayes error from the (M, K) stack of the conditionals, as the oracle once took it."""
+    mat = np.stack([c.probs for c in conds])
+    return float(1.0 - mat.max(axis=0).sum() / mat.shape[0])
+
+
+def _bayes_bit_families():
+    rng = np.random.default_rng(33)
+    families = [random_discrete_family(rng).conditionals for _ in range(60)]
+    families += [_wide_conditionals(), _sparse_wide_conditionals()]
+    families += [(pmf(*p), pmf(*q)) for p, q in EXTREME_PAIRS]
+    families += [
+        (pmf(0.2, 0.0, 0.8),),  # M = 1
+        (pmf(1.0),),  # M = 1, K = 1
+        tuple(pmf(1.0 + d) for d in (-9e-13, 3e-13, 7e-13, -1e-13)),  # K = 1
+    ]
+    return families
+
+
+def test_running_max_bayes_error_keeps_the_stacked_bits():
+    # the column max is exact in any order, and the (K,) sum is the same call
+    for conds in _bayes_bit_families():
+        assert exact_bayes_error(conds).hex() == stacked_bayes_error(conds).hex()
+
+
+class _ProbsUnread:
+    """A conditional of a given alphabet size whose probabilities must not be read."""
+
+    def __init__(self, size):
+        self.support_size = size
+
+    @property
+    def probs(self):
+        raise AssertionError("probs read before the argument checks")
+
+
+def test_bayes_error_checks_its_arguments_before_any_array_work():
+    with pytest.raises(ValueError, match="at least one conditional"):
+        exact_bayes_error([])
+    with pytest.raises(ValueError, match="share one alphabet"):
+        exact_bayes_error([_ProbsUnread(3), _ProbsUnread(4)])
+    with pytest.raises(CapabilityError):
+        exact_bayes_error([_ProbsUnread(MAX_ORACLE_OUTCOMES + 1)] * 2)
 
 
 # --- decoders ---
