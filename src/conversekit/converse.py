@@ -46,12 +46,23 @@ two passes: every `_PRESCAN_STRIDE`-th order and the last (orders 0, 32
 and 63 of 64), then only the orders that a ceiling does not rule out.
 log S / lam never falls as lam grows, so the floor at an order lam' is
 at most a ceiling computed from the first-pass order lam below it
-(`_floor_ceilings`); an order whose ceiling lies below the best first-pass
-floor by more than a rounding margin cannot be the pre-scan maximum, and
-skipping it keeps every bit of the result.  The ceiling multiplies the
-rounding of log S at lam by up to lam' / lam, so the margin carries that
-ratio too and covers it on every range.  Golden section, the edge probe
-and the lambda_at_boundary flag share one resolution, `_RESOLUTION`.
+(`_floor_ceilings`).  log S is also convex in lam for every reference:
+for a fixed Q it is a log-sum-exp of lines in lam, and for q* it is
+alpha LSE_y(psi_y(alpha) / alpha) with alpha = 1 + lam and
+psi_y(alpha) = log mean_i p_i(y)^alpha convex, the perspective of the
+nondecreasing convex LSE composed with convex functions (Boyd and
+Vandenberghe 2004, sec. 3.2).  So when the best first-pass order is an
+end of the grid, the edge probe one edge_tol inward of it is taken right
+away, and the secant through the end and the probe, extended, lies below
+log S at every other order (`_secant_ceilings`).  An order where either
+ceiling lies below the best first-pass floor by more than a rounding
+margin cannot be the pre-scan maximum, and skipping it keeps every bit of
+the result.  The chord ceiling multiplies the rounding of log S at lam by
+up to lam' / lam, so the margin carries that ratio too and covers it on
+every range; the secant's own rounding comes off the secant before it
+becomes a ceiling.
+Golden section, the edge probe and the lambda_at_boundary flag share one
+resolution, `_RESOLUTION`.
 """
 
 from __future__ import annotations
@@ -102,6 +113,13 @@ _PRESCAN = 64
 _RESOLUTION = math.sqrt(np.finfo(float).eps)
 # The pre-scan's first pass evaluates every _PRESCAN_STRIDE-th order and the last.
 _PRESCAN_STRIDE = 32
+# A computed log S lies within _LOG_S_ROUNDING (1 + lam + |log S|) of a
+# convex function of lam.  Its final log carries a few ulps absolute and its
+# top term a few ulps relative; for q*, (1+lam) multiplies the absolute
+# rounding of log C.  2^-40 is about 4000 ulps: on the families of
+# test_log_s_is_convex_in_lam_up_to_its_rounding, no chord slope fell by
+# more than 2e-4 of what it allows.
+_LOG_S_ROUNDING = 2.0**-40
 
 
 class _FamilyArrays(NamedTuple):
@@ -241,13 +259,15 @@ class ChannelFamily:
     def _log_mean_term(self, lam: float) -> float:
         """log S = log mean_i exp(lam D_i) at one order lam.
 
-        For q* this is (1+lam) log C from the normalizer alone
-        (`_log_qstar`).  Each w(y) is a power mean of the p_i(y), so at least
-        their mean, and C >= 1: the product overflows only to +inf, which is
-        lam D as a float (a vacuous floor).
+        For q* this is (1+lam) log C from the normalizer alone, the
+        log-sum-exp of `_log_qstar_weights`, which no other step reads.  Each
+        w(y) is a power mean of the p_i(y), so at least their mean, and
+        C >= 1: the product overflows only to +inf, which is lam D as a float
+        (a vacuous floor).
         """
         if self.q_choice == "qstar":
-            return (1.0 + lam) * _log_qstar(self._arrays, lam)[1]
+            power = 1.0 + lam
+            return power * _logsumexp(_log_qstar_weights(self._arrays, power))
         return _log_mean_exp(self._scaled_divergences(lam))
 
 
@@ -398,15 +418,45 @@ def _floor_ceilings(log_m: float, log_means: np.ndarray, lams_below: np.ndarray,
 
     log S / lam never falls as lam grows: D_(1+lam) does not (van Erven and
     Harremoes 2014), nor does Sibson's alpha-mutual information, which is
-    log S / lam for q* (Verdu 2015).  So log S / (1+lam) at lams is at least
-    lams / (1+lams) times log S / lam at lams_below, and the floor, which
-    falls as log S grows, at most what that gives.  Elementwise; these
-    values only decide which orders to evaluate, and a ceiling whose log S
-    passes the float range is -inf.
+    log S / lam for q* (Verdu 2015).  That is the chord of the convex
+    log S through the origin, extended.  So log S / (1+lam) at lams is at
+    least lams / (1+lams) times log S / lam at lams_below, and the floor,
+    which falls as log S grows, at most what that gives.  With lams_below
+    = lams this turns any lower bound log_means on log S at lams into a
+    ceiling, as `_secant_ceilings` does.  Elementwise; these values only
+    decide which orders to evaluate, and a ceiling whose log S passes the
+    float range is -inf.
     """
     with np.errstate(over="ignore"):
         slopes = log_means / lams_below
         return 1.0 - np.exp(np.log1p(lams) + lams / (1.0 + lams) * (slopes - np.log(lams) - log_m))
+
+
+def _secant_ceilings(log_m: float, lam_e: float, log_e: float, lam_p: float, log_p: float,
+                     lams: np.ndarray) -> np.ndarray:
+    """Upper bounds on the floor at lams past lam_p, from log S at lam_e and lam_p.
+
+    log S is convex in lam, so the secant through (lam_e, log_e) and
+    (lam_p, log_p), extended past lam_p, lies below log S.  Each computed
+    log S lies within _LOG_S_ROUNDING (1 + lam + |log S|) of a convex
+    function: at most _LOG_S_ROUNDING u at either end, with
+    u = 1 + max(lam) + max(|log S|) over the two.  Extending the secant
+    from its width w = |lam_p - lam_e| out to lam' multiplies that by up to
+    1 + 2 |lam' - lam_e| / w, and log S at lam' carries at most
+    _LOG_S_ROUNDING (u + (1 + |slope|) |lam' - lam_e|) of its own.  Less
+    both, the secant is still a line on that side of lam_p: lowered by
+    2 _LOG_S_ROUNDING u and tilted down away from lam_e by
+    _LOG_S_ROUNDING (2 u / w + 1 + |slope|).  `_floor_ceilings`' formula
+    turns that lower bound on log S into a ceiling.  Elementwise; an entry
+    whose arithmetic passes the float range is NaN or -inf.
+    """
+    width = lam_p - lam_e
+    slope = (log_p - log_e) / width
+    u = 1.0 + max(lam_e, lam_p) + max(abs(log_e), abs(log_p))
+    tilt = _LOG_S_ROUNDING * (2.0 * u / width + math.copysign(1.0 + abs(slope), width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (log_e - 2.0 * _LOG_S_ROUNDING * u) + (slope - tilt) * (lams - lam_e)
+        return _floor_ceilings(log_m, bound, lams, lams)
 
 
 @lru_cache
@@ -437,15 +487,20 @@ def optimize_lambda(
     takes every _PRESCAN_STRIDE-th order and the last: 3 of the 64, as the
     maximum lies at an end of the range in most calls.  Each other order
     lam' has a floor at most the ceiling that `_floor_ceilings` gives from
-    the first-pass order lam below it, and the second pass takes only the
-    orders whose ceiling does not lie below the best first-pass floor by
-    more than 1e-9 (1 + |ceiling|) lam' / lam.  An absolute rounding delta
-    in log S at lam moves the ceiling by at most (lam' / lam) delta
-    |1 - ceiling|, so that margin stays thousands of times that rounding
-    on every range; where lam' / lam passes the float range the margin is
-    infinite and the order is kept.  A skipped order's floor lies below
-    that best, so it is never the first maximum, and the result keeps the
-    bits of a full pre-scan.
+    the first-pass order lam below it.  When the best first-pass order is
+    an end of the grid, the edge probe below is taken before the second
+    pass: log S is convex in lam, so the secant through the end and the
+    probe gives a second ceiling at every other order (`_secant_ceilings`),
+    computed only when the chord ceilings leave an order to evaluate.  The
+    second pass takes only the orders where neither ceiling lies below the
+    best first-pass floor by more than 1e-9 (1 + |ceiling|) lam' / lam; a
+    NaN or -inf secant ceiling rules out nothing.  An absolute rounding
+    delta in log S at lam moves the chord ceiling by at most
+    (lam' / lam) delta |1 - ceiling|, so that margin stays thousands of
+    times that rounding on every range; where lam' / lam passes the float
+    range the margin is infinite and the order is kept.  A skipped order's
+    floor lies below that best, so it is never the first maximum, and the
+    result keeps the bits of a full pre-scan.
 
     The search resolves its bracket to edge_tol = _RESOLUTION (sqrt(eps))
     times the bracket width: golden section stops when its bracket is that
@@ -454,7 +509,9 @@ def optimize_lambda(
     one probe edge_tol inward of it decides: if the probe is not higher,
     that end is kept and golden section is skipped, since it could only
     have crept to within edge_tol of the end, beating it, if at all, by
-    rounding.  An end of the range is reported as lam_lo or lam_hi exactly.
+    rounding.  A probe taken before the second pass is that same float and
+    is not evaluated again.  An end of the range is reported as lam_lo or
+    lam_hi exactly.
 
     lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi; anything
     else raises ValueError.
@@ -476,18 +533,39 @@ def optimize_lambda(
         values[i] = _eps_from_log_terms(log_m, log_mean, lams[i])
         return log_mean
 
+    def edge_tol_at(i: int) -> float:
+        """The search's resolution around pre-scan order i: _RESOLUTION of its bracket."""
+        return _RESOLUTION * (grid[min(i + 1, _PRESCAN - 1)] - grid[max(i - 1, 0)])
+
     first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
     below = np.arange(_PRESCAN) // _PRESCAN_STRIDE  # each order's first-pass order at or below it
     lams_below = lam_array[first][below]
-    log_means = np.array([evaluate(i) for i in first])
-    ceilings = _floor_ceilings(log_m, log_means[below], lams_below, lam_array)
-    # a margin thousands of times the rounding of log S, times the lam' / lam
-    # that the ceiling multiplies it by; a -inf ceiling is kept, and so is an
-    # order whose margin passes the float range
+    log_means = [evaluate(i) for i in first]
+    best = max(values)
     with np.errstate(over="ignore"):
-        margin = 1e-9 * (1.0 + np.abs(ceilings)) * (lam_array / lams_below)
-    skip = ceilings < max(values) - margin
+        spread = lam_array / lams_below  # past the float range on the widest ranges
+
+    def ruled_out(ceilings: np.ndarray) -> np.ndarray:
+        """Where a ceiling lies below the best first-pass floor by more than a margin."""
+        # a margin thousands of times the rounding of log S, times the lam' / lam
+        # that the chord ceiling multiplies it by; a -inf or NaN ceiling rules
+        # out nothing, nor does a margin that passes the float range
+        with np.errstate(over="ignore"):
+            margin = 1e-9 * (1.0 + np.abs(ceilings)) * spread
+        return ceilings < best - margin
+
+    skip = ruled_out(_floor_ceilings(log_m, np.array(log_means)[below], lams_below, lam_array))
     skip[first] = True
+    probes = {}  # a grid end -> the floor one edge_tol inward of it
+    end = values.index(best)
+    if end in (0, _PRESCAN - 1):
+        # the edge probe, taken now: with the end it gives a secant under log S
+        lam_p = math.exp(grid[end] + (edge_tol_at(end) if end == 0 else -edge_tol_at(end)))
+        log_p = family._log_mean_term(lam_p)
+        probes[end] = _eps_from_log_terms(log_m, log_p, lam_p)
+        if lam_p != lams[end] and not skip.all():
+            skip |= ruled_out(_secant_ceilings(log_m, lams[end], log_means[first.index(end)],
+                                               lam_p, log_p, lam_array))
     for i in np.flatnonzero(~skip).tolist():
         evaluate(i)
     best_idx = values.index(max(values))
@@ -496,10 +574,12 @@ def optimize_lambda(
     bracket_hi = grid[min(best_idx + 1, _PRESCAN - 1)]
     # The resolution of the whole search: golden section stops within it of
     # a maximum, and the flag counts a point within it of an end as at it.
-    edge_tol = _RESOLUTION * (bracket_hi - bracket_lo)
+    edge_tol = edge_tol_at(best_idx)
     # An edge maximum that does not rise one edge_tol inward is settled as is.
     inward = {0: edge_tol, _PRESCAN - 1: -edge_tol}.get(best_idx)
-    if inward is None or raw_at(x_best + inward) > v_best:
+    if inward is not None and best_idx not in probes:
+        probes[best_idx] = raw_at(x_best + inward)
+    if inward is None or probes[best_idx] > v_best:
         x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi)
         if v_gold > v_best:
             x_best = x_gold

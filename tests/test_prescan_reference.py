@@ -2,7 +2,7 @@
 
 `reference_optimize_lambda` evaluates log S at every pre-scan order.
 `converse.optimize_lambda` evaluates every _PRESCAN_STRIDE-th order first and
-then only the orders that its ceiling does not rule out, so every report
+then only the orders that its ceilings do not rule out, so every report
 must come out the same, bit for bit.
 
 Both searches call the same `ChannelFamily._log_mean_term`, one order per
@@ -22,12 +22,14 @@ import pytest
 from conversekit import converse
 from conversekit.converse import (
     _PRESCAN,
+    _LOG_S_ROUNDING,
     _PRESCAN_STRIDE,
     ChannelFamily,
     _eps_from_log_terms,
     _floor_ceilings,
     _golden_max,
     _prescan_grid,
+    _secant_ceilings,
     optimize_lambda,
     strong_converse_bound,
 )
@@ -167,10 +169,18 @@ def _assert_every_order_kept(monkeypatch, conds):
         _, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
         with np.errstate(over="ignore"):
             assert (lam_array[31] / lam_array[0] == math.inf) == (lam_lo == 5e-324)
+        grid = _prescan_grid(lam_lo, lam_hi)[0]
         first = [0, _PRESCAN_STRIDE, _PRESCAN - 1]
-        orders = [lams[i] for i in first] + [lam for i, lam in enumerate(lams) if i not in first]
+        rest = [lam for i, lam in enumerate(lams) if i not in first]
         for q_choice in converse.Q_CHOICES:
             fam = ChannelFamily(conds, q_choice)
+            log_m = math.log(fam.m_codewords)
+            floors = [_eps_from_log_terms(log_m, fam._log_mean_term(lams[i]), lams[i])
+                      for i in first]
+            end = first[floors.index(max(floors))]
+            # the edge probe follows when the best of them is an end
+            probe = [_probe_order(grid, end)] if end != _PRESCAN_STRIDE else []
+            orders = [lams[i] for i in first] + probe + rest
             seen = []
 
             def spy(self, lam):
@@ -180,8 +190,9 @@ def _assert_every_order_kept(monkeypatch, conds):
             with monkeypatch.context() as patched:
                 patched.setattr(ChannelFamily, "_log_mean_term", spy)
                 fast = optimize_lambda(fam, lam_lo, lam_hi)
-            # orders 0, 32 and 63, then every other order of the grid in turn
-            assert seen[:_PRESCAN] == orders, (q_choice, lam_lo)
+            # orders 0, 32 and 63, the probe when the best of them is an
+            # end, then every other order of the grid in turn
+            assert seen[:len(orders)] == orders, (q_choice, lam_lo)
             slow = reference_optimize_lambda(fam, lam_lo, lam_hi)
             assert repr(fast) == repr(slow), (q_choice, lam_lo, lam_hi)
 
@@ -225,3 +236,94 @@ def test_ceilings_lie_above_the_computed_floors(q_choice):
                               * (lam_array[step:] / lam_array[:-step]))
                 late = floors[step:] - margin > ceilings
                 assert not late.any(), (lam_lo, lam_hi, step, np.flatnonzero(late))
+
+
+def _probe_order(grid, end):
+    """The order one edge_tol inward of pre-scan order `end`, an end of the grid."""
+    resolution = math.sqrt(np.finfo(float).eps)
+    if end == 0:
+        return math.exp(grid[0] + resolution * (grid[1] - grid[0]))
+    return math.exp(grid[-1] - resolution * (grid[-1] - grid[-2]))
+
+
+def test_wide_qstar_search_costs_the_first_pass_and_the_probe(monkeypatch):
+    # The floor peaks at lam_hi; the secant through order 63 and the probe
+    # rules out every other order, and the final edge test reuses the probe.
+    grid, lams, _ = _prescan_grid(1e-6, 10.0)
+    fam = ChannelFamily(_wide_conditionals(), "qstar")
+    log_mean_term = ChannelFamily._log_mean_term
+    seen = []
+
+    def spy(self, lam):
+        seen.append(lam)
+        return log_mean_term(self, lam)
+
+    monkeypatch.setattr(ChannelFamily, "_log_mean_term", spy)
+    rep = optimize_lambda(fam)
+    assert seen == [lams[0], lams[_PRESCAN_STRIDE], lams[-1], _probe_order(grid, _PRESCAN - 1)]
+    assert rep.lambda_star == 10.0
+
+
+def _convexity_families():
+    rng = np.random.default_rng(34)
+    fams = [random_discrete_family(rng).conditionals for _ in range(40)]
+    return fams + [_wide_conditionals(), _sparse_wide_conditionals(), *QSTAR_HUGE_ORDER_FAMILIES]
+
+
+@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
+def test_log_s_is_convex_in_lam_up_to_its_rounding(q_choice):
+    # The premise of the secant ceiling.  Each computed log S is taken to lie
+    # within u = _LOG_S_ROUNDING (1 + lam + |log S|) of a convex function, so
+    # a chord slope over a step d is off by at most (u_left + u_right) / d,
+    # and a slope falls from one step to the next by no more than the sum of
+    # those two bounds.  At small lam the steps are small and u is not, so
+    # there the chords are rounding-dominated; the tolerance scales with it.
+    lams = np.geomspace(1e-8, 1.7e308, 500)
+    for conds in _convexity_families():
+        fam = ChannelFamily(conds, q_choice)
+        log_s = np.array([fam._log_mean_term(lam) for lam in lams.tolist()])
+        finite = np.isfinite(log_s)  # uniform and mixture pass the float range
+        lam, s = lams[finite], log_s[finite]
+        assert lam.size > 250
+        u = _LOG_S_ROUNDING * (1.0 + lam) + _LOG_S_ROUNDING * np.abs(s)  # no overflow
+        step = np.diff(lam)
+        slopes = np.diff(s) / step
+        slack = (u[:-1] + u[1:]) / step
+        late = slopes[:-1] - slopes[1:] > slack[:-1] + slack[1:]
+        assert not late.any(), np.flatnonzero(late)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
+def test_secant_ceilings_lie_above_the_computed_floors(q_choice):
+    # The counterpart of test_ceilings_lie_above_the_computed_floors for the
+    # secant through an end of the grid and its edge probe, on ranges up to
+    # 1.7e308 and families with subnormal entries: where the cap is a
+    # number, no computed floor at another order lies above it, with no
+    # margin at all.
+    tighter = 0
+    for conds in _premise_families():
+        fam = ChannelFamily(conds, q_choice)
+        log_m = math.log(fam.m_codewords)
+        for lam_lo, lam_hi in (*RANGES, *OVERFLOW_RANGES):
+            grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
+            log_means = [fam._log_mean_term(lam) for lam in lams]
+            floors = np.array([_eps_from_log_terms(log_m, s, lam)
+                               for s, lam in zip(log_means, lams)])
+            # the search's ceilings from the first-pass order below
+            below = np.arange(_PRESCAN) // _PRESCAN_STRIDE * _PRESCAN_STRIDE
+            chord_ceilings = _floor_ceilings(log_m, np.array(log_means)[below],
+                                             lam_array[below], lam_array)
+            for end in (0, _PRESCAN - 1):
+                lam_p = _probe_order(grid, end)
+                if lam_p == lams[end]:  # a range a few ulps wide: no secant
+                    continue
+                caps = _secant_ceilings(log_m, lams[end], log_means[end], lam_p,
+                                        fam._log_mean_term(lam_p), lam_array)
+                caps[end] = math.nan
+                usable = caps > -math.inf
+                late = usable & (floors > caps)
+                assert not late.any(), (lam_lo, lam_hi, end, np.flatnonzero(late))
+                tighter += int(np.count_nonzero(usable & (caps < chord_ceilings)))
+    # the secant is the lower ceiling at about 3000 of these orders
+    assert tighter > 1000
