@@ -41,12 +41,6 @@ class ConfigError(ValueError):
     """A configuration violates one of its stated inequalities."""
 
 
-def _require(cond: bool, message: str, *args):
-    """Raise ConfigError(message.format(*args)) unless cond; a passing check formats nothing."""
-    if not cond:
-        raise ConfigError(message.format(*args))
-
-
 def _config_echo(cfg) -> dict:
     """The config's fields as a new flat dict, in declaration order.
 
@@ -79,38 +73,40 @@ class DensityConfig:
     nu_schedule_kappa: float | None = None
 
     def __post_init__(self):
-        _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
-        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
-        _require(self.c >= 0.0, "c >= 0 violated: c = {}", self.c)
-        _require(self.a > 0.0, "a > 0 violated: a = {}", self.a)
-        _require(self.c0 > 0.0, "c0 > 0 violated: c0 = {}", self.c0)
-        _require(self.c0 < math.inf, "c0 < inf violated: c0 = {}", self.c0)
-        _require(
-            0.0 <= self.c_g_effective < 1.0,
-            "0 <= c_g < 1 violated: c_g = {}", self.c_g_effective,
-        )
-        _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
+        if not self.n > 0.0:
+            raise ConfigError(f"n > 0 violated: n = {self.n}")
+        if not self.n < math.inf:
+            raise ConfigError(f"n < inf violated: n = {self.n}")
+        if not self.c >= 0.0:
+            raise ConfigError(f"c >= 0 violated: c = {self.c}")
+        if not self.a > 0.0:
+            raise ConfigError(f"a > 0 violated: a = {self.a}")
+        if not self.c0 > 0.0:
+            raise ConfigError(f"c0 > 0 violated: c0 = {self.c0}")
+        if not self.c0 < math.inf:
+            raise ConfigError(f"c0 < inf violated: c0 = {self.c0}")
+        c_g = self.c_g_effective
+        if not 0.0 <= c_g < 1.0:
+            raise ConfigError(f"0 <= c_g < 1 violated: c_g = {c_g}")
+        if not self.nu > 0.0:
+            raise ConfigError(f"nu > 0 violated: nu = {self.nu}")
         limit = self.nu_limit
-        _require(
-            self.nu < limit,
-            "nu < (c0 / (c^2 a))^(1/5) violated: nu = {}, limit = {}", self.nu, limit,
-        )
+        if not self.nu < limit:
+            raise ConfigError(
+                f"nu < (c0 / (c^2 a))^(1/5) violated: nu = {self.nu}, limit = {limit}"
+            )
         if self.nu_schedule_kappa is not None:
-            _require(
-                self.nu_schedule_kappa > 25.0,
-                "schedule exponent > 25 violated: {}", self.nu_schedule_kappa,
-            )
-            _require(
-                self.c > 0.0,
-                "nu schedule needs c > 0 so its limit is finite",
-            )
+            if not self.nu_schedule_kappa > 25.0:
+                raise ConfigError(f"schedule exponent > 25 violated: {self.nu_schedule_kappa}")
+            if not self.c > 0.0:
+                raise ConfigError("nu schedule needs c > 0 so its limit is finite")
             # n <= 1, or a kappa so large that n^(-1/kappa) rounds to 1,
             # leaves no positive bandwidth
             nu_used = self.effective_nu()
-            _require(
-                nu_used > 0.0,
-                "nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = {}", nu_used,
-            )
+            if not nu_used > 0.0:
+                raise ConfigError(
+                    f"nu_limit (1 - n^(-1/kappa)) > 0 violated: nu_effective = {nu_used}"
+                )
 
     @property
     def c_g_effective(self) -> float:
@@ -153,24 +149,36 @@ class ActiveConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        _require(self.n > 0.0, "n > 0 violated: n = {}", self.n)
-        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
-        _require(
-            isinstance(self.d, int) and self.d >= 2,
-            "integer d >= 2 violated: d = {}", self.d,
-        )
-        _require(self.alpha > 0.0, "alpha > 0 violated: alpha = {}", self.alpha)
-        _require(self.alpha < math.inf, "alpha < inf violated: alpha = {}", self.alpha)
-        _require(self.kappa >= 1.0, "kappa >= 1 violated: kappa = {}", self.kappa)
-        _require(self.kappa < math.inf, "kappa < inf violated: kappa = {}", self.kappa)
-        _require(self.L > 0.0, "L > 0 violated: L = {}", self.L)
-        _require(self.L < math.inf, "L < inf violated: L = {}", self.L)
-        _require(self.H > 0.0, "H > 0 violated: H = {}", self.H)
-        _require(self.H < math.inf, "H < inf violated: H = {}", self.H)
-        _require(0.0 < self.c <= 0.5, "0 < c <= 1/2 violated: c = {}", self.c)
-        _require(self.nu > 0.0, "nu > 0 violated: nu = {}", self.nu)
-        _require(self.nu < math.inf, "nu < inf violated: nu = {}", self.nu)
-        _require(0.0 < self.lam <= 1.0, "0 < lam <= 1 violated: lam = {}", self.lam)
+        if not self.n > 0.0:
+            raise ConfigError(f"n > 0 violated: n = {self.n}")
+        if not self.n < math.inf:
+            raise ConfigError(f"n < inf violated: n = {self.n}")
+        if not (isinstance(self.d, int) and self.d >= 2):
+            raise ConfigError(f"integer d >= 2 violated: d = {self.d}")
+        if not self.alpha > 0.0:
+            raise ConfigError(f"alpha > 0 violated: alpha = {self.alpha}")
+        if not self.alpha < math.inf:
+            raise ConfigError(f"alpha < inf violated: alpha = {self.alpha}")
+        if not self.kappa >= 1.0:
+            raise ConfigError(f"kappa >= 1 violated: kappa = {self.kappa}")
+        if not self.kappa < math.inf:
+            raise ConfigError(f"kappa < inf violated: kappa = {self.kappa}")
+        if not self.L > 0.0:
+            raise ConfigError(f"L > 0 violated: L = {self.L}")
+        if not self.L < math.inf:
+            raise ConfigError(f"L < inf violated: L = {self.L}")
+        if not self.H > 0.0:
+            raise ConfigError(f"H > 0 violated: H = {self.H}")
+        if not self.H < math.inf:
+            raise ConfigError(f"H < inf violated: H = {self.H}")
+        if not 0.0 < self.c <= 0.5:
+            raise ConfigError(f"0 < c <= 1/2 violated: c = {self.c}")
+        if not self.nu > 0.0:
+            raise ConfigError(f"nu > 0 violated: nu = {self.nu}")
+        if not self.nu < math.inf:
+            raise ConfigError(f"nu < inf violated: nu = {self.nu}")
+        if not 0.0 < self.lam <= 1.0:
+            raise ConfigError(f"0 < lam <= 1 violated: lam = {self.lam}")
 
     @property
     def rho(self) -> float:
@@ -196,27 +204,39 @@ class CsConfig:
     delta_m: float | None = None
 
     def __post_init__(self):
-        _require(self.k >= 1.0, "k >= 1 violated: k = {}", self.k)
-        _require(self.n > self.k, "n > k violated: n = {}, k = {}", self.n, self.k)
-        _require(self.n < math.inf, "n < inf violated: n = {}", self.n)
-        _require(self.sigma_sq > 0.0, "sigma_sq > 0 violated: {}", self.sigma_sq)
-        _require(self.sigma_sq < math.inf, "sigma_sq < inf violated: {}", self.sigma_sq)
-        _require(self.frob_norm_sq > 0.0, "frob_norm_sq > 0 violated: {}", self.frob_norm_sq)
-        _require(self.frob_norm_sq < math.inf, "frob_norm_sq < inf violated: {}", self.frob_norm_sq)
-        _require(self.lam > 0.0, "lam > 0 violated: lam = {}", self.lam)
-        _require(self.lam < math.inf, "lam < inf violated: lam = {}", self.lam)
-        _require(0.0 < self.delta < 1.0, "0 < delta < 1 violated: delta = {}", self.delta)
-        _require(self.beta >= 0.0, "beta >= 0 violated: beta = {}", self.beta)
-        _require(self.beta < math.inf, "beta < inf violated: beta = {}", self.beta)
+        if not self.k >= 1.0:
+            raise ConfigError(f"k >= 1 violated: k = {self.k}")
+        if not self.n > self.k:
+            raise ConfigError(f"n > k violated: n = {self.n}, k = {self.k}")
+        if not self.n < math.inf:
+            raise ConfigError(f"n < inf violated: n = {self.n}")
+        if not self.sigma_sq > 0.0:
+            raise ConfigError(f"sigma_sq > 0 violated: {self.sigma_sq}")
+        if not self.sigma_sq < math.inf:
+            raise ConfigError(f"sigma_sq < inf violated: {self.sigma_sq}")
+        if not self.frob_norm_sq > 0.0:
+            raise ConfigError(f"frob_norm_sq > 0 violated: {self.frob_norm_sq}")
+        if not self.frob_norm_sq < math.inf:
+            raise ConfigError(f"frob_norm_sq < inf violated: {self.frob_norm_sq}")
+        if not self.lam > 0.0:
+            raise ConfigError(f"lam > 0 violated: lam = {self.lam}")
+        if not self.lam < math.inf:
+            raise ConfigError(f"lam < inf violated: lam = {self.lam}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"0 < delta < 1 violated: delta = {self.delta}")
+        if not self.beta >= 0.0:
+            raise ConfigError(f"beta >= 0 violated: beta = {self.beta}")
+        if not self.beta < math.inf:
+            raise ConfigError(f"beta < inf violated: beta = {self.beta}")
         log_m = self.log_m_codewords
-        _require(log_m > 1.0, "(k/4) log(n/k) > 1 violated: value = {}", log_m)
+        if not log_m > 1.0:
+            raise ConfigError(f"(k/4) log(n/k) > 1 violated: value = {log_m}")
         dm = self.delta_m_effective
-        _require(0.0 < dm < 1.0, "0 < delta_m < 1 violated: delta_m = {}", dm)
+        if not 0.0 < dm < 1.0:
+            raise ConfigError(f"0 < delta_m < 1 violated: delta_m = {dm}")
         # the trim must leave at least one codeword on each side
-        _require(
-            log(dm) >= -log_m and log(1.0 - dm) >= -log_m,
-            "delta_m = {} outside [1/M, 1 - 1/M]", dm,
-        )
+        if not (log(dm) >= -log_m and log(1.0 - dm) >= -log_m):
+            raise ConfigError(f"delta_m = {dm} outside [1/M, 1 - 1/M]")
 
     @property
     def log_m_codewords(self) -> float:
@@ -247,6 +267,12 @@ class ComparisonReport:
         }
 
 
+def _density_floor_at(c0: float, x: float, n: float, m) -> tuple[float, float]:
+    """Clamped floor and its risk at m cells, before m = n^(1/5) / nu is substituted."""
+    eps = _clamp_eps(_one_minus_scaled_exp(2.0, -(m / 2.0) * (c0 - x * n / m**5)))
+    return eps, x / (6.0 * m**4) * eps
+
+
 def density_bound(cfg: DensityConfig) -> ComparisonReport:
     """Risk floors for density estimation at bandwidth m = n^(1/5) / nu.
 
@@ -259,21 +285,17 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     nu = cfg.effective_nu()
     n = cfg.n
     x = cfg.c**2 * cfg.a
-    m_real = n**0.2 / nu
+    n_fifth, nu_fifth = n**0.2, nu**5
+    m_real = n_fifth / nu
 
     strong_raw = _one_minus_scaled_exp(
-        2.0, -(n**0.2 / (2.0 * nu)) * (cfg.c0 - nu**5 * x)
+        2.0, -(n_fifth / (2.0 * nu)) * (cfg.c0 - nu_fifth * x)
     )
     strong_eps = _clamp_eps(strong_raw)
     prefactor = x * nu**4 / (6.0 * n**0.8)
 
-    def eps_and_risk_at(m):
-        """Clamped floor and its risk at m cells, before m = n^(1/5) / nu is substituted."""
-        eps = _clamp_eps(_one_minus_scaled_exp(2.0, -(m / 2.0) * (cfg.c0 - x * n / m**5)))
-        return eps, x / (6.0 * m**4) * eps
-
     # same floor computed before substituting m, as a consistency record
-    pre_risk = eps_and_risk_at(m_real)[1]
+    pre_risk = _density_floor_at(cfg.c0, x, n, m_real)[1]
     strong_risk = prefactor * strong_eps
     rel_gap = abs(pre_risk - strong_risk) / max(abs(strong_risk), 1e-300)
 
@@ -287,7 +309,9 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     m_floor = math.floor(m_real)
     if m_floor >= 1:
         strong_params["m_floor"] = m_floor
-        strong_params["floor_m_eps"], strong_params["floor_m_risk"] = eps_and_risk_at(m_floor)
+        strong_params["floor_m_eps"], strong_params["floor_m_risk"] = _density_floor_at(
+            cfg.c0, x, n, m_floor
+        )
     else:
         strong_params["m_floor"] = None
 
@@ -301,7 +325,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
     )
 
     c_g = cfg.c_g_effective
-    fano_raw = 1.0 - (2.0 * x * nu**5 / (1.0 - c_g) + LOG2 / n**0.2) / cfg.c0
+    fano_raw = 1.0 - (2.0 * x * nu_fifth / (1.0 - c_g) + LOG2 / n_fifth) / cfg.c0
     fano_eps = _clamp_eps(fano_raw)
     fano = BoundReport(
         method="fano",
@@ -311,7 +335,7 @@ def density_bound(cfg: DensityConfig) -> ComparisonReport:
         params={
             "config": _config_echo(cfg),
             "nu_effective": nu,
-            "eps_limit_large_n": 1.0 - 2.0 * x * nu**5 / ((1.0 - c_g) * cfg.c0),
+            "eps_limit_large_n": 1.0 - 2.0 * x * nu_fifth / ((1.0 - c_g) * cfg.c0),
         },
     )
 
@@ -497,22 +521,31 @@ _APPS = {
 }
 
 
-def compute_bounds(cfg) -> ComparisonReport:
-    """Dispatch a config to its application's bound assembly.
+def _assemble_each(config_type, configs) -> list:
+    """Each config's report, from its app's assembly, looked up once.
 
     A config can pass its checks and still carry the assembly past the float
     range (density at n = 1e6 and nu = 1e-300 overflows an exponent); the
     ArithmeticError that raises becomes a ConfigError naming the app.
     """
-    for app, (config_type, assemble) in _APPS.items():
-        if isinstance(cfg, config_type):
+    for app, (app_type, assemble) in _APPS.items():
+        if issubclass(config_type, app_type):
             break
     else:
-        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+        raise TypeError(f"unsupported config type {config_type.__name__}")
     try:
-        return assemble(cfg)
+        return [assemble(cfg) for cfg in configs]
     except ArithmeticError as exc:
         raise ConfigError(f"{app} bound leaves the float range: {exc}") from exc
+
+
+def compute_bounds(cfg) -> ComparisonReport:
+    """Dispatch a config to its application's bound assembly.
+
+    An assembly carried past the float range raises ConfigError, as
+    _assemble_each says.
+    """
+    return _assemble_each(type(cfg), (cfg,))[0]
 
 
 def sweep(template, vary: str, values) -> list:
@@ -520,11 +553,18 @@ def sweep(template, vary: str, values) -> list:
 
     Each point goes through the config's constructor, so each is validated,
     and every point is built before any is computed: a ConfigError at any
-    point wins over an error computing an earlier one.
+    point wins over an error computing an earlier one.  The app's assembly
+    is resolved once for the whole sweep, and every point runs under
+    compute_bounds' float-range check.
     """
     fields = _config_echo(template)
     if vary not in fields:
         raise ValueError(f"{type(template).__name__} has no parameter {vary!r}")
     make = type(template)
-    configs = [make(**{**fields, vary: value}) for value in values]
-    return [compute_bounds(cfg) for cfg in configs]
+    args = list(fields.values())  # positional, in declaration order
+    at = list(fields).index(vary)
+    configs = []
+    for value in values:
+        args[at] = value
+        configs.append(make(*args))
+    return _assemble_each(make, configs)

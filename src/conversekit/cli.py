@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -80,7 +81,6 @@ _COUNT_PARAMS = {"soundness": "n_families", "divergence": "n_points", "fano-reco
 
 def format_number(x: float) -> str:
     """17-significant-digit decimal, or null for non-finite values."""
-    x = float(x)
     if not math.isfinite(x):
         return "null"
     return format(x, ".17g")
@@ -264,20 +264,29 @@ def _sweep_values(args: argparse.Namespace) -> list:
     return [args.start, *inner, args.stop]  # the ends exactly as given
 
 
+# A row's five numbers in one %-format: "%.17g" spells a finite float as
+# format_number does, and only inf and nan spell an "n".
+_CSV_NUMBERS = ",".join(["%.17g"] * 5)
+
+
 def _csv_row(value: float, rep) -> str:
-    ratio = "" if rep.ratio is None else format_number(rep.ratio)
-    return ",".join([
-        format_number(value),
-        format_number(rep.strong.eps_lower),
-        format_number(rep.fano.eps_lower),
-        format_number(rep.strong.risk_lower),
-        format_number(rep.fano.risk_lower),
-        ratio,
-    ])
+    strong, fano = rep.strong, rep.fano
+    cells = (value, strong.eps_lower, fano.eps_lower, strong.risk_lower, fano.risk_lower)
+    row = _CSV_NUMBERS % cells
+    if "n" in row:
+        row = ",".join(map(format_number, cells))
+    return row + ("," if rep.ratio is None else "," + format_number(rep.ratio))
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list) -> int:
-    """Flags are checked once, on the first point; applications.sweep runs the points."""
+    """One CSV row per point of the sweep, under a one-line manifest.
+
+    Built once per process: the parser (see main) and the flag tables,
+    read off the config fields at import.  Once per sweep: the flags are
+    checked, on the first point, and applications.sweep looks up the app's
+    assembly.  Per point: its config, through the config's constructor, its
+    report, and its row, formatted as one string.
+    """
     table = _FIELDS[args.app]
     vary = table.vary.get(args.vary.replace("-", "_"))
     if vary is None:
@@ -371,11 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built the first time main needs it in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command; exit codes as in the module docstring.
+
+    The argument parser is built the first time main runs in a process and
+    reused by every later call: parse_args keeps no state on it, and each
+    call gets a fresh namespace.  Everything else is built per call; what a
+    sweep builds per point is in cmd_sweep.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, list(argv))
     except ValueError as exc:  # ConfigError and CapabilityError among them

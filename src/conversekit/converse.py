@@ -412,9 +412,22 @@ def _golden_max(g, lo: float, hi: float):
     return (c, gc) if gc >= gd else (d, gd)
 
 
+class _Orders(NamedTuple):
+    """Orders lam, with the functions of lam alone that `_floor_ceilings` takes."""
+
+    lam: np.ndarray
+    log1p: np.ndarray  # log1p(lam)
+    share: np.ndarray  # lam / (1 + lam)
+    log: np.ndarray  # log(lam)
+
+
+def _orders(lams: np.ndarray) -> _Orders:
+    return _Orders(lams, np.log1p(lams), lams / (1.0 + lams), np.log(lams))
+
+
 def _floor_ceilings(log_m: float, log_means: np.ndarray, lams_below: np.ndarray,
-                    lams: np.ndarray) -> np.ndarray:
-    """Upper bounds on the floor at lams, from log S at lams_below <= lams.
+                    orders: _Orders) -> np.ndarray:
+    """Upper bounds on the floor at orders.lam, from log S at lams_below <= them.
 
     log S / lam never falls as lam grows: D_(1+lam) does not (van Erven and
     Harremoes 2014), nor does Sibson's alpha-mutual information, which is
@@ -422,19 +435,19 @@ def _floor_ceilings(log_m: float, log_means: np.ndarray, lams_below: np.ndarray,
     log S through the origin, extended.  So log S / (1+lam) at lams is at
     least lams / (1+lams) times log S / lam at lams_below, and the floor,
     which falls as log S grows, at most what that gives.  With lams_below
-    = lams this turns any lower bound log_means on log S at lams into a
-    ceiling, as `_secant_ceilings` does.  Elementwise; these values only
-    decide which orders to evaluate, and a ceiling whose log S passes the
-    float range is -inf.
+    = orders.lam this turns any lower bound log_means on log S at those
+    orders into a ceiling, as `_secant_ceilings` does.  Elementwise; these
+    values only decide which orders to evaluate, and a ceiling whose log S
+    passes the float range is -inf.
     """
     with np.errstate(over="ignore"):
         slopes = log_means / lams_below
-        return 1.0 - np.exp(np.log1p(lams) + lams / (1.0 + lams) * (slopes - np.log(lams) - log_m))
+        return 1.0 - np.exp(orders.log1p + orders.share * (slopes - orders.log - log_m))
 
 
 def _secant_ceilings(log_m: float, lam_e: float, log_e: float, lam_p: float, log_p: float,
-                     lams: np.ndarray) -> np.ndarray:
-    """Upper bounds on the floor at lams past lam_p, from log S at lam_e and lam_p.
+                     orders: _Orders) -> np.ndarray:
+    """Upper bounds on the floor at orders.lam past lam_p, from log S at lam_e and lam_p.
 
     log S is convex in lam, so the secant through (lam_e, log_e) and
     (lam_p, log_p), extended past lam_p, lies below log S.  Each computed
@@ -455,8 +468,8 @@ def _secant_ceilings(log_m: float, lam_e: float, log_e: float, lam_p: float, log
     u = 1.0 + max(lam_e, lam_p) + max(abs(log_e), abs(log_p))
     tilt = _LOG_S_ROUNDING * (2.0 * u / width + math.copysign(1.0 + abs(slope), width))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (log_e - 2.0 * _LOG_S_ROUNDING * u) + (slope - tilt) * (lams - lam_e)
-        return _floor_ceilings(log_m, bound, lams, lams)
+        bound = (log_e - 2.0 * _LOG_S_ROUNDING * u) + (slope - tilt) * (orders.lam - lam_e)
+        return _floor_ceilings(log_m, bound, orders.lam, orders)
 
 
 @lru_cache
@@ -472,6 +485,26 @@ def _prescan_grid(lam_lo: float, lam_hi: float) -> tuple[tuple, tuple, np.ndarra
     lam_array = np.array(lams)
     lam_array.setflags(write=False)
     return grid, lams, lam_array
+
+
+@lru_cache
+def _prescan_ceiling_terms(lam_lo: float, lam_hi: float) -> tuple:
+    """What optimize_lambda's ceilings take of the range alone, built once per range.
+
+    For each order, the first-pass order at or below it, as its place in
+    the first pass (`below`), and that order's lam; the ratio of the two
+    (`spread`, past the float range on the widest ranges); and the grid's
+    `_Orders`.  All read-only.
+    """
+    lam_array = _prescan_grid(lam_lo, lam_hi)[2]
+    below = np.arange(_PRESCAN) // _PRESCAN_STRIDE
+    lams_below = lam_array[below * _PRESCAN_STRIDE]  # the first pass takes every stride-th
+    with np.errstate(over="ignore"):
+        spread = lam_array / lams_below
+    orders = _orders(lam_array)
+    for array in (below, lams_below, spread, *orders[1:]):
+        array.setflags(write=False)
+    return below, lams_below, spread, orders
 
 
 def optimize_lambda(
@@ -524,7 +557,7 @@ def optimize_lambda(
         lam = math.exp(log_lam)
         return _eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
 
-    grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
+    grid, lams, _ = _prescan_grid(lam_lo, lam_hi)
     values = [-math.inf] * _PRESCAN  # a skipped order is never the first maximum
 
     def evaluate(i: int) -> float:
@@ -538,12 +571,9 @@ def optimize_lambda(
         return _RESOLUTION * (grid[min(i + 1, _PRESCAN - 1)] - grid[max(i - 1, 0)])
 
     first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
-    below = np.arange(_PRESCAN) // _PRESCAN_STRIDE  # each order's first-pass order at or below it
-    lams_below = lam_array[first][below]
+    below, lams_below, spread, orders = _prescan_ceiling_terms(lam_lo, lam_hi)
     log_means = [evaluate(i) for i in first]
     best = max(values)
-    with np.errstate(over="ignore"):
-        spread = lam_array / lams_below  # past the float range on the widest ranges
 
     def ruled_out(ceilings: np.ndarray) -> np.ndarray:
         """Where a ceiling lies below the best first-pass floor by more than a margin."""
@@ -554,7 +584,7 @@ def optimize_lambda(
             margin = 1e-9 * (1.0 + np.abs(ceilings)) * spread
         return ceilings < best - margin
 
-    skip = ruled_out(_floor_ceilings(log_m, np.array(log_means)[below], lams_below, lam_array))
+    skip = ruled_out(_floor_ceilings(log_m, np.array(log_means)[below], lams_below, orders))
     skip[first] = True
     probes = {}  # a grid end -> the floor one edge_tol inward of it
     end = values.index(best)
@@ -565,7 +595,7 @@ def optimize_lambda(
         probes[end] = _eps_from_log_terms(log_m, log_p, lam_p)
         if lam_p != lams[end] and not skip.all():
             skip |= ruled_out(_secant_ceilings(log_m, lams[end], log_means[first.index(end)],
-                                               lam_p, log_p, lam_array))
+                                               lam_p, log_p, orders))
     for i in np.flatnonzero(~skip).tolist():
         evaluate(i)
     best_idx = values.index(max(values))

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import glob
+import hashlib
 import importlib
 import inspect
 import json
@@ -10,14 +11,21 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
+import types
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import conversekit
 from conversekit import applications, converse, divergence, oracle, packing, suites
 from conversekit.applications import ActiveConfig, CsConfig, DensityConfig, compute_bounds
 from conversekit.cli import (
     CSV_COLUMNS,
+    _csv_row,
     build_parser,
     canonical_json,
     compact_json,
@@ -707,6 +715,75 @@ def test_compact_json_manifest_of_a_real_sweep(capsys):
     assert head.startswith('# manifest: { "command": [ "sweep", "cs", ')
 
 
+# sha256 of the CSV body (every line after the manifest) of a 300-point log
+# sweep of n with each golden report's flags, recorded at commit 36c7397,
+# before rows were formatted as one string and points run through one
+# assembly lookup.  The rows are compared with no library call, so a drift
+# in the closed forms shows here, which a comparison with compute_bounds
+# cannot see.
+PINNED_SWEEPS = {
+    "density": ("1e2", "1e15",
+                "a8f431ea1dd2e2cc0e91f1f3e7836996b169dd381064345374012d9a4cb65cfa"),
+    "active": ("1e2", "1e12",
+               "3f6e56727032d9b8b5b4d568ca5af1c62b8df79ffd83e9131bd7672a6dbd4454"),
+    "cs": ("1e3", "1e40",
+           "194f101cbabf5afaf6875ee9317f7e834682820a0e042bb2a175e933a8a0d114"),
+}
+
+
+def golden_flags(app: str) -> list:
+    """The flags of a golden report's command, without its --out."""
+    with open(os.path.join(GOLDEN_DIR, f"{app}.json"), encoding="utf-8") as fh:
+        command = json.load(fh)["manifest"]["command"]
+    at = command.index("--out")
+    return command[2:at] + command[at + 2:]
+
+
+@pytest.mark.parametrize("app", sorted(PINNED_SWEEPS))
+def test_sweep_csv_body_keeps_the_digest_pinned_at_36c7397(capsys, app):
+    start, stop, digest = PINNED_SWEEPS[app]
+    code, out, _ = run_cli(capsys, ["sweep", app, *golden_flags(app), "--vary", "n",
+                                    "--from", start, "--to", stop, "--points", "300"])
+    assert code == 0
+    body = out.partition("\n")[2]
+    assert body.count("\n") == 301
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
+def strip_timestamp_compact(text: str) -> str:
+    """A sweep's output with its one-line manifest's timestamp blanked."""
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    # main builds its parser once per process; three calls that set
+    # defaults, end in argparse's own SystemExit and in a ConfigError leave
+    # nothing behind for the next one
+    plain = ["sweep", "density", *DENSITY_ARGS[2:], "--vary", "n", "--from", "1e6",
+             "--to", "1e14", "--points", "5"]
+    code, out, _ = run_cli(capsys, [*plain, "--spacing", "linear", "--seed", "7"])
+    assert code == 0 and parse_sweep(out)[0]["seed"] == 7
+    with pytest.raises(SystemExit) as exited:
+        main([*plain, "--no-such-flag"])
+    assert exited.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, [*plain[:-1], "0"])
+    assert code == 2 and out == "" and err == "error: --points must be at least 1\n"
+
+    code, out, _ = run_cli(capsys, plain)
+    assert code == 0
+    manifest, rows = parse_sweep(out)
+    assert manifest["seed"] == 0
+    assert manifest["config"]["values"] == [
+        1e6, *(math.exp(math.log(1e6) + (math.log(1e14) - math.log(1e6)) * i / 4)
+               for i in (1, 2, 3)), 1e14]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    fresh = subprocess.run([sys.executable, "-m", "conversekit.cli", *plain], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert strip_timestamp_compact(out) == strip_timestamp_compact(fresh.stdout)
+
+
 # --- verify subcommand ---
 
 
@@ -812,6 +889,44 @@ def test_verify_packing_half_gv_flags_exits_2(capsys):
 @pytest.mark.parametrize("x", [0.0, 1.0, -2.5, 0.1, 1e-300, 7.2388191917891245, 1e11])
 def test_format_number_round_trips(x):
     assert float(format_number(x)) == x
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.floats(),
+    st.integers(min_value=-int(sys.float_info.max), max_value=int(sys.float_info.max)),
+    st.floats().map(np.float64),
+))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072004e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(np.float64(-0.0))
+@example(2**1023)
+def test_format_number_round_trips_as_17_significant_digits_or_null(x):
+    if not math.isfinite(x):
+        assert format_number(x) == "null"
+        return
+    assert format_number(x) == format(float(x), ".17g")
+    assert float(format_number(x)) == float(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), min_size=5, max_size=5), st.none() | st.floats())
+@example([1.0, math.inf, -math.inf, math.nan, -0.0], None)
+@example([5e-324, 0.5, 0.25, 1e-300, 1e300], math.nan)
+def test_csv_row_spells_each_cell_as_format_number(cells, ratio):
+    value, strong_eps, fano_eps, strong_risk, fano_risk = cells
+    rep = types.SimpleNamespace(
+        strong=types.SimpleNamespace(eps_lower=strong_eps, risk_lower=strong_risk),
+        fano=types.SimpleNamespace(eps_lower=fano_eps, risk_lower=fano_risk),
+        ratio=ratio,
+    )
+    want = [format_number(x) for x in (value, strong_eps, fano_eps, strong_risk, fano_risk)]
+    want.append("" if ratio is None else format_number(ratio))
+    assert _csv_row(value, rep) == ",".join(want)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])

@@ -28,6 +28,7 @@ from conversekit.converse import (
     _eps_from_log_terms,
     _floor_ceilings,
     _golden_max,
+    _orders,
     _prescan_grid,
     _secant_ceilings,
     optimize_lambda,
@@ -228,7 +229,7 @@ def test_ceilings_lie_above_the_computed_floors(q_choice):
                                for s, lam in zip(log_means.tolist(), lams)])
             for step in range(1, _PRESCAN_STRIDE + 1):
                 ceilings = _floor_ceilings(log_m, log_means[:-step], lam_array[:-step],
-                                           lam_array[step:])
+                                           _orders(lam_array[step:]))
                 # the skip's own margin: infinite for a -inf ceiling, or
                 # where lam' / lam passes the float range
                 with np.errstate(over="ignore"):
@@ -313,13 +314,13 @@ def test_secant_ceilings_lie_above_the_computed_floors(q_choice):
             # the search's ceilings from the first-pass order below
             below = np.arange(_PRESCAN) // _PRESCAN_STRIDE * _PRESCAN_STRIDE
             chord_ceilings = _floor_ceilings(log_m, np.array(log_means)[below],
-                                             lam_array[below], lam_array)
+                                             lam_array[below], _orders(lam_array))
             for end in (0, _PRESCAN - 1):
                 lam_p = _probe_order(grid, end)
                 if lam_p == lams[end]:  # a range a few ulps wide: no secant
                     continue
                 caps = _secant_ceilings(log_m, lams[end], log_means[end], lam_p,
-                                        fam._log_mean_term(lam_p), lam_array)
+                                        fam._log_mean_term(lam_p), _orders(lam_array))
                 caps[end] = math.nan
                 usable = caps > -math.inf
                 late = usable & (floors > caps)
