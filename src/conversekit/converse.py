@@ -271,9 +271,17 @@ class ChannelFamily:
         return _log_mean_exp(self._scaled_divergences(lam))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class BoundReport:
-    """One computed lower bound, with its raw (unclamped) value kept around."""
+    """One computed lower bound, with its raw (unclamped) value kept around.
+
+    Not frozen: a report is an output, which nothing caches on or hashes by
+    value, and a frozen dataclass stores each field through
+    object.__setattr__, about a quarter of a sweep point's assembly.
+    eq=False keeps identity equality and hashing.  The inputs (configs,
+    `ChannelFamily`, `DiscretePmf`, the packing records) stay frozen, as
+    their checks and caches rely on it.
+    """
 
     method: str
     eps_lower: float

@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from conversekit.applications import (
@@ -99,6 +100,42 @@ def test_density_fano_capped_for_all_n():
     for n in (10.0, 1e3, 1e6, 1e9, 1e13, 1e16):
         rep = density_bound(dataclasses.replace(DENSITY_GUIDE, n=n))
         assert rep.fano.eps_lower <= 0.8644986449864499
+
+
+def test_density_fano_never_exceeds_its_nu_log2_chain():
+    # Fano's 1 - (I + log 2) / log M at log M = c0 n^(1/5) / nu: the log 2
+    # term carries a factor nu that the displayed baseline lacks
+    above_chain = 0
+    for c in (0.02, 0.05, 0.1, 0.2):
+        for n in np.logspace(2.0, 15.0, 131):
+            for nu in np.linspace(0.1, 3.0, 59):
+                try:
+                    cfg = DensityConfig(n=float(n), nu=float(nu), c=c, a=0.5)
+                except ConfigError:
+                    continue  # nu at or past (c0 / (c^2 a))^(1/5)
+                rep = density_bound(cfg)
+                x = c**2 * 0.5
+                info = 2.0 * x * cfg.nu**5 / (1.0 - c)
+                chain = 1.0 - (info + cfg.nu * math.log(2.0) / cfg.n**0.2) / cfg.c0
+                assert rep.fano.eps_raw <= chain
+                displayed = rep.fano.params.get("displayed_eps_raw")
+                if displayed is not None:
+                    assert rep.fano.eps_raw == chain < displayed
+                    above_chain += 1
+                else:
+                    assert cfg.nu <= 1.0
+    # the displayed form alone would sit above its chain at these points
+    assert above_chain > 10000
+
+
+def test_density_fano_keeps_the_displayed_form_where_it_is_not_reported():
+    rep = density_bound(DensityConfig(n=1e11, nu=1.5, c=0.05, a=0.5))
+    assert rep.fano.eps_raw == pytest.approx(0.6762957658868354, rel=1e-12)
+    assert rep.fano.params["displayed_eps_raw"] == pytest.approx(0.7029632234709839, rel=1e-12)
+    assert rep.fano.risk_lower == pytest.approx(
+        rep.strong.risk_lower / rep.strong.eps_lower * rep.fano.eps_lower, rel=1e-12
+    )
+    assert "displayed_eps_raw" not in density_bound(DENSITY_GUIDE).fano.params
 
 
 def test_density_zero_perturbation():

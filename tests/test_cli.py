@@ -929,6 +929,76 @@ def test_csv_row_spells_each_cell_as_format_number(cells, ratio):
     assert _csv_row(value, rep) == ",".join(want)
 
 
+# A verbatim copy of the JSON renderer as of commit cddf258, renamed only, as
+# the byte reference for canonical_json and compact_json.
+def reference_format_number(x: float) -> str:
+    """17-significant-digit decimal, or null for non-finite values."""
+    if not math.isfinite(x):
+        return "null"
+    return format(x, ".17g")
+
+
+def reference_join(parts: list, pad: str | None) -> str:
+    """Members between their brackets: indented lines under pad, or one line for None."""
+    if pad is None:
+        return " " + ", ".join(parts) + " "
+    inner = "\n" + pad + "  "
+    return inner + ("," + inner).join(parts) + "\n" + pad
+
+
+def reference_render_json(obj, pad: str | None) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return reference_format_number(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    deeper = None if pad is None else pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{json.dumps(str(k))}: {reference_render_json(v, deeper)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + reference_join(parts, pad) + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + reference_join([reference_render_json(v, deeper) for v in obj], pad) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=6),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7e308, np.float64(0.1), 3, True, None])
+@example({"values": [1e6, 10000000000.000004, 1e14], "empty": [], "none": {}, "s": "é\n"})
+def test_json_bytes_match_the_reference_renderer(obj):
+    assert compact_json(obj) == reference_render_json(obj, None)
+    assert canonical_json(obj) == reference_render_json(obj, "") + "\n"
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_format_number_non_finite(x):
     assert format_number(x) == "null"
