@@ -38,29 +38,26 @@ lam is checked once per public call.  Overflow guards run only where they
 can fire: each family keeps one order-free scalar
 (`_FamilyArrays.r_bound`) that bounds |r| and, for q*, the spread of its
 weights' exponents, and the kernel and the q* weights run plain wherever
-the order times it clears the overflow, with the same bits.
+the order times it clears the overflow (and, for the kernel, the order is
+at most 1 / (4 PMF_SUM_TOL)), with the same bits.
 
 `optimize_lambda` builds its pre-scan grid once per range and evaluates
 log S there with `ChannelFamily._log_mean_term`, one order per call, in
-two passes: every `_PRESCAN_STRIDE`-th order and the last (orders 0, 32
-and 63 of 64), then only the orders that a ceiling does not rule out.
-log S / lam never falls as lam grows, so the floor at an order lam' is
-at most a ceiling computed from the first-pass order lam below it
-(`_floor_ceilings`).  log S is also convex in lam for every reference:
-for a fixed Q it is a log-sum-exp of lines in lam, and for q* it is
+two passes: orders 0, 32 and 63 of 64, then only the orders that one
+convexity rule leaves.  log S is convex in lam for every reference: for
+a fixed Q it is a log-sum-exp of lines in lam, and for q* it is
 alpha LSE_y(psi_y(alpha) / alpha) with alpha = 1 + lam and
 psi_y(alpha) = log mean_i p_i(y)^alpha convex, the perspective of the
 nondecreasing convex LSE composed with convex functions (Boyd and
-Vandenberghe 2004, sec. 3.2).  So when the best first-pass order is an
-end of the grid, the edge probe one edge_tol inward of it is taken right
-away, and the secant through the end and the probe, extended, lies below
-log S at every other order (`_secant_ceilings`).  An order where either
-ceiling lies below the best first-pass floor by more than a rounding
-margin cannot be the pre-scan maximum, and skipping it keeps every bit of
-the result.  The chord ceiling multiplies the rounding of log S at lam by
-up to lam' / lam, so the margin carries that ratio too and covers it on
-every range; the secant's own rounding comes off the secant before it
-becomes a ceiling.
+Vandenberghe 2004, sec. 3.2).  At lam = 0 it is log(1 + mean mass
+defect), at most PMF_SUM_TOL.  So the secant through two neighbouring
+orders where log S is known, order 0 among them, extended outside them
+and lowered by its rounding, lies below log S, and the floor at every
+other order lies below a ceiling (`_secant_ceilings`).  The secant
+through 0 is the chord behind log S / lam never falling (van Erven and
+Harremoes 2014; Verdu 2015).  An order whose ceiling lies below the best
+first-pass floor by more than a rounding margin cannot be the pre-scan
+maximum, and skipping it keeps every bit of the result.
 Golden section, the edge probe and the lambda_at_boundary flag share one
 resolution, `_RESOLUTION`.
 """
@@ -76,6 +73,7 @@ import numpy as np
 
 from .divergence import (
     _EXP_OVERFLOW,
+    PMF_SUM_TOL,
     DiscretePmf,
     _lam,
     _logsumexp,
@@ -319,11 +317,12 @@ def _log_mean_exp(values: np.ndarray) -> float:
     """log((1/n) sum_i exp(v_i)) over a 1-D array.
 
     An entry of +inf gives +inf without an exp, which the finite entries
-    above ~709 would overflow.
+    above ~709 would overflow; every entry -inf gives -inf, where
+    values - top would be NaN.
     """
     top = values.max()
-    if top == math.inf:
-        return math.inf
+    if math.isinf(top):
+        return float(top)
     return float(top + np.log(np.exp(values - top).sum() / values.size))
 
 
@@ -420,99 +419,63 @@ def _golden_max(g, lo: float, hi: float):
     return (c, gc) if gc >= gd else (d, gd)
 
 
-class _Orders(NamedTuple):
-    """Orders lam, with the functions of lam alone that `_floor_ceilings` takes."""
+def _secant_ceilings(log_m: float, known: list, terms: tuple) -> np.ndarray:
+    """Upper bounds on the floor at the pre-scan orders, from log S where known.
 
-    lam: np.ndarray
-    log1p: np.ndarray  # log1p(lam)
-    share: np.ndarray  # lam / (1 + lam)
-    log: np.ndarray  # log(lam)
-
-
-def _orders(lams: np.ndarray) -> _Orders:
-    return _Orders(lams, np.log1p(lams), lams / (1.0 + lams), np.log(lams))
-
-
-def _floor_ceilings(log_m: float, log_means: np.ndarray, lams_below: np.ndarray,
-                    orders: _Orders) -> np.ndarray:
-    """Upper bounds on the floor at orders.lam, from log S at lams_below <= them.
-
-    log S / lam never falls as lam grows: D_(1+lam) does not (van Erven and
-    Harremoes 2014), nor does Sibson's alpha-mutual information, which is
-    log S / lam for q* (Verdu 2015).  That is the chord of the convex
-    log S through the origin, extended.  So log S / (1+lam) at lams is at
-    least lams / (1+lams) times log S / lam at lams_below, and the floor,
-    which falls as log S grows, at most what that gives.  With lams_below
-    = orders.lam this turns any lower bound log_means on log S at those
-    orders into a ceiling, as `_secant_ceilings` does.  Elementwise; these
-    values only decide which orders to evaluate, and a ceiling whose log S
-    passes the float range is -inf.
-    """
-    with np.errstate(over="ignore"):
-        slopes = log_means / lams_below
-        return 1.0 - np.exp(orders.log1p + orders.share * (slopes - orders.log - log_m))
-
-
-def _secant_ceilings(log_m: float, lam_e: float, log_e: float, lam_p: float, log_p: float,
-                     orders: _Orders) -> np.ndarray:
-    """Upper bounds on the floor at orders.lam past lam_p, from log S at lam_e and lam_p.
-
-    log S is convex in lam, so the secant through (lam_e, log_e) and
-    (lam_p, log_p), extended past lam_p, lies below log S.  Each computed
-    log S lies within _LOG_S_ROUNDING (1 + lam + |log S|) of a convex
-    function: at most _LOG_S_ROUNDING u at either end, with
-    u = 1 + max(lam) + max(|log S|) over the two.  Extending the secant
-    from its width w = |lam_p - lam_e| out to lam' multiplies that by up to
-    1 + 2 |lam' - lam_e| / w, and log S at lam' carries at most
+    known holds (lam, log S) pairs sorted by lam, headed by
+    (0, PMF_SUM_TOL): log S at 0 is log(1 + mean mass defect), at most
+    PMF_SUM_TOL.  terms are `_prescan_grid`'s functions of the orders.
+    log S is convex in lam, so the secant through two neighbouring pairs,
+    extended outside their segment, lies below log S.  Each computed log S
+    lies within _LOG_S_ROUNDING (1 + lam + |log S|) of a convex function:
+    at most _LOG_S_ROUNDING u at either end, with u = 1 + max(lam) +
+    max(|log S|) over the two.  Extending the secant from its width w out
+    to lam' multiplies that by up to 1 + 2 |lam' - lam_e| / w, lam_e its
+    far end, and log S at lam' carries at most
     _LOG_S_ROUNDING (u + (1 + |slope|) |lam' - lam_e|) of its own.  Less
-    both, the secant is still a line on that side of lam_p: lowered by
-    2 _LOG_S_ROUNDING u and tilted down away from lam_e by
-    _LOG_S_ROUNDING (2 u / w + 1 + |slope|).  `_floor_ceilings`' formula
-    turns that lower bound on log S into a ceiling.  Elementwise; an entry
-    whose arithmetic passes the float range is NaN or -inf.
+    both, each secant is still a line on either side: lowered by
+    2 _LOG_S_ROUNDING u and tilted down away from its segment by
+    _LOG_S_ROUNDING (2 u / w + 1 + |slope|).  Each order takes the highest
+    of these lines (a NaN line counts for nothing, and no line is taken
+    inside its own segment), and the floor, which falls as log S grows, is
+    at most what that gives.  These values only decide which orders to
+    evaluate; an entry whose arithmetic passes the float range is -inf or
+    NaN.
     """
-    width = lam_p - lam_e
-    slope = (log_p - log_e) / width
-    u = 1.0 + max(lam_e, lam_p) + max(abs(log_e), abs(log_p))
-    tilt = _LOG_S_ROUNDING * (2.0 * u / width + math.copysign(1.0 + abs(slope), width))
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = (log_e - 2.0 * _LOG_S_ROUNDING * u) + (slope - tilt) * (orders.lam - lam_e)
-        return _floor_ceilings(log_m, bound, orders.lam, orders)
+    lam, log_part, share, inverse = terms
+    points = np.array(known)
+    a, b = points[:-1, :1], points[1:, :1]  # each segment's ends, as columns
+    log_a, log_b = points[:-1, 1:], points[1:, 1:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        width = b - a
+        slope = (log_b - log_a) / width
+        u = 1.0 + b + np.maximum(np.abs(log_a), np.abs(log_b))
+        tilt = _LOG_S_ROUNDING * (2.0 * u / width + 1.0 + np.abs(slope))
+        low = 2.0 * _LOG_S_ROUNDING * u
+        lines = np.where(lam > b, (log_a - low) + (slope - tilt) * (lam - a),
+                         np.where(lam < a, (log_b - low) + (slope + tilt) * (lam - b), -np.inf))
+        bound = np.fmax.reduce(lines, axis=0)
+        return 1.0 - np.exp(log_part - share * log_m + bound * inverse)
 
 
 @lru_cache
-def _prescan_grid(lam_lo: float, lam_hi: float) -> tuple[tuple, tuple, np.ndarray]:
+def _prescan_grid(lam_lo: float, lam_hi: float) -> tuple[tuple, tuple, tuple]:
     """optimize_lambda's pre-scan on [lam_lo, lam_hi], built once per range.
 
     _PRESCAN evenly spaced log lam from log lam_lo to log lam_hi, their
-    orders as floats, and those orders as one read-only array.  Every
-    caller shares them, so none of the three can be changed in place.
+    orders as floats, and the functions of the orders that
+    `_secant_ceilings` takes: lam, log1p(lam) - share log(lam),
+    share = lam / (1 + lam) and 1 / (1 + lam).  Every caller shares them,
+    so each array is read-only.
     """
     grid = tuple(np.linspace(math.log(lam_lo), math.log(lam_hi), _PRESCAN).tolist())
     lams = tuple(math.exp(x) for x in grid)
-    lam_array = np.array(lams)
-    lam_array.setflags(write=False)
-    return grid, lams, lam_array
-
-
-@lru_cache
-def _prescan_ceiling_terms(lam_lo: float, lam_hi: float) -> tuple:
-    """What optimize_lambda's ceilings take of the range alone, built once per range.
-
-    For each order, the first-pass order at or below it, as its place in
-    the first pass (`below`), and that order's lam; the ratio of the two
-    (`spread`, past the float range on the widest ranges); and the grid's
-    `_Orders`.  All read-only.
-    """
-    lam_array = _prescan_grid(lam_lo, lam_hi)[2]
-    below = np.arange(_PRESCAN) // _PRESCAN_STRIDE
-    lams_below = lam_array[below * _PRESCAN_STRIDE]  # the first pass takes every stride-th
-    with np.errstate(over="ignore"):
-        spread = lam_array / lams_below
-    orders = _orders(lam_array)
-    for array in (below, lams_below, spread, *orders[1:]):
+    lam = np.array(lams)
+    share = lam / (1.0 + lam)
+    terms = (lam, np.log1p(lam) - share * np.log(lam), share, 1.0 / (1.0 + lam))
+    for array in terms:
         array.setflags(write=False)
-    return below, lams_below, spread, orders
+    return grid, lams, terms
 
 
 def optimize_lambda(
@@ -526,33 +489,24 @@ def optimize_lambda(
     higher.  The pre-scan evaluates log S in at most two passes; for q*
     each order costs one normalizer instead of M divergences.  The first
     takes every _PRESCAN_STRIDE-th order and the last: 3 of the 64, as the
-    maximum lies at an end of the range in most calls.  Each other order
-    lam' has a floor at most the ceiling that `_floor_ceilings` gives from
-    the first-pass order lam below it.  When the best first-pass order is
-    an end of the grid, the edge probe below is taken before the second
-    pass: log S is convex in lam, so the secant through the end and the
-    probe gives a second ceiling at every other order (`_secant_ceilings`),
-    computed only when the chord ceilings leave an order to evaluate.  The
-    second pass takes only the orders where neither ceiling lies below the
-    best first-pass floor by more than 1e-9 (1 + |ceiling|) lam' / lam; a
-    NaN or -inf secant ceiling rules out nothing.  An absolute rounding
-    delta in log S at lam moves the chord ceiling by at most
-    (lam' / lam) delta |1 - ceiling|, so that margin stays thousands of
-    times that rounding on every range; where lam' / lam passes the float
-    range the margin is infinite and the order is kept.  A skipped order's
-    floor lies below that best, so it is never the first maximum, and the
-    result keeps the bits of a full pre-scan.
+    maximum lies at an end of the range in most calls.  When the best of
+    them is an end of the grid, the edge probe below is taken next.  The
+    second pass takes only the orders whose ceiling from every log S known
+    so far (`_secant_ceilings`) does not lie below the best first-pass
+    floor by more than 1e-9 (1 + |ceiling|); a NaN or -inf ceiling rules
+    out nothing.  A skipped order's floor lies below that best, so it is
+    never the first maximum, and the result keeps the bits of a full
+    pre-scan.
 
     The search resolves its bracket to edge_tol = _RESOLUTION (sqrt(eps))
     times the bracket width: golden section stops when its bracket is that
     narrow, and the lambda_at_boundary flag counts a point within edge_tol
     of an end as at it.  When the pre-scan maximum is an end of the grid,
-    one probe edge_tol inward of it decides: if the probe is not higher,
-    that end is kept and golden section is skipped, since it could only
-    have crept to within edge_tol of the end, beating it, if at all, by
-    rounding.  A probe taken before the second pass is that same float and
-    is not evaluated again.  An end of the range is reported as lam_lo or
-    lam_hi exactly.
+    it is a first-pass order, and the probe edge_tol inward of it decides:
+    if the probe is not higher, that end is kept and golden section is
+    skipped, since it could only have crept to within edge_tol of the end,
+    beating it, if at all, by rounding.  An end of the range is reported
+    as lam_lo or lam_hi exactly.
 
     lam_lo and lam_hi must be finite with 0 < lam_lo < lam_hi; anything
     else raises ValueError.
@@ -565,7 +519,7 @@ def optimize_lambda(
         lam = math.exp(log_lam)
         return _eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
 
-    grid, lams, _ = _prescan_grid(lam_lo, lam_hi)
+    grid, lams, terms = _prescan_grid(lam_lo, lam_hi)
     values = [-math.inf] * _PRESCAN  # a skipped order is never the first maximum
 
     def evaluate(i: int) -> float:
@@ -579,31 +533,22 @@ def optimize_lambda(
         return _RESOLUTION * (grid[min(i + 1, _PRESCAN - 1)] - grid[max(i - 1, 0)])
 
     first = [*range(0, _PRESCAN, _PRESCAN_STRIDE), _PRESCAN - 1]
-    below, lams_below, spread, orders = _prescan_ceiling_terms(lam_lo, lam_hi)
-    log_means = [evaluate(i) for i in first]
+    # (lam, log S) where log S is known, from order 0, where it is at most PMF_SUM_TOL
+    known = [(0.0, PMF_SUM_TOL), *((lams[i], evaluate(i)) for i in first)]
     best = max(values)
-
-    def ruled_out(ceilings: np.ndarray) -> np.ndarray:
-        """Where a ceiling lies below the best first-pass floor by more than a margin."""
-        # a margin thousands of times the rounding of log S, times the lam' / lam
-        # that the chord ceiling multiplies it by; a -inf or NaN ceiling rules
-        # out nothing, nor does a margin that passes the float range
-        with np.errstate(over="ignore"):
-            margin = 1e-9 * (1.0 + np.abs(ceilings)) * spread
-        return ceilings < best - margin
-
-    skip = ruled_out(_floor_ceilings(log_m, np.array(log_means)[below], lams_below, orders))
-    skip[first] = True
-    probes = {}  # a grid end -> the floor one edge_tol inward of it
     end = values.index(best)
     if end in (0, _PRESCAN - 1):
-        # the edge probe, taken now: with the end it gives a secant under log S
+        # the edge probe, taken now: its log S is one more point for the
+        # secants, unless it rounds to the end itself (a subnormal lam_lo)
         lam_p = math.exp(grid[end] + (edge_tol_at(end) if end == 0 else -edge_tol_at(end)))
-        log_p = family._log_mean_term(lam_p)
-        probes[end] = _eps_from_log_terms(log_m, log_p, lam_p)
-        if lam_p != lams[end] and not skip.all():
-            skip |= ruled_out(_secant_ceilings(log_m, lams[end], log_means[first.index(end)],
-                                               lam_p, log_p, orders))
+        probe = best
+        if lam_p != lams[end]:
+            log_p = family._log_mean_term(lam_p)
+            probe = _eps_from_log_terms(log_m, log_p, lam_p)
+            known.append((lam_p, log_p))
+    ceilings = _secant_ceilings(log_m, sorted(known), terms)
+    skip = ceilings < best - 1e-9 * (1.0 + np.abs(ceilings))
+    skip[first] = True
     for i in np.flatnonzero(~skip).tolist():
         evaluate(i)
     best_idx = values.index(max(values))
@@ -613,11 +558,9 @@ def optimize_lambda(
     # The resolution of the whole search: golden section stops within it of
     # a maximum, and the flag counts a point within it of an end as at it.
     edge_tol = edge_tol_at(best_idx)
-    # An edge maximum that does not rise one edge_tol inward is settled as is.
-    inward = {0: edge_tol, _PRESCAN - 1: -edge_tol}.get(best_idx)
-    if inward is not None and best_idx not in probes:
-        probes[best_idx] = raw_at(x_best + inward)
-    if inward is None or probes[best_idx] > v_best:
+    # An edge maximum is the first-pass best, so its probe was taken above;
+    # if the probe does not rise, the edge is settled as is.
+    if best_idx not in (0, _PRESCAN - 1) or probe > v_best:
         x_gold, v_gold = _golden_max(raw_at, bracket_lo, bracket_hi)
         if v_gold > v_best:
             x_best = x_gold

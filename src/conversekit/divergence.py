@@ -23,18 +23,20 @@ for every row at one order:
   error is then that of forming r, about eps lam sum_y p (|log p| + |log q|),
   however small lam D is.  log S itself would carry an error of about eps,
   which swamps lam D ~ 1e-8 at lam ~ 1e-6.
-- A row whose terms overflow that form (lam r past ~709) is redone as a
-  log-sum-exp of log p + lam r over its segment.  So reference masses down
-  to the subnormal 5e-324 and orders up to 100 give finite values:
-  `renyi_discrete` no longer returns inf (or NaN, where one term
-  underflowed to 0 and its partner overflowed) where the true divergence
-  is finite.  Where lam r itself passes the float maximum (orders near
-  1.7e308), lam D is +inf.
-- That guard, np.errstate(over="ignore") and a scan of the output for
-  +inf, runs only where it can fire.  The caller passes an order-free
-  bound on |r| (`converse.ChannelFamily` keeps one per family,
-  `renyi_discrete` takes max |r| of its row); where lam times it is at
-  most 709, no term overflows and the call runs plain, with the same bits.
+- A row whose terms overflow that form (lam r past ~709), or whose S
+  underflows against 1 (S - 1 below -1/2), is redone as a log-sum-exp of
+  log p + lam r over its segment.  So reference masses down to the
+  subnormal 5e-324 and orders up to 100 give finite values, and so does a
+  row whose cells all lie below q by rounding at orders past 1e13:
+  `renyi_discrete` returns neither inf, -inf nor NaN where the true
+  divergence is finite.  Where lam r itself passes the float maximum
+  (orders near 1.7e308), lam D is +inf.
+- That guard, np.errstate and a scan of S - 1, runs only where it can
+  fire.  The caller passes an order-free bound on |r|
+  (`converse.ChannelFamily` keeps one per family, `renyi_discrete` takes
+  max |r| of its row); where lam times it is at most 709 and lam is at
+  most 1 / (4 PMF_SUM_TOL), no row needs a redo and the call runs plain,
+  with the same bits.
 - Its temporaries hold one value per live cell, so a call's memory is that
   of the family's rows, whatever the order.  A search over orders
   (`converse.optimize_lambda`) calls it once per order.
@@ -238,28 +240,37 @@ def _renyi_log_sums(rows: _PmfRows, log_ratio: np.ndarray, lam: float,
     log_ratio is r = log p_i - log q on the cells of rows, shape (N,).
     r_bound is an order-free bound on |r| (inf where none is known).  Only
     the p > 0 cells are summed, one np.add.reduceat over the row segments.
-    Where lam r_bound <= _EXP_OVERFLOW, no lam r passes the float range on
-    either side and no term of S - 1 exceeds p exp(709), so the call runs
-    plain: no np.errstate and no scan for +inf.  Otherwise it runs under
-    np.errstate(over="ignore"), and rows whose S - 1 overflowed are redone
-    as a log-sum-exp of log p + lam r over the row's segment; where lam r
-    itself overflowed, that gives +inf, which is lam D as a float.
+    log1p(S - 1) is exact only where S - 1 is a float: it overflows past
+    exp(709), and where S underflows against 1 (a row whose cells all lie
+    below q, at orders past about 1e13) it is log1p(-1) = -inf.  So rows
+    whose S - 1 is +inf or below -1/2 are redone as a log-sum-exp of
+    log p + lam r over the row's segment; where lam r itself overflowed,
+    that gives +inf, which is lam D as a float.  Neither can happen where
+    lam r_bound <= _EXP_OVERFLOW, so no term of S - 1 exceeds p exp(709),
+    and lam PMF_SUM_TOL <= 1/4: by Hoelder's inequality, with both sums
+    over the row's cells, S >= (sum p)^(1+lam) (sum q)^(-lam), which is at
+    least exp(-(1 + 2 lam) PMF_SUM_TOL) >= exp(-1/2) less the rounding of
+    lam r.  There the call runs plain: no np.errstate and no scan, with the
+    same bits.
     """
     probs, starts = rows.probs, rows.starts
 
-    def log_sums() -> np.ndarray:
+    def excess() -> np.ndarray:
         terms = np.multiply(log_ratio, lam)
         np.expm1(terms, out=terms)
         terms *= probs
-        excess = np.add.reduceat(terms, starts)
-        excess += rows.defect  # S - 1
-        return np.log1p(excess, out=excess)
+        out = np.add.reduceat(terms, starts)
+        out += rows.defect  # S - 1
+        return out
 
-    if lam * r_bound <= _EXP_OVERFLOW:
-        return log_sums()
-    with np.errstate(over="ignore"):
-        out = log_sums()
-        hit = out == math.inf  # only rows whose S - 1 overflowed
+    if lam * r_bound <= _EXP_OVERFLOW and lam * PMF_SUM_TOL <= 0.25:
+        out = excess()
+        return np.log1p(out, out=out)
+    # log1p of a redone row's S - 1 (-1 or below, or +inf) is discarded
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = excess()
+        hit = (out < -0.5) | (out == math.inf)
+        np.log1p(out, out=out)
         if hit.any():
             logs = np.log(probs) + lam * log_ratio
             out[hit] = _segment_logsumexp(logs, starts)[hit]

@@ -141,6 +141,24 @@ def test_underflowing_reference_keeps_the_bound_finite():
             assert lam * d == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
+def test_rows_below_their_reference_keep_log_s_where_s_underflows_against_1():
+    # every cell of p lies 8e-13 (relative) below the uniform q, so
+    # S = (2 p0)^(1+lam) passes below half an ulp of 1 near lam = 1e14, where
+    # log1p(S - 1) is log1p(-1) = -inf; the true lam D is (1+lam) log(2 p0)
+    p = DiscretePmf([0.5 - 4e-13] * 2)
+    u = DiscretePmf([0.5, 0.5])
+    p0 = float(p.probs[0])
+    for lam in (1e13, 1e14, 1e200):
+        want = (1.0 + lam) * math.log(2.0 * p0) / lam
+        assert renyi_discrete(p, u, lam) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for q_choice in converse.Q_CHOICES:
+        rep = strong_converse_bound(ChannelFamily((p, p), q_choice), 1e14)
+        assert math.isfinite(rep.eps_raw), q_choice
+        assert all(math.isfinite(d) for d in rep.params["divergences"]), q_choice
+    # every term -inf: log mean exp is -inf, not the NaN of -inf - -inf
+    assert converse._log_mean_exp(np.full(3, -math.inf)) == -math.inf
+
+
 # --- routes to one order, layout and memory ---
 
 
@@ -191,9 +209,11 @@ def _sparse_wide_conditionals():
 def test_order_chunk_policy_lives_only_in_divergence():
     # every order is evaluated alone, on the calling thread: no module,
     # divergence included, names an order-chunk policy, a thread, a pool,
-    # a CPU count, a batched log S or a golden-section step count of its own
+    # a CPU count, a batched log S, a golden-section step count of its own
+    # or a second ceiling path beside the order search's secants
     banned = {"_CHUNK_CELLS", "_over_order_chunks", "threading", "concurrent", "contextvars",
-              "_SPLIT_CELLS", "_CPUS", "sched_getaffinity", "_GOLDEN_ITERS", "_log_mean_terms"}
+              "_SPLIT_CELLS", "_CPUS", "sched_getaffinity", "_GOLDEN_ITERS", "_log_mean_terms",
+              "_floor_ceilings", "_prescan_ceiling_terms", "_Orders"}
     root = os.path.join(os.path.dirname(__file__), "..", "src", "conversekit")
     leaks = []
     for path in sorted(glob.glob(os.path.join(root, "*.py"))):

@@ -2,8 +2,8 @@
 
 `reference_optimize_lambda` evaluates log S at every pre-scan order.
 `converse.optimize_lambda` evaluates every _PRESCAN_STRIDE-th order first and
-then only the orders that its ceilings do not rule out, so every report
-must come out the same, bit for bit.
+then only the orders that its secant ceilings do not rule out, so every
+report must come out the same, bit for bit.
 
 Both searches call the same `ChannelFamily._log_mean_term`, one order per
 call.  The bit-identity tests share its values between them through
@@ -26,14 +26,13 @@ from conversekit.converse import (
     _PRESCAN_STRIDE,
     ChannelFamily,
     _eps_from_log_terms,
-    _floor_ceilings,
     _golden_max,
-    _orders,
     _prescan_grid,
     _secant_ceilings,
     optimize_lambda,
     strong_converse_bound,
 )
+from conversekit.divergence import PMF_SUM_TOL
 from conversekit.suites import random_discrete_family
 from conftest import pmf
 from test_converse import QSTAR_HUGE_ORDER_FAMILIES
@@ -51,7 +50,7 @@ def reference_optimize_lambda(family, lam_lo=1e-6, lam_hi=10.0):
         lam = math.exp(log_lam)
         return _eps_from_log_terms(log_m, family._log_mean_term(lam), lam)
 
-    grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
+    grid, lams, _ = _prescan_grid(lam_lo, lam_hi)
     log_means = [family._log_mean_term(lam) for lam in lams]
     values = [_eps_from_log_terms(log_m, s, lam) for s, lam in zip(log_means, lams)]
     best_idx = values.index(max(values))
@@ -133,7 +132,10 @@ def test_special_families_keep_every_bit(conds):
 
 @pytest.mark.parametrize("make", [_wide_conditionals, _sparse_wide_conditionals])
 def test_wide_prescan_evaluates_few_orders(monkeypatch, make):
-    # a silent return to the full 64-order pre-scan fails here
+    # a silent return to the full 64-order pre-scan fails here, and so, on
+    # [1, 1e8], does a return to the chord through the origin: the secants
+    # through the first-pass orders leave q* about 23 evaluations there,
+    # where the chord left it 49 (golden section and probe included)
     conds = make()
     grid_orders = set(_prescan_grid(1e-6, 10.0)[1])
     log_mean_term = ChannelFamily._log_mean_term
@@ -141,47 +143,47 @@ def test_wide_prescan_evaluates_few_orders(monkeypatch, make):
         seen = []
 
         def spy(self, lam):
-            if lam in grid_orders:
-                seen.append(lam)
+            seen.append(lam)
             return log_mean_term(self, lam)
 
         with monkeypatch.context() as patched:
             patched.setattr(ChannelFamily, "_log_mean_term", spy)
             optimize_lambda(ChannelFamily(conds, q_choice))
-        assert len(set(seen)) == len(seen) <= 12, (q_choice, len(seen))
+            on_grid = [lam for lam in seen if lam in grid_orders]
+            assert len(set(on_grid)) == len(on_grid) <= 12, (q_choice, len(on_grid))
+            if q_choice == "qstar":
+                seen.clear()
+                optimize_lambda(ChannelFamily(conds, q_choice), 1.0, 1e8)
+                assert len(set(seen)) == len(seen) <= 30, len(seen)
 
 
-# Ranges so wide that lam' / lam is at least e^22 one grid step up: every
-# margin then exceeds the floor's whole range, so the second pass keeps every
-# order.  On the first, order 31 over order 0 passes the float range.
+# Ranges so wide that one grid step multiplies lam by at least e^22; on the
+# first, order 31 over order 0 passes the float range.
 OVERFLOW_RANGES = [(5e-324, 1.7e308), (1e-300, 1.7e308)]
 
 
 @pytest.mark.filterwarnings("error")
-def test_ranges_whose_margin_overflows_keep_every_order_and_every_bit(shared_log_means,
-                                                                       monkeypatch):
+def test_overflow_ranges_evaluate_each_order_once_and_keep_every_bit(shared_log_means,
+                                                                     monkeypatch):
     for conds in (*_premise_families(), _wide_conditionals(), _sparse_wide_conditionals()):
-        _assert_every_order_kept(monkeypatch, conds)
+        _assert_each_order_once(monkeypatch, conds)
 
 
-def _assert_every_order_kept(monkeypatch, conds):
+def _assert_each_order_once(monkeypatch, conds):
     log_mean_term = ChannelFamily._log_mean_term
     for lam_lo, lam_hi in OVERFLOW_RANGES:
-        _, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
-        with np.errstate(over="ignore"):
-            assert (lam_array[31] / lam_array[0] == math.inf) == (lam_lo == 5e-324)
-        grid = _prescan_grid(lam_lo, lam_hi)[0]
+        grid, lams, _ = _prescan_grid(lam_lo, lam_hi)
         first = [0, _PRESCAN_STRIDE, _PRESCAN - 1]
-        rest = [lam for i, lam in enumerate(lams) if i not in first]
         for q_choice in converse.Q_CHOICES:
             fam = ChannelFamily(conds, q_choice)
             log_m = math.log(fam.m_codewords)
             floors = [_eps_from_log_terms(log_m, fam._log_mean_term(lams[i]), lams[i])
                       for i in first]
             end = first[floors.index(max(floors))]
-            # the edge probe follows when the best of them is an end
+            # the edge probe follows when the best of them is an end, unless
+            # it rounds to that end (lam_lo = 5e-324)
             probe = [_probe_order(grid, end)] if end != _PRESCAN_STRIDE else []
-            orders = [lams[i] for i in first] + probe + rest
+            orders = [lams[i] for i in first] + [lam for lam in probe if lam != lams[end]]
             seen = []
 
             def spy(self, lam):
@@ -192,8 +194,9 @@ def _assert_every_order_kept(monkeypatch, conds):
                 patched.setattr(ChannelFamily, "_log_mean_term", spy)
                 fast = optimize_lambda(fam, lam_lo, lam_hi)
             # orders 0, 32 and 63, the probe when the best of them is an
-            # end, then every other order of the grid in turn
+            # end, then no order a second time
             assert seen[:len(orders)] == orders, (q_choice, lam_lo)
+            assert len(set(seen)) == len(seen), (q_choice, lam_lo)
             slow = reference_optimize_lambda(fam, lam_lo, lam_hi)
             assert repr(fast) == repr(slow), (q_choice, lam_lo, lam_hi)
 
@@ -206,37 +209,6 @@ def _premise_families():
         (pmf(1e-300, 0.5, 0.5), pmf(0.2, 0.3, 0.5), pmf(0.5, 0.5, 1e-300)),
         *QSTAR_HUGE_ORDER_FAMILIES,
     ]
-
-
-@pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
-def test_ceilings_lie_above_the_computed_floors(q_choice):
-    # The premise of the skip: log S / lam never falls as lam grows, so the
-    # ceiling from an order below bounds the floor at every order above it.
-    # It is checked on the floor, the value the skip compares: log S / lam
-    # itself carries the rounding of log S (about 1e-16) divided by lam, so
-    # at lam ~ 1e-300 it is far from monotone, yet the ceiling multiplies it
-    # by lam' / (1+lam') and keeps that rounding far below the margin.  An
-    # absolute rounding delta in log S at lam moves the ceiling at lam' by at
-    # most (lam' / lam) delta |1 - ceiling|, so the margin carries lam' / lam.
-    # Every order up to _PRESCAN_STRIDE grid steps below lam' is checked.
-    for conds in _premise_families():
-        fam = ChannelFamily(conds, q_choice)
-        log_m = math.log(fam.m_codewords)
-        for lam_lo, lam_hi in RANGES:
-            _, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
-            log_means = np.array([fam._log_mean_term(lam) for lam in lams])
-            floors = np.array([_eps_from_log_terms(log_m, s, lam)
-                               for s, lam in zip(log_means.tolist(), lams)])
-            for step in range(1, _PRESCAN_STRIDE + 1):
-                ceilings = _floor_ceilings(log_m, log_means[:-step], lam_array[:-step],
-                                           _orders(lam_array[step:]))
-                # the skip's own margin: infinite for a -inf ceiling, or
-                # where lam' / lam passes the float range
-                with np.errstate(over="ignore"):
-                    margin = (1e-9 * (1.0 + np.abs(ceilings))
-                              * (lam_array[step:] / lam_array[:-step]))
-                late = floors[step:] - margin > ceilings
-                assert not late.any(), (lam_lo, lam_hi, step, np.flatnonzero(late))
 
 
 def _probe_order(grid, end):
@@ -294,37 +266,49 @@ def test_log_s_is_convex_in_lam_up_to_its_rounding(q_choice):
         assert not late.any(), np.flatnonzero(late)
 
 
+# Rows whose mass defects lie near -PMF_SUM_TOL and +PMF_SUM_TOL, where
+# log S at order 0 is farthest from 0.
+DEFECT_FAMILIES = [
+    (pmf(0.5 - 4.9e-13, 0.5 - 4.9e-13), pmf(0.5, 0.5)),
+    (pmf(0.5 - 4.9e-13, 0.5 - 4.9e-13), pmf(0.2, 0.8)),
+    (pmf(0.3 + 3e-13, 0.7 + 6.9e-13), pmf(0.6 + 4.9e-13, 0.4 + 4.9e-13)),
+    (pmf(0.3 + 3e-13, 0.7 + 6.9e-13), pmf(0.2, 0.8)),
+    (pmf(1e-300, 0.5 - 4.9e-13, 0.5 - 4.9e-13), pmf(0.2, 0.3 + 4.9e-13, 0.5 + 4.9e-13)),
+]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("q_choice", converse.Q_CHOICES)
 def test_secant_ceilings_lie_above_the_computed_floors(q_choice):
-    # The counterpart of test_ceilings_lie_above_the_computed_floors for the
-    # secant through an end of the grid and its edge probe, on ranges up to
-    # 1.7e308 and families with subnormal entries: where the cap is a
-    # number, no computed floor at another order lies above it, with no
-    # margin at all.
-    tighter = 0
-    for conds in _premise_families():
+    # The premise of the skip: log S is convex in lam, and log S at 0 is at
+    # most PMF_SUM_TOL, so the secants through the orders the search knows
+    # lie below log S at every other order.  Known orders are random subsets
+    # of the grid, with and without an edge probe, on ranges up to 1.7e308,
+    # on families with subnormal entries and with mass defects near
+    # +-PMF_SUM_TOL.  Where a ceiling is a number, no computed floor lies
+    # above it, with no margin at all.
+    rng = np.random.default_rng(37)
+    binding = 0
+    for conds in (*_premise_families(), *DEFECT_FAMILIES):
         fam = ChannelFamily(conds, q_choice)
         log_m = math.log(fam.m_codewords)
         for lam_lo, lam_hi in (*RANGES, *OVERFLOW_RANGES):
-            grid, lams, lam_array = _prescan_grid(lam_lo, lam_hi)
+            grid, lams, terms = _prescan_grid(lam_lo, lam_hi)
             log_means = [fam._log_mean_term(lam) for lam in lams]
             floors = np.array([_eps_from_log_terms(log_m, s, lam)
                                for s, lam in zip(log_means, lams)])
-            # the search's ceilings from the first-pass order below
-            below = np.arange(_PRESCAN) // _PRESCAN_STRIDE * _PRESCAN_STRIDE
-            chord_ceilings = _floor_ceilings(log_m, np.array(log_means)[below],
-                                             lam_array[below], _orders(lam_array))
-            for end in (0, _PRESCAN - 1):
-                lam_p = _probe_order(grid, end)
-                if lam_p == lams[end]:  # a range a few ulps wide: no secant
-                    continue
-                caps = _secant_ceilings(log_m, lams[end], log_means[end], lam_p,
-                                        fam._log_mean_term(lam_p), _orders(lam_array))
-                caps[end] = math.nan
-                usable = caps > -math.inf
-                late = usable & (floors > caps)
-                assert not late.any(), (lam_lo, lam_hi, end, np.flatnonzero(late))
-                tighter += int(np.count_nonzero(usable & (caps < chord_ceilings)))
-    # the secant is the lower ceiling at about 3000 of these orders
-    assert tighter > 1000
+            probes = [(lam, fam._log_mean_term(lam))
+                      for lam in (_probe_order(grid, 0), _probe_order(grid, _PRESCAN - 1))]
+            for trial in range(6):
+                picked = {0, _PRESCAN_STRIDE, _PRESCAN - 1} if trial == 0 else set(
+                    rng.choice(_PRESCAN, size=rng.integers(1, _PRESCAN), replace=False).tolist())
+                known = [(0.0, PMF_SUM_TOL)] + [(lams[i], log_means[i]) for i in picked]
+                for probe in ([], probes[:1], probes[1:], probes):
+                    caps = _secant_ceilings(log_m, sorted(known + probe), terms)
+                    finite = np.isfinite(caps)
+                    late = finite & (floors > caps)
+                    assert not late.any(), (lam_lo, lam_hi, trial, np.flatnonzero(late))
+                    binding += int(np.count_nonzero(caps < floors.max()))
+    # ceilings that would rule out no order check nothing: these rule out
+    # an order against the grid's best floor about 270000 times
+    assert binding > 100_000, binding
